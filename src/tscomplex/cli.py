@@ -52,7 +52,6 @@ def _add_metric_flags(p: argparse.ArgumentParser) -> None:
                    default="above_below_median")
     p.add_argument("--scales", default="1,2,3,4,5,10",
                    help="comma-separated scale factors for sweeps")
-    p.add_argument("--seed", type=int, default=None, help="base seed for generated inputs")
 
 
 def _add_io_flags(p: argparse.ArgumentParser) -> None:
@@ -70,7 +69,6 @@ def _config_from(args) -> AnalysisConfig:
         t=args.t,
         runs_variant=args.runs_variant,
         scales=tuple(int(s) for s in str(args.scales).split(",") if s.strip()),
-        seed=args.seed,
     )
 
 
@@ -103,13 +101,10 @@ def _emit(report: ExperimentReport, args) -> None:
 
 
 def _cmd_analyze(args) -> int:
-    config = _config_from(args)
-    metrics = build_metrics(config)
+    metrics = build_metrics(_config_from(args))
     report = ExperimentReport()
-    attempted = 0
     succeeded = 0
     for item in _gather_inputs(args):
-        attempted += 1
         try:
             series = item if isinstance(item, Series) else read_series(item)
         except DataError as exc:
@@ -120,13 +115,7 @@ def _cmd_analyze(args) -> int:
                     warnings=(f"error: {exc}",)))
             continue
         succeeded += 1
-        for metric in metrics:
-            try:
-                result = metric(series)
-            except (DataError, NumericalError) as exc:
-                result = MetricResult(metric=metric.name, value=float("nan"),
-                                      warnings=(f"error: {exc}",))
-            report.add_result(series.label or "series", 1, result)
+        report.add_profile(series.label or "series", mse_sweep(series, (1,), metrics))
     if args.rescale:
         rescaled_scores_transform(report)
     _emit(report, args)
@@ -148,10 +137,7 @@ def _cmd_mse(args) -> int:
     profile = mse_sweep(series, config.scales, build_metrics(config),
                         partial="mean" if args.partial_blocks else "drop")
     report = ExperimentReport()
-    label = series.label or "series"
-    for scale in profile.scales:
-        for name in profile.metrics:
-            report.add_result(label, scale, profile.results[(scale, name)])
+    report.add_profile(series.label or "series", profile)
     _emit(report, args)
     return EXIT_OK
 
@@ -172,7 +158,7 @@ def _cmd_reproduce(args) -> int:
     result = reproduce(
         args.experiment,
         data_dir=args.data_dir,
-        seed=args.seed if args.seed is not None else DEFAULT_SEED,
+        seed=args.seed,
         replications=args.replications,
         config=config,
     )
@@ -247,6 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replications", type=int, default=None)
     p.add_argument("--print-table", action="store_true",
                    help="also print the full report table")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                   help="base seed for the experiment's generated inputs")
     _add_metric_flags(p)
     _add_io_flags(p)
     p.set_defaults(func=_cmd_reproduce)

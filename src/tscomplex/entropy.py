@@ -180,11 +180,8 @@ class MseProfile:
     metrics: tuple[str, ...]
     results: Mapping[tuple[int, str], MetricResult]
 
-    def row(self, metric: str) -> list[MetricResult]:
-        return [self.results[(s, metric)] for s in self.scales]
-
     def values(self, metric: str) -> list[float]:
-        return [r.value for r in self.row(metric)]
+        return [self.results[(s, metric)].value for s in self.scales]
 
 
 def mse_sweep(
@@ -196,10 +193,13 @@ def mse_sweep(
 ) -> MseProfile:
     """Coarse-grain the series at each scale and evaluate every metric.
 
-    Metrics that derive tolerances from their input (sample entropy in
-    per-input-SD mode) therefore recompute them from each down-sampled
-    series. A metric failure at one scale is recorded in that cell as a
-    NaN result with the error message attached; the sweep continues.
+    This is the package's single evaluation path: every score the CLI and
+    the reproduction harness report comes from here, and scale-1 scoring
+    is a sweep over ``(1,)``. Metrics that derive tolerances from their
+    input (sample entropy in per-input-SD mode) recompute them from each
+    down-sampled series. A metric failure at one scale is
+    recorded in that cell as a NaN result with the error message attached;
+    the sweep continues.
     """
     if len(scales) == 0:
         raise DataError("empty scale list")

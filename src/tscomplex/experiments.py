@@ -21,25 +21,11 @@ from typing import Sequence
 import numpy as np
 
 from . import reference as ref
-from .core import (
-    DataError,
-    MetricResult,
-    NumericalError,
-    Series,
-    coarse_grain,
-    rescale_for_plot,
-)
-from .entropy import PermEnParams, SampEnParams, permutation_entropy, sample_entropy
+from .core import DataError, Metric, MetricResult, Series, rescale_for_plot
+from .entropy import mse_sweep
 from .generators import add_noise, arma_simulate, derive_seed, generate_iid, logistic_map
-from .metrics import AnalysisConfig, build_metrics
-from .randomness import (
-    TTestResult,
-    chi_square_sf,
-    normal_sf,
-    permutation_test,
-    runs_test,
-    welch_t_test,
-)
+from .metrics import METRIC_NAMES, AnalysisConfig, build_metrics
+from .randomness import TTestResult, chi_square_sf, normal_sf, welch_t_test
 from .report import ExperimentReport
 from .seriesio import SeriesFile, read_series
 
@@ -126,15 +112,11 @@ def logistic_recipe(r: float, label: str | None = None) -> Series:
                         label=label or f"logistic r={r:g}")
 
 
-def _evaluate(series: Series, config: AnalysisConfig) -> list[MetricResult]:
-    out = []
-    for metric in build_metrics(config):
-        try:
-            out.append(metric(series))
-        except (DataError, NumericalError) as exc:
-            out.append(MetricResult(metric=metric.name, value=float("nan"),
-                                    warnings=(f"error: {exc}",)))
-    return out
+def _scale1_results(draws: Sequence[Series],
+                    metrics: Sequence[Metric]) -> dict[str, list[MetricResult]]:
+    """Each metric's scale-1 result on every draw, in draw order."""
+    profiles = [mse_sweep(series, (1,), metrics) for series in draws]
+    return {m.name: [p.results[(1, m.name)] for p in profiles] for m in metrics}
 
 
 def _compare(report: ExperimentReport, cells: Sequence[ref.RefCell]) -> list[CellComparison]:
@@ -188,29 +170,25 @@ def _mean_result(results: list[MetricResult], name: str) -> MetricResult:
 def reproduce_table2(seed: int = DEFAULT_SEED, replications: int = 30,
                      config: AnalysisConfig | None = None) -> ReproduceResult:
     config = config or AnalysisConfig()
+    metrics = build_metrics(config)
     report = ExperimentReport()
     for r in (3.5, 3.7, 3.9):
         series = logistic_recipe(r)
-        for res in _evaluate(series, config):
-            report.add_result(series.label, 1, res)
+        report.add_profile(series.label, mse_sweep(series, (1,), metrics))
     base = logistic_recipe(3.5, label=ref.L35N)
-    noisy0 = add_noise(base, derive_seed(seed, 3, 0), sd_absolute=0.1)
-    for res in _evaluate(noisy0, config):
-        report.add_result(ref.L35N, 1, res)
+    noisy = [add_noise(base, derive_seed(seed, 3, rep), sd_absolute=0.1)
+             for rep in range(replications)]
+    report.add_profile(ref.L35N, mse_sweep(noisy[0], (1,), metrics))
 
     comparisons = _compare(report, [c for c in ref.TABLE2 if c.kind != "band"])
     # stochastic noisy cells: band on the mean over fresh seeded replications
-    sampen_vals, permen_vals = [], []
-    params_se = SampEnParams(m=config.m, r_factor=config.r_factor)
-    params_pe = PermEnParams(n=config.n)
-    for rep in range(replications):
-        noisy = add_noise(base, derive_seed(seed, 3, rep), sd_absolute=0.1)
-        sampen_vals.append(sample_entropy(noisy, params_se).value)
-        permen_vals.append(permutation_entropy(noisy, params_pe))
-    for cell in ref.TABLE2:
-        if cell.kind != "band":
+    bands = [c for c in ref.TABLE2 if c.kind == "band"]
+    band_metrics = {c.metric for c in bands}
+    band_results = _scale1_results(noisy, [m for m in metrics if m.name in band_metrics])
+    for cell in bands:
+        if cell.metric not in band_results:
             continue
-        observed = float(np.mean(sampen_vals if cell.metric == "sampen" else permen_vals))
+        observed = float(np.mean([r.value for r in band_results[cell.metric]]))
         comparisons.append(CellComparison(
             label=cell.label, scale=1, metric=cell.metric, observed=observed,
             reference=cell.value, tol=cell.tol, kind="band",
@@ -227,21 +205,16 @@ def reproduce_table2(seed: int = DEFAULT_SEED, replications: int = 30,
 # table3_logistic: multi-scale sweep of r=3.7 and the noisy r=3.5 series
 # ---------------------------------------------------------------------------
 
-def _sweep_rows(report: ExperimentReport, series: Series, config: AnalysisConfig) -> None:
-    for scale in config.scales:
-        grained = coarse_grain(series, scale, partial="mean")
-        for res in _evaluate(grained, config):
-            report.add_result(series.label, scale, res)
-
-
 def reproduce_table3(seed: int = DEFAULT_SEED, replications: int = 30,
                      config: AnalysisConfig | None = None) -> ReproduceResult:
     config = config or AnalysisConfig()
+    metrics = build_metrics(config)
     report = ExperimentReport()
-    _sweep_rows(report, logistic_recipe(3.7), config)
     noisy = add_noise(logistic_recipe(3.5, label=ref.L35N), derive_seed(seed, 3, 0),
                       sd_absolute=0.1)
-    _sweep_rows(report, noisy, config)
+    for series in (logistic_recipe(3.7), noisy):
+        report.add_profile(series.label,
+                           mse_sweep(series, config.scales, metrics, partial="mean"))
     comparisons = _compare(report, ref.TABLE3_LOGISTIC)
     result = ReproduceResult("table3_logistic", "ok", report, comparisons)
     result.notes.append("runs-test cells beyond scale 1 are informational: the source "
@@ -259,37 +232,29 @@ _TABLE1_DISTS = ("uniform", "normal", "exponential")
 def reproduce_table1(seed: int = DEFAULT_SEED, replications: int = 30,
                      config: AnalysisConfig | None = None) -> ReproduceResult:
     config = config or AnalysisConfig()
+    metrics = build_metrics(config)
+    permen = [m for m in metrics if m.name == "permen"]
+    deep = [s for s in config.scales if s != 1]
     report = ExperimentReport()
     checks: list[PropertyCheck] = []
     p_cells_ok = 0
     p_cells = 0
     monotone_reps = 0
     for di, dist in enumerate(_TABLE1_DISTS):
-        per_metric: dict[str, list[MetricResult]] = {m: [] for m in config.metrics}
-        for rep in range(replications):
-            series = generate_iid(dist, 1000, derive_seed(seed, di, rep))
-            for res in _evaluate(series, config):
-                per_metric[res.metric].append(res)
-            if dist == "uniform":
-                pes = [permutation_entropy(coarse_grain(series, s),
-                                           PermEnParams(n=config.n))
-                       for s in config.scales]
-                monotone_reps += all(pes[i + 1] <= pes[i] for i in range(len(pes) - 1))
+        draws = [generate_iid(dist, 1000, derive_seed(seed, di, rep))
+                 for rep in range(replications)]
         # scale-1 cells: replication means
-        for name in config.metrics:
-            report.add_result(dist, 1, _mean_result(per_metric[name], name))
+        for name, results in _scale1_results(draws, metrics).items():
+            report.add_result(dist, 1, _mean_result(results, name))
         # deeper scales: single seeded draw, as in the source table
-        first = generate_iid(dist, 1000, derive_seed(seed, di, 0))
-        for scale in config.scales:
-            if scale == 1:
-                continue
-            grained = coarse_grain(first, scale, partial="mean")
-            for res in _evaluate(grained, config):
-                report.add_result(dist, scale, res)
+        if deep:
+            report.add_profile(dist, mse_sweep(draws[0], deep, metrics, partial="mean"))
+        if dist == "uniform":
+            for series in draws:
+                pes = mse_sweep(series, config.scales, permen).values("permen")
+                monotone_reps += all(pes[i + 1] <= pes[i] for i in range(len(pes) - 1))
         for scale in config.scales:
             for name in ("permtest", "runstest"):
-                if name not in config.metrics:
-                    continue
                 p = report.get(dist, scale, name).p_value
                 p_cells += 1
                 p_cells_ok += (p is not None and p > 0.05)
@@ -351,44 +316,33 @@ def reproduce_santafe(seed: int = DEFAULT_SEED, replications: int = 30,
             + ", ".join(_SANTAFE_NAMES))
         return result
     clean = read_series(SeriesFile(path)).with_label(ref.SF_CLEAN)
+    metrics = build_metrics(config)
     report = ExperimentReport()
     variants = [clean]
     for vi, mult in enumerate((0.1, 0.2, 1.0)):
         variants.append(add_noise(clean, derive_seed(seed, 5, vi), sd_multiplier=mult,
                                   label=ref.SF_NOISE[mult]))
     for series in variants:
-        for res in _evaluate(series, config):
-            report.add_result(series.label, 1, res)
+        report.add_profile(series.label, mse_sweep(series, (1,), metrics))
     # multi-scale rows for the clean series (scale-1 rows already present)
-    for scale in config.scales:
-        if scale == 1:
-            continue
-        grained = coarse_grain(clean, scale, partial="mean")
-        for res in _evaluate(grained, config):
-            report.add_result(ref.SF_CLEAN, scale, res)
+    deep = [s for s in config.scales if s != 1]
+    if deep:
+        report.add_profile(ref.SF_CLEAN, mse_sweep(clean, deep, metrics, partial="mean"))
     comparisons = _compare(report, ref.SANTAFE_SCORES)
     comparisons += [c for c in _compare(report, ref.SANTAFE_MSE) if c.scale != 1]
 
-    # noise ordering with fresh derived seeds
+    # noise ordering (levels 0, 0.1, 0.2, 1 SD) with fresh derived seeds
     order_ok = {"sampen": 0, "permen": 0, "permtest": 0, "runstest": 0}
     reps = max(1, replications // 3)
-    params_se = SampEnParams(m=config.m, r_factor=config.r_factor)
-    params_pe = PermEnParams(n=config.n)
     for rep in range(reps):
-        se_seq, pe_seq, chi_seq, az_seq = [], [], [], []
-        for vi, mult in enumerate((0.0, 0.1, 0.2, 1.0)):
-            if mult == 0.0:
-                series = clean
-            else:
-                series = add_noise(clean, derive_seed(seed, 6, rep, vi), sd_multiplier=mult)
-            se_seq.append(sample_entropy(series, params_se).value)
-            pe_seq.append(permutation_entropy(series, params_pe))
-            chi_seq.append(permutation_test(series, config.t).chi_square)
-            az_seq.append(abs(runs_test(series, config.runs_variant).z))
-        order_ok["sampen"] += all(np.diff(se_seq) > 0)
-        order_ok["permen"] += all(np.diff(pe_seq) > 0)
-        order_ok["permtest"] += all(np.diff(chi_seq) < 0)
-        order_ok["runstest"] += all(np.diff(az_seq) < 0)
+        levels = [clean] + [add_noise(clean, derive_seed(seed, 6, rep, vi), sd_multiplier=mult)
+                            for vi, mult in enumerate((0.1, 0.2, 1.0), start=1)]
+        seq = {name: [r.value for r in results]
+               for name, results in _scale1_results(levels, metrics).items()}
+        order_ok["sampen"] += all(np.diff(seq["sampen"]) > 0)
+        order_ok["permen"] += all(np.diff(seq["permen"]) > 0)
+        order_ok["permtest"] += all(np.diff(seq["permtest"]) < 0)
+        order_ok["runstest"] += all(np.diff(np.abs(seq["runstest"])) < 0)
     checks = [
         PropertyCheck(
             name="sampen and permen increase with noise level 0 -> 0.1 -> 0.2 -> 1",
@@ -415,17 +369,14 @@ def _arma_series(name: str, ar, ma, seed, pi: int, rep: int) -> Series:
 def reproduce_arma4(seed: int = DEFAULT_SEED, replications: int = 10,
                     config: AnalysisConfig | None = None) -> ReproduceResult:
     config = config or AnalysisConfig()
+    metrics = build_metrics(config)
     report = ExperimentReport()
     per_proc: dict[str, dict[str, list[MetricResult]]] = {}
     for pi, (name, ar, ma) in enumerate(ref.ARMA_PROCESSES):
-        per_metric: dict[str, list[MetricResult]] = {m: [] for m in config.metrics}
-        for rep in range(replications):
-            series = _arma_series(name, ar, ma, seed, pi, rep)
-            for res in _evaluate(series, config):
-                per_metric[res.metric].append(res)
-        per_proc[name] = per_metric
-        for metric_name in config.metrics:
-            report.add_result(name, 1, _mean_result(per_metric[metric_name], metric_name))
+        draws = [_arma_series(name, ar, ma, seed, pi, rep) for rep in range(replications)]
+        per_proc[name] = _scale1_results(draws, metrics)
+        for metric_name, results in per_proc[name].items():
+            report.add_result(name, 1, _mean_result(results, metric_name))
 
     # orderings per replication: entropy falls, test statistics rise,
     # from ARMA(2,2) to ARMA(1,1) to AR(1)
@@ -477,16 +428,18 @@ def reproduce_arma4(seed: int = DEFAULT_SEED, replications: int = 10,
 def reproduce_arma5(seed: int = DEFAULT_SEED, replications: int = 10,
                     config: AnalysisConfig | None = None) -> ReproduceResult:
     config = config or AnalysisConfig()
+    metrics = build_metrics(config)
     report = ExperimentReport()
     for pi, (name, ar, ma) in enumerate(ref.ARMA_PROCESSES):
-        _sweep_rows(report, _arma_series(name, ar, ma, seed, pi, 0), config)
+        report.add_profile(name, mse_sweep(_arma_series(name, ar, ma, seed, pi, 0),
+                                           config.scales, metrics, partial="mean"))
     # run-count decay for AR(1): median |z| per scale over replications
-    ar1_abs_z = np.zeros((replications, len(config.scales)))
-    for rep in range(replications):
-        series = _arma_series(ref.AR1, (0.9,), (), seed, 2, rep)
-        for si, scale in enumerate(config.scales):
-            grained = coarse_grain(series, scale, partial="mean")
-            ar1_abs_z[rep, si] = abs(runs_test(grained, config.runs_variant).z)
+    runs = [m for m in metrics if m.name == "runstest"]
+    ar1_abs_z = np.abs([
+        mse_sweep(_arma_series(ref.AR1, (0.9,), (), seed, 2, rep), config.scales, runs,
+                  partial="mean").values("runstest")
+        for rep in range(replications)
+    ])
     med = np.median(ar1_abs_z, axis=0)
     checks = [
         PropertyCheck(
@@ -514,6 +467,17 @@ _EXPERIMENTS = {
     "arma_table5": reproduce_arma5,
 }
 
+# The metrics each recipe's property checks read. Reference-cell
+# comparisons skip metrics left out of the config; the checks cannot.
+_CHECKED_METRICS = {
+    "table1": METRIC_NAMES,
+    "table2": (),
+    "table3_logistic": (),
+    "santafe": METRIC_NAMES,
+    "arma_table4": METRIC_NAMES,
+    "arma_table5": ("runstest",),
+}
+
 
 def reproduce(experiment: str, *, data_dir: str | Path | None = None,
               seed: int = DEFAULT_SEED, replications: int | None = None,
@@ -522,13 +486,16 @@ def reproduce(experiment: str, *, data_dir: str | Path | None = None,
     if experiment not in _EXPERIMENTS:
         raise DataError(f"unknown experiment {experiment!r}; choose from "
                         + ", ".join(ref.EXPERIMENTS))
+    config = config or AnalysisConfig()
+    missing = [m for m in _CHECKED_METRICS[experiment] if m not in config.metrics]
+    if missing:
+        raise DataError(f"{experiment} checks read metric(s) {', '.join(missing)}, "
+                        "which the --metric selection leaves out")
     kwargs = {"seed": seed, "config": config}
     if replications is not None:
+        if replications < 1:
+            raise DataError(f"replications must be >= 1, got {replications}")
         kwargs["replications"] = replications
-    elif experiment.startswith("arma"):
-        kwargs["replications"] = 10
-    else:
-        kwargs["replications"] = 30
     if experiment == "santafe":
         kwargs["data_dir"] = data_dir
     return _EXPERIMENTS[experiment](**kwargs)
@@ -553,6 +520,7 @@ def compare_groups(
     config = config or AnalysisConfig()
     if len(group_a) < 2 or len(group_b) < 2:
         raise DataError("each group needs at least 2 series")
+    metrics = build_metrics(config)
 
     def load(item) -> Series:
         if isinstance(item, Series):
@@ -564,8 +532,9 @@ def compare_groups(
     for gname, group in zip(group_names, (group_a, group_b)):
         for item in group:
             series = load(item)
-            for res in _evaluate(series, config):
-                report.add_result(f"{gname}:{series.label}", 1, res)
+            profile = mse_sweep(series, (1,), metrics)
+            report.add_profile(f"{gname}:{series.label}", profile)
+            for res in profile.results.values():
                 if math.isfinite(res.value):
                     values.setdefault((gname, res.metric), []).append(res.value)
     tests: dict[str, TTestResult] = {}

@@ -1,12 +1,16 @@
-"""Named metric wrappers and the shared analysis configuration.
+"""The metric table and the shared analysis configuration.
 
-Each constructor closes a score function over its parameters and returns a
-Metric whose result carries the statistic/df/p-value fields when the
-underlying score is a hypothesis test.
+``build_metrics`` turns a config into named evaluators, one per selected
+metric, each bound to parameters validated once per call. The single path
+that applies them is ``entropy.mse_sweep``: it coarse-grains a series,
+evaluates every metric per scale and records a failed evaluation as a NaN
+cell; scale-1 scoring is a sweep over ``(1,)``. A result carries the
+statistic/df/p-value fields when the underlying score is a hypothesis test.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import partial
 
 from .core import Metric, MetricResult, Series
 from .entropy import PermEnParams, SampEnParams, permutation_entropy, sample_entropy
@@ -14,10 +18,6 @@ from .randomness import RunsVariant, permutation_test, runs_test
 
 __all__ = [
     "AnalysisConfig",
-    "sampen_metric",
-    "permen_metric",
-    "permtest_metric",
-    "runstest_metric",
     "build_metrics",
     "METRIC_NAMES",
 ]
@@ -40,75 +40,55 @@ class AnalysisConfig:
     t: int = 5
     runs_variant: RunsVariant = "above_below_median"
     scales: tuple[int, ...] = DEFAULT_SCALES
-    seed: int | None = None
 
     def __post_init__(self):
         unknown = [m for m in self.metrics if m not in METRIC_NAMES]
         if unknown:
             raise ValueError(f"unknown metric(s): {', '.join(unknown)}")
 
-    def with_metrics(self, metrics) -> "AnalysisConfig":
-        return replace(self, metrics=tuple(metrics))
+
+def _sampen(series: Series, params: SampEnParams) -> MetricResult:
+    return MetricResult(metric="sampen", value=sample_entropy(series, params).value)
 
 
-def sampen_metric(m: int = 2, r_factor: float = 0.2, r_mode: str = "per_input_sd") -> Metric:
-    params = SampEnParams(m=m, r_factor=r_factor, r_mode=r_mode)
-
-    def evaluate(series: Series) -> MetricResult:
-        res = sample_entropy(series, params)
-        return MetricResult(metric="sampen", value=res.value)
-
-    return Metric("sampen", evaluate)
+def _permen(series: Series, params: PermEnParams) -> MetricResult:
+    return MetricResult(metric="permen", value=permutation_entropy(series, params))
 
 
-def permen_metric(n: int = 5, normalize: bool = True) -> Metric:
-    params = PermEnParams(n=n, normalize=normalize)
-
-    def evaluate(series: Series) -> MetricResult:
-        return MetricResult(metric="permen", value=permutation_entropy(series, params))
-
-    return Metric("permen", evaluate)
-
-
-def permtest_metric(t: int = 5) -> Metric:
-    def evaluate(series: Series) -> MetricResult:
-        res = permutation_test(series, t)
-        warnings = ()
-        if res.low_expected_warning:
-            warnings = (f"low expected count ({res.group_count}/{res.df + 1} < 5 per category)",)
-        return MetricResult(
-            metric="permtest",
-            value=res.chi_square,
-            statistic=res.chi_square,
-            df=float(res.df),
-            p_value=res.p_value,
-            warnings=warnings,
-        )
-
-    return Metric("permtest", evaluate)
+def _permtest(series: Series, params: int) -> MetricResult:
+    res = permutation_test(series, params)
+    warnings = ()
+    if res.low_expected_warning:
+        warnings = (f"low expected count ({res.group_count}/{res.df + 1} < 5 per category)",)
+    return MetricResult(
+        metric="permtest",
+        value=res.chi_square,
+        statistic=res.chi_square,
+        df=float(res.df),
+        p_value=res.p_value,
+        warnings=warnings,
+    )
 
 
-def runstest_metric(variant: RunsVariant = "above_below_median") -> Metric:
-    def evaluate(series: Series) -> MetricResult:
-        res = runs_test(series, variant)
-        return MetricResult(
-            metric="runstest",
-            value=res.z,
-            statistic=res.z,
-            p_value=res.p_value,
-        )
-
-    return Metric("runstest", evaluate)
+def _runstest(series: Series, params: RunsVariant) -> MetricResult:
+    res = runs_test(series, params)
+    return MetricResult(metric="runstest", value=res.z, statistic=res.z, p_value=res.p_value)
 
 
-_BUILDERS = {
-    "sampen": lambda c: sampen_metric(c.m, c.r_factor, c.r_mode),
-    "permen": lambda c: permen_metric(c.n),
-    "permtest": lambda c: permtest_metric(c.t),
-    "runstest": lambda c: runstest_metric(c.runs_variant),
+# name -> (the metric's parameters drawn from the config, its evaluator)
+_METRICS = {
+    "sampen": (lambda c: SampEnParams(m=c.m, r_factor=c.r_factor, r_mode=c.r_mode), _sampen),
+    "permen": (lambda c: PermEnParams(n=c.n), _permen),
+    "permtest": (lambda c: c.t, _permtest),
+    "runstest": (lambda c: c.runs_variant, _runstest),
 }
 
 
 def build_metrics(config: AnalysisConfig) -> list[Metric]:
-    """Metrics selected by the config, in the config's order."""
-    return [_BUILDERS[name](config) for name in config.metrics]
+    """Metrics selected by the config, in the config's order. Parameters are
+    built here, once, so invalid ones fail before any series is read."""
+    metrics = []
+    for name in config.metrics:
+        params_of, evaluate = _METRICS[name]
+        metrics.append(Metric(name, partial(evaluate, params=params_of(config))))
+    return metrics

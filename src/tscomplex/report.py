@@ -10,9 +10,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Literal, Sequence
+from typing import Literal, Sequence
 
 from .core import DataError, MetricResult
+from .entropy import MseProfile
 
 __all__ = ["ReportRow", "ExperimentReport", "write_report", "read_report_json"]
 
@@ -71,9 +72,11 @@ class ExperimentReport:
     def add_result(self, label: str, scale: int, result: MetricResult) -> None:
         self.add(ReportRow.from_result(label, scale, result))
 
-    def extend(self, rows: Iterable[ReportRow]) -> None:
-        for row in rows:
-            self.add(row)
+    def add_profile(self, label: str, profile: MseProfile) -> None:
+        """One row per cell of a sweep, in scale-major order."""
+        for scale in profile.scales:
+            for metric in profile.metrics:
+                self.add_result(label, scale, profile.results[(scale, metric)])
 
     def get(self, label: str, scale: int, metric: str) -> ReportRow:
         try:

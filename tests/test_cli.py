@@ -5,6 +5,7 @@ import pytest
 
 from tscomplex import write_series, generate_iid
 from tscomplex.cli import main
+from tscomplex.metrics import METRIC_NAMES
 
 LOGISTIC_SPEC = json.dumps({
     "kind": "logistic_map", "params": {"r": 3.5, "x0": 0.3},
@@ -147,6 +148,18 @@ class TestReproduceCommand:
         rows = json.loads(out_path.read_text())
         assert any(r["label"] == "logistic r=3.5" and r["metric"] == "permtest"
                    and r["value"] == 5800.0 for r in rows)
+
+    @pytest.mark.parametrize("metric", METRIC_NAMES)
+    @pytest.mark.parametrize("experiment", ["table1", "table2", "table3_logistic",
+                                            "arma_table4", "arma_table5"])
+    def test_single_metric_runs_or_refuses(self, capsys, experiment, metric):
+        code, out, err = run(capsys, "reproduce", experiment, "--metric", metric,
+                             "--replications", "2")
+        assert code in (0, 2)
+        assert "Traceback" not in err
+        if code == 2:
+            assert err.count("\n") == 1 and "leaves out" in err
+            assert not out
 
 
 class TestCompareGroupsCommand:

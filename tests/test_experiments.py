@@ -8,10 +8,15 @@ from tscomplex import (
     DataError,
     ExperimentReport,
     ReportRow,
+    SampEnParams,
     Series,
+    add_noise,
     arma_simulate,
+    derive_seed,
     generate_iid,
+    sample_entropy,
 )
+from tscomplex.reference import L35N
 from tscomplex.experiments import (
     chf_nsr_comparison,
     compare_groups,
@@ -51,6 +56,19 @@ class TestReproduceTable2:
         again = reproduce("table2")
         for a, b in zip(table2.comparisons, again.comparisons):
             assert a == b
+
+    def test_band_cells_honour_absolute_r(self):
+        config = AnalysisConfig(m=3, r_factor=0.3, r_mode="absolute")
+        result = reproduce("table2", seed=7, replications=3, config=config)
+        band = next(c for c in result.comparisons
+                    if c.kind == "band" and c.metric == "sampen")
+        base = logistic_recipe(3.5, label=L35N)
+        params = SampEnParams(m=3, r_factor=0.3, r_mode="absolute")
+        expected = np.mean([
+            sample_entropy(add_noise(base, derive_seed(7, 3, rep), sd_absolute=0.1),
+                           params).value
+            for rep in range(3)])
+        assert band.observed == pytest.approx(expected, rel=1e-12)
 
 
 class TestReproduceOthers:

@@ -2,13 +2,13 @@
 import pytest
 
 from tscomplex import generate_iid
-from tscomplex.metrics import (
-    AnalysisConfig,
-    build_metrics,
-    permtest_metric,
-    runstest_metric,
-    sampen_metric,
-)
+from tscomplex.metrics import AnalysisConfig, build_metrics
+
+
+def only(name, **params):
+    """The single metric ``name`` as build_metrics makes it."""
+    (metric,) = build_metrics(AnalysisConfig(metrics=(name,), **params))
+    return metric
 
 
 class TestAnalysisConfig:
@@ -30,17 +30,22 @@ class TestAnalysisConfig:
         config = AnalysisConfig(metrics=("runstest", "sampen"))
         assert [m.name for m in build_metrics(config)] == ["runstest", "sampen"]
 
+    @pytest.mark.parametrize("params", [{"m": 0}, {"n": 9}])
+    def test_invalid_parameters_fail_when_metrics_are_built(self, params):
+        with pytest.raises(ValueError):
+            build_metrics(AnalysisConfig(**params))
+
 
 class TestMetricResults:
     def test_entropy_metrics_carry_value_only(self):
         s = generate_iid("uniform", 400, seed=1)
-        res = sampen_metric()(s)
+        res = only("sampen")(s)
         assert res.metric == "sampen"
         assert res.statistic is None and res.df is None and res.p_value is None
 
     def test_permtest_carries_test_fields_and_warning(self):
         s = generate_iid("uniform", 1000, seed=1)
-        res = permtest_metric(5)(s)
+        res = only("permtest", t=5)(s)
         assert res.statistic == res.value
         assert res.df == 119.0
         assert 0.0 <= res.p_value <= 1.0
@@ -48,7 +53,7 @@ class TestMetricResults:
 
     def test_runstest_carries_p_value(self):
         s = generate_iid("uniform", 1000, seed=1)
-        res = runstest_metric()(s)
+        res = only("runstest")(s)
         assert res.statistic == res.value
         assert res.df is None
         assert 0.0 <= res.p_value <= 1.0
