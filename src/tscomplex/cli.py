@@ -14,13 +14,13 @@ from .core import DataError, MetricResult, NumericalError, Series
 from .entropy import mse_sweep
 from .experiments import (
     DEFAULT_SEED,
+    EXPERIMENTS,
     compare_groups,
     reproduce,
     rescaled_scores_transform,
 )
 from .generators import GeneratorSpec, build_series
-from .metrics import METRIC_NAMES, AnalysisConfig, build_metrics
-from .reference import EXPERIMENTS
+from .metrics import DEFAULT_SCALES, METRIC_NAMES, AnalysisConfig, build_metrics
 from .report import ExperimentReport, render_report, write_report, read_report_json
 from .plots import write_plot
 from .seriesio import SeriesFile, read_series, write_series
@@ -50,8 +50,12 @@ def _add_metric_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--t", type=int, default=5, help="permutation-test group size")
     p.add_argument("--runs-variant", choices=("above_below_median", "up_down"),
                    default="above_below_median")
-    p.add_argument("--scales", default="1,2,3,4,5,10",
-                   help="comma-separated scale factors for sweeps")
+
+
+def _add_scales_flag(p: argparse.ArgumentParser) -> None:
+    # only the sweeping commands take it; the others score at scale 1
+    p.add_argument("--scales", help="comma-separated scale factors for sweeps "
+                   "(default: " + ",".join(map(str, DEFAULT_SCALES)) + ")")
 
 
 def _add_io_flags(p: argparse.ArgumentParser) -> None:
@@ -60,6 +64,7 @@ def _add_io_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _config_from(args) -> AnalysisConfig:
+    scales = getattr(args, "scales", None)
     return AnalysisConfig(
         metrics=tuple(args.metrics) if args.metrics else METRIC_NAMES,
         m=args.m,
@@ -68,7 +73,8 @@ def _config_from(args) -> AnalysisConfig:
         n=args.n,
         t=args.t,
         runs_variant=args.runs_variant,
-        scales=tuple(int(s) for s in str(args.scales).split(",") if s.strip()),
+        scales=(DEFAULT_SCALES if scales is None
+                else tuple(int(s) for s in scales.split(",") if s.strip())),
     )
 
 
@@ -129,7 +135,8 @@ def _cmd_mse(args) -> int:
         raise DataError("mse takes exactly one input")
     item = inputs[0]
     series = item if isinstance(item, Series) else read_series(item)
-    if args.fixed_r and "sampen" in config.metrics:
+    # an absolute tolerance is already fixed across scales
+    if args.fixed_r and config.r_mode == "per_input_sd" and "sampen" in config.metrics:
         from .core import summary
         from dataclasses import replace
         r_abs = config.r_factor * summary(series).sd
@@ -216,9 +223,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--partial-blocks", action="store_true",
                    help="average the trailing remainder into a short final block")
     p.add_argument("--fixed-r", action="store_true",
-                   help="hold the sample-entropy tolerance at the original series' "
-                        "0.2*SD instead of recomputing per scale")
+                   help="hold the sample-entropy tolerance at --r-factor times the "
+                        "original series' SD instead of recomputing it per scale "
+                        "(no effect with --absolute-r)")
     _add_metric_flags(p)
+    _add_scales_flag(p)
     _add_io_flags(p)
     p.set_defaults(func=_cmd_mse)
 
@@ -236,6 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                    help="base seed for the experiment's generated inputs")
     _add_metric_flags(p)
+    _add_scales_flag(p)
     _add_io_flags(p)
     p.set_defaults(func=_cmd_reproduce)
 
@@ -270,6 +280,10 @@ def main(argv: list[str] | None = None) -> int:
     except DataError as exc:
         print(f"tscomplex: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    # after the two above, which subclass it: an invalid parameter value
+    except ValueError as exc:
+        print(f"tscomplex: usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -1,6 +1,8 @@
 """Experiment recipes that regenerate the reference result tables.
 
-Each ``reproduce_*`` function rebuilds one table from its recipe, compares
+``EXPERIMENTS`` declares each table once: its recipe, its default number of
+replications and the metrics its property checks read. ``reproduce`` builds
+the metrics and hands them to the recipe, which rebuilds the table, compares
 every checkable cell against the embedded reference values, and evaluates
 the table's qualitative properties (orderings, monotonicity, p-value
 fractions). Deterministic cells are compared at fixed tolerances;
@@ -16,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from statistics import median
-from typing import Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -30,6 +32,7 @@ from .report import ExperimentReport
 from .seriesio import SeriesFile, read_series
 
 __all__ = [
+    "EXPERIMENTS",
     "CellComparison",
     "PropertyCheck",
     "ReproduceResult",
@@ -43,7 +46,6 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 42
-SCALES = ref.SCALES
 
 
 @dataclass(frozen=True)
@@ -163,14 +165,24 @@ def _mean_result(results: list[MetricResult], name: str) -> MetricResult:
     return MetricResult(metric=name, value=mean, warnings=warn)
 
 
+def _ordered_counts(ladders: Iterable[Mapping[str, Sequence[MetricResult]]]) -> dict[str, int]:
+    """Per metric, how many ladders are ordered. A ladder holds each metric's
+    results on a run of series from the most regular to the least; it is
+    ordered when entropies strictly rise and |statistics| strictly fall."""
+    counts: dict[str, int] = {}
+    for ladder in ladders:
+        for name, results in ladder.items():
+            keys = [r.value if name in ("sampen", "permen") else -abs(r.value)
+                    for r in results]
+            counts[name] = counts.get(name, 0) + all(a < b for a, b in zip(keys, keys[1:]))
+    return counts
+
+
 # ---------------------------------------------------------------------------
 # table2: logistic-map scores at scale 1
 # ---------------------------------------------------------------------------
 
-def reproduce_table2(seed: int = DEFAULT_SEED, replications: int = 30,
-                     config: AnalysisConfig | None = None) -> ReproduceResult:
-    config = config or AnalysisConfig()
-    metrics = build_metrics(config)
+def _table2(metrics, config, seed, replications) -> ReproduceResult:
     report = ExperimentReport()
     for r in (3.5, 3.7, 3.9):
         series = logistic_recipe(r)
@@ -178,17 +190,19 @@ def reproduce_table2(seed: int = DEFAULT_SEED, replications: int = 30,
     base = logistic_recipe(3.5, label=ref.L35N)
     noisy = [add_noise(base, derive_seed(seed, 3, rep), sd_absolute=0.1)
              for rep in range(replications)]
-    report.add_profile(ref.L35N, mse_sweep(noisy[0], (1,), metrics))
+    # stochastic noisy cells: band on the mean over the seeded replications;
+    # replication 0 is also the report row, so it is scored with every metric
+    bands = [c for c in ref.TABLE2 if c.kind == "band"]
+    band_metrics = [m for m in metrics if m.name in {c.metric for c in bands}]
+    profiles = [mse_sweep(noisy[0], (1,), metrics)]
+    profiles += [mse_sweep(series, (1,), band_metrics) for series in noisy[1:]]
+    report.add_profile(ref.L35N, profiles[0])
 
     comparisons = _compare(report, [c for c in ref.TABLE2 if c.kind != "band"])
-    # stochastic noisy cells: band on the mean over fresh seeded replications
-    bands = [c for c in ref.TABLE2 if c.kind == "band"]
-    band_metrics = {c.metric for c in bands}
-    band_results = _scale1_results(noisy, [m for m in metrics if m.name in band_metrics])
     for cell in bands:
-        if cell.metric not in band_results:
+        if cell.metric not in profiles[0].metrics:
             continue
-        observed = float(np.mean([r.value for r in band_results[cell.metric]]))
+        observed = float(np.mean([p.results[(1, cell.metric)].value for p in profiles]))
         comparisons.append(CellComparison(
             label=cell.label, scale=1, metric=cell.metric, observed=observed,
             reference=cell.value, tol=cell.tol, kind="band",
@@ -205,10 +219,7 @@ def reproduce_table2(seed: int = DEFAULT_SEED, replications: int = 30,
 # table3_logistic: multi-scale sweep of r=3.7 and the noisy r=3.5 series
 # ---------------------------------------------------------------------------
 
-def reproduce_table3(seed: int = DEFAULT_SEED, replications: int = 30,
-                     config: AnalysisConfig | None = None) -> ReproduceResult:
-    config = config or AnalysisConfig()
-    metrics = build_metrics(config)
+def _table3(metrics, config, seed, replications) -> ReproduceResult:
     report = ExperimentReport()
     noisy = add_noise(logistic_recipe(3.5, label=ref.L35N), derive_seed(seed, 3, 0),
                       sd_absolute=0.1)
@@ -229,10 +240,7 @@ def reproduce_table3(seed: int = DEFAULT_SEED, replications: int = 30,
 _TABLE1_DISTS = ("uniform", "normal", "exponential")
 
 
-def reproduce_table1(seed: int = DEFAULT_SEED, replications: int = 30,
-                     config: AnalysisConfig | None = None) -> ReproduceResult:
-    config = config or AnalysisConfig()
-    metrics = build_metrics(config)
+def _table1(metrics, config, seed, replications) -> ReproduceResult:
     permen = [m for m in metrics if m.name == "permen"]
     deep = [s for s in config.scales if s != 1]
     report = ExperimentReport()
@@ -304,10 +312,7 @@ def find_santafe_file(data_dir: str | Path | None) -> Path | None:
     return None
 
 
-def reproduce_santafe(seed: int = DEFAULT_SEED, replications: int = 30,
-                      config: AnalysisConfig | None = None,
-                      data_dir: str | Path | None = None) -> ReproduceResult:
-    config = config or AnalysisConfig()
+def _santafe(metrics, config, seed, replications, data_dir) -> ReproduceResult:
     path = find_santafe_file(data_dir)
     if path is None:
         result = ReproduceResult("santafe", "skipped", ExperimentReport())
@@ -316,12 +321,10 @@ def reproduce_santafe(seed: int = DEFAULT_SEED, replications: int = 30,
             + ", ".join(_SANTAFE_NAMES))
         return result
     clean = read_series(SeriesFile(path)).with_label(ref.SF_CLEAN)
-    metrics = build_metrics(config)
     report = ExperimentReport()
-    variants = [clean]
-    for vi, mult in enumerate((0.1, 0.2, 1.0)):
-        variants.append(add_noise(clean, derive_seed(seed, 5, vi), sd_multiplier=mult,
-                                  label=ref.SF_NOISE[mult]))
+    variants = [clean] + [add_noise(clean, derive_seed(seed, 5, vi), sd_multiplier=mult,
+                                    label=label)
+                          for vi, (mult, label) in enumerate(ref.SF_NOISE.items())]
     for series in variants:
         report.add_profile(series.label, mse_sweep(series, (1,), metrics))
     # multi-scale rows for the clean series (scale-1 rows already present)
@@ -332,17 +335,11 @@ def reproduce_santafe(seed: int = DEFAULT_SEED, replications: int = 30,
     comparisons += [c for c in _compare(report, ref.SANTAFE_MSE) if c.scale != 1]
 
     # noise ordering (levels 0, 0.1, 0.2, 1 SD) with fresh derived seeds
-    order_ok = {"sampen": 0, "permen": 0, "permtest": 0, "runstest": 0}
     reps = max(1, replications // 3)
-    for rep in range(reps):
-        levels = [clean] + [add_noise(clean, derive_seed(seed, 6, rep, vi), sd_multiplier=mult)
-                            for vi, mult in enumerate((0.1, 0.2, 1.0), start=1)]
-        seq = {name: [r.value for r in results]
-               for name, results in _scale1_results(levels, metrics).items()}
-        order_ok["sampen"] += all(np.diff(seq["sampen"]) > 0)
-        order_ok["permen"] += all(np.diff(seq["permen"]) > 0)
-        order_ok["permtest"] += all(np.diff(seq["permtest"]) < 0)
-        order_ok["runstest"] += all(np.diff(np.abs(seq["runstest"])) < 0)
+    ladders = ([clean] + [add_noise(clean, derive_seed(seed, 6, rep, vi), sd_multiplier=mult)
+                          for vi, mult in enumerate(ref.SF_NOISE, start=1)]
+               for rep in range(reps))
+    order_ok = _ordered_counts(_scale1_results(levels, metrics) for levels in ladders)
     checks = [
         PropertyCheck(
             name="sampen and permen increase with noise level 0 -> 0.1 -> 0.2 -> 1",
@@ -362,41 +359,35 @@ def reproduce_santafe(seed: int = DEFAULT_SEED, replications: int = 30,
 # arma_table4 / arma_table5
 # ---------------------------------------------------------------------------
 
-def _arma_series(name: str, ar, ma, seed, pi: int, rep: int) -> Series:
+_ARMA_NAMES = [name for name, _, _ in ref.ARMA_PROCESSES]
+
+
+def _arma_series(name: str, seed: int, rep: int) -> Series:
+    pi = _ARMA_NAMES.index(name)
+    _, ar, ma = ref.ARMA_PROCESSES[pi]
     return arma_simulate(ar, ma, 1000, derive_seed(seed, pi, rep), label=name)
 
 
-def reproduce_arma4(seed: int = DEFAULT_SEED, replications: int = 10,
-                    config: AnalysisConfig | None = None) -> ReproduceResult:
-    config = config or AnalysisConfig()
-    metrics = build_metrics(config)
+def _arma4(metrics, config, seed, replications) -> ReproduceResult:
     report = ExperimentReport()
     per_proc: dict[str, dict[str, list[MetricResult]]] = {}
-    for pi, (name, ar, ma) in enumerate(ref.ARMA_PROCESSES):
-        draws = [_arma_series(name, ar, ma, seed, pi, rep) for rep in range(replications)]
+    for name in _ARMA_NAMES:
+        draws = [_arma_series(name, seed, rep) for rep in range(replications)]
         per_proc[name] = _scale1_results(draws, metrics)
         for metric_name, results in per_proc[name].items():
             report.add_result(name, 1, _mean_result(results, metric_name))
 
     # orderings per replication: entropy falls, test statistics rise,
-    # from ARMA(2,2) to ARMA(1,1) to AR(1)
-    counts = {"sampen": 0, "permen": 0, "permtest": 0, "runstest": 0}
-    names = [p[0] for p in ref.ARMA_PROCESSES]
-    for rep in range(replications):
-        se = [per_proc[n]["sampen"][rep].value for n in names]
-        pe = [per_proc[n]["permen"][rep].value for n in names]
-        chi = [per_proc[n]["permtest"][rep].value for n in names]
-        az = [abs(per_proc[n]["runstest"][rep].value) for n in names]
-        counts["sampen"] += se[0] > se[1] > se[2]
-        counts["permen"] += pe[0] > pe[1] > pe[2]
-        counts["permtest"] += chi[0] < chi[1] < chi[2]
-        counts["runstest"] += az[0] < az[1] < az[2]
+    # from ARMA(2,2) to ARMA(1,1) to AR(1), so AR(1) starts each ladder
+    counts = _ordered_counts(
+        {m: [per_proc[n][m][rep] for n in reversed(_ARMA_NAMES)] for m in per_proc[ref.AR1]}
+        for rep in range(replications))
     need = math.ceil(0.9 * replications)
     ar1_p = median(per_proc[ref.AR1]["permtest"][rep].p_value for rep in range(replications))
     a22_p = median(per_proc[ref.ARMA22]["runstest"][rep].p_value for rep in range(replications))
     checks = [
         PropertyCheck(
-            name=f"sampen and permen strictly decrease across {' > '.join(names)} "
+            name=f"sampen and permen strictly decrease across {' > '.join(_ARMA_NAMES)} "
                  f"in >= {need}/{replications} replications",
             passed=counts["sampen"] >= need and counts["permen"] >= need,
             detail=f"sampen {counts['sampen']}, permen {counts['permen']}",
@@ -425,18 +416,15 @@ def reproduce_arma4(seed: int = DEFAULT_SEED, replications: int = 10,
     return result
 
 
-def reproduce_arma5(seed: int = DEFAULT_SEED, replications: int = 10,
-                    config: AnalysisConfig | None = None) -> ReproduceResult:
-    config = config or AnalysisConfig()
-    metrics = build_metrics(config)
+def _arma5(metrics, config, seed, replications) -> ReproduceResult:
     report = ExperimentReport()
-    for pi, (name, ar, ma) in enumerate(ref.ARMA_PROCESSES):
-        report.add_profile(name, mse_sweep(_arma_series(name, ar, ma, seed, pi, 0),
-                                           config.scales, metrics, partial="mean"))
+    for name in _ARMA_NAMES:
+        report.add_profile(name, mse_sweep(_arma_series(name, seed, 0), config.scales,
+                                           metrics, partial="mean"))
     # run-count decay for AR(1): median |z| per scale over replications
     runs = [m for m in metrics if m.name == "runstest"]
     ar1_abs_z = np.abs([
-        mse_sweep(_arma_series(ref.AR1, (0.9,), (), seed, 2, rep), config.scales, runs,
+        mse_sweep(_arma_series(ref.AR1, seed, rep), config.scales, runs,
                   partial="mean").values("runstest")
         for rep in range(replications)
     ])
@@ -458,24 +446,17 @@ def reproduce_arma5(seed: int = DEFAULT_SEED, replications: int = 10,
     return ReproduceResult("arma_table5", "ok", report, comparisons, checks)
 
 
-_EXPERIMENTS = {
-    "table1": reproduce_table1,
-    "table2": reproduce_table2,
-    "table3_logistic": reproduce_table3,
-    "santafe": reproduce_santafe,
-    "arma_table4": reproduce_arma4,
-    "arma_table5": reproduce_arma5,
-}
-
-# The metrics each recipe's property checks read. Reference-cell
-# comparisons skip metrics left out of the config; the checks cannot.
-_CHECKED_METRICS = {
-    "table1": METRIC_NAMES,
-    "table2": (),
-    "table3_logistic": (),
-    "santafe": METRIC_NAMES,
-    "arma_table4": METRIC_NAMES,
-    "arma_table5": ("runstest",),
+# name -> (recipe, default replications, the metrics its property checks
+# read). A recipe is called as recipe(metrics, config, seed, replications),
+# santafe's also with data_dir. Reference-cell comparisons skip metrics left
+# out of the config; the checks cannot.
+EXPERIMENTS = {
+    "table1": (_table1, 30, METRIC_NAMES),
+    "table2": (_table2, 30, ()),
+    "table3_logistic": (_table3, 30, ()),
+    "santafe": (_santafe, 30, METRIC_NAMES),
+    "arma_table4": (_arma4, 10, METRIC_NAMES),
+    "arma_table5": (_arma5, 10, ("runstest",)),
 }
 
 
@@ -483,22 +464,22 @@ def reproduce(experiment: str, *, data_dir: str | Path | None = None,
               seed: int = DEFAULT_SEED, replications: int | None = None,
               config: AnalysisConfig | None = None) -> ReproduceResult:
     """Regenerate one named reference table and compare it cell by cell."""
-    if experiment not in _EXPERIMENTS:
+    if experiment not in EXPERIMENTS:
         raise DataError(f"unknown experiment {experiment!r}; choose from "
-                        + ", ".join(ref.EXPERIMENTS))
+                        + ", ".join(EXPERIMENTS))
+    recipe, default_replications, checked = EXPERIMENTS[experiment]
     config = config or AnalysisConfig()
-    missing = [m for m in _CHECKED_METRICS[experiment] if m not in config.metrics]
+    metrics = build_metrics(config)
+    if replications is None:
+        replications = default_replications
+    elif replications < 1:
+        raise DataError(f"replications must be >= 1, got {replications}")
+    missing = [m for m in checked if m not in config.metrics]
     if missing:
         raise DataError(f"{experiment} checks read metric(s) {', '.join(missing)}, "
                         "which the --metric selection leaves out")
-    kwargs = {"seed": seed, "config": config}
-    if replications is not None:
-        if replications < 1:
-            raise DataError(f"replications must be >= 1, got {replications}")
-        kwargs["replications"] = replications
-    if experiment == "santafe":
-        kwargs["data_dir"] = data_dir
-    return _EXPERIMENTS[experiment](**kwargs)
+    extra = {"data_dir": data_dir} if experiment == "santafe" else {}
+    return recipe(metrics, config, seed, replications, **extra)
 
 
 # ---------------------------------------------------------------------------

@@ -175,5 +175,3 @@ ARMA_TABLE5: list[RefCell] = (
     + _row(AR1, "runstest", (-21.8939, -15.2205, -10.8504, -7.6048, -6.6636, -1.8092),
            kind="info")
 )
-
-EXPERIMENTS = ("table1", "table2", "table3_logistic", "santafe", "arma_table4", "arma_table5")

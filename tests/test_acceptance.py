@@ -35,11 +35,13 @@ from tscomplex import (
     SampEnParams,
     Series,
     chi_square_sf,
+    logistic_map,
     normal_sf,
     ordinal_pattern_counts,
     permutation_entropy,
     permutation_test,
     sample_entropy,
+    write_series,
 )
 from tscomplex.cli import main
 from tscomplex.experiments import (
@@ -297,10 +299,12 @@ def test_criterion_10_determinism(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# golden outputs: stdout of default-flag commands, pinned by SHA-256
+# golden outputs: stdout of reproduce, analyze and mse runs, pinned by SHA-256
 # ---------------------------------------------------------------------------
 
-# Recorded before the per-table scoring loops were folded into mse_sweep.
+# The default-flag entries were recorded before the per-table scoring loops
+# were folded into mse_sweep; the santafe and small-sweep entries before the
+# recipes moved behind one experiment table.
 # Re-record only with a change that is meant to alter printed numbers.
 GOLDEN = json.loads((Path(__file__).parent / "golden_digests.json").read_text())
 
@@ -311,14 +315,17 @@ def _reproduce_stdout(result) -> str:
     return lines + render_report(result.report, "json")
 
 
-def test_golden_outputs(table1, table2, capsys):
+def test_golden_outputs(table1, table2, tmp_path, capsys):
     # the two slowest tables come from the module fixtures above, which run
     # them with the command's defaults (seed 42, 30 replications)
-    computed = {"table1": table1, "table2": table2}
+    computed = {f"reproduce {name} --print-table --format json": result
+                for name, result in (("table1", table1), ("table2", table2))}
+    # santafe runs on a deterministic substitute for the laser file
+    write_series(logistic_map(3.9, 0.3, 1000, 5000), tmp_path / "santafe_a.txt")
     for command, digest in GOLDEN.items():
-        argv = shlex.split(command)
-        if argv[0] == "reproduce" and argv[1] in computed:
-            out = _reproduce_stdout(computed[argv[1]])
+        argv = shlex.split(command.replace("{data_dir}", str(tmp_path)))
+        if command in computed:
+            out = _reproduce_stdout(computed[command])
         else:
             assert main(argv) == 0
             out = capsys.readouterr().out

@@ -58,12 +58,33 @@ class TestAnalyze:
             main(["analyze", "--bogus-flag"])
         assert exc_info.value.code == 1
 
+    def test_scales_flag_is_not_accepted(self, capsys):
+        # analyze scores at scale 1 only, so --scales would be silently ignored
+        with pytest.raises(SystemExit) as exc_info:
+            main(["analyze", "--spec", LOGISTIC_SPEC, "--scales", "1,2"])
+        assert exc_info.value.code == 1
+
     def test_per_cell_numerical_error(self, capsys, tmp_path):
         p = tmp_path / "const.txt"
         p.write_text("5.0\n" * 50)
         code, out, _ = run(capsys, "analyze", str(p), "--metric", "sampen")
         assert code == 0
         assert "degenerate tolerance" in out
+
+
+class TestParameterErrors:
+    @pytest.mark.parametrize("argv", [
+        ("analyze", "--m", "0"),
+        ("analyze", "--r-factor", "-1"),
+        ("analyze", "--t", "9"),
+        ("mse", "--scales", "1,a"),
+    ])
+    def test_invalid_parameter_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--spec", LOGISTIC_SPEC)
+        assert code == 1
+        assert "Traceback" not in err
+        assert err.startswith("tscomplex: usage error: ") and err.count("\n") == 1
+        assert not out
 
 
 class TestMse:
@@ -92,6 +113,18 @@ class TestMse:
         b1, b4 = out_b.strip().splitlines()[1:]
         assert a1 == b1
         assert a4 != b4
+
+    def test_fixed_r_keeps_an_absolute_tolerance(self, capsys):
+        # an absolute tolerance is already fixed across scales; --fixed-r
+        # must not multiply it by the series SD
+        spec = json.dumps({"kind": "arma", "params": {"ar": [0.9], "ma": []},
+                           "length": 1000, "seed": 4, "label": "ar1"})
+        argv = ("mse", "--spec", spec, "--metric", "sampen", "--absolute-r",
+                "--r-factor", "0.3", "--scales", "1,2")
+        code_a, out_a, _ = run(capsys, *argv)
+        code_b, out_b, _ = run(capsys, *argv, "--fixed-r")
+        assert code_a == code_b == 0
+        assert out_a == out_b
 
 
 class TestGenerate:
