@@ -418,15 +418,18 @@ def _arma4(metrics, config, seed, replications) -> ReproduceResult:
 
 def _arma5(metrics, config, seed, replications) -> ReproduceResult:
     report = ExperimentReport()
-    for name in _ARMA_NAMES:
-        report.add_profile(name, mse_sweep(_arma_series(name, seed, 0), config.scales,
-                                           metrics, partial="mean"))
-    # run-count decay for AR(1): median |z| per scale over replications
+    profiles = {name: mse_sweep(_arma_series(name, seed, 0), config.scales, metrics,
+                                partial="mean")
+                for name in _ARMA_NAMES}
+    for name, profile in profiles.items():
+        report.add_profile(name, profile)
+    # run-count decay for AR(1): median |z| per scale over replications, the
+    # reported AR(1) series being replicate 0
     runs = [m for m in metrics if m.name == "runstest"]
-    ar1_abs_z = np.abs([
+    ar1_abs_z = np.abs([profiles[ref.AR1].values("runstest")] + [
         mse_sweep(_arma_series(ref.AR1, seed, rep), config.scales, runs,
                   partial="mean").values("runstest")
-        for rep in range(replications)
+        for rep in range(1, replications)
     ])
     med = np.median(ar1_abs_z, axis=0)
     checks = [

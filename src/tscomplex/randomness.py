@@ -64,6 +64,16 @@ class PermutationTestResult:
     counts: tuple[int, ...] = ()  # observed pattern histogram, length t!
 
 
+def check_group_size(t: int) -> int:
+    """The permutation-test group size as an int; ValueError unless 2 <= t <= 8."""
+    t = int(t)
+    if t < 2:
+        raise ValueError(f"group size must be >= 2, got {t}")
+    if t > 8:
+        raise ValueError(f"group size capped at 8 (t! categories), got {t}")
+    return t
+
+
 def permutation_test(series: Series, t: int = 5) -> PermutationTestResult:
     """Chi-square test of ordinal-pattern uniformity over disjoint groups.
 
@@ -72,11 +82,7 @@ def permutation_test(series: Series, t: int = 5) -> PermutationTestResult:
     sum(O^2) * t! / G - G, which is algebraically Pearson's statistic with
     E = G/t! and integer-exact until the final division.
     """
-    t = int(t)
-    if t < 2:
-        raise ValueError(f"group size must be >= 2, got {t}")
-    if t > 8:
-        raise ValueError(f"group size capped at 8 (t! categories), got {t}")
+    t = check_group_size(t)
     n = len(series)
     g = n // t
     if g == 0:

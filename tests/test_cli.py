@@ -74,13 +74,15 @@ class TestAnalyze:
 
 class TestParameterErrors:
     @pytest.mark.parametrize("argv", [
-        ("analyze", "--m", "0"),
-        ("analyze", "--r-factor", "-1"),
-        ("analyze", "--t", "9"),
-        ("mse", "--scales", "1,a"),
+        ("analyze", "--m", "0", "--spec", LOGISTIC_SPEC),
+        ("analyze", "--r-factor", "-1", "--spec", LOGISTIC_SPEC),
+        ("analyze", "--t", "9", "--spec", LOGISTIC_SPEC),
+        ("mse", "--scales", "1,a", "--spec", LOGISTIC_SPEC),
+        # refused before the missing data could be skipped
+        ("reproduce", "santafe", "--t", "9", "--data-dir", "{empty_dir}"),
     ])
-    def test_invalid_parameter_is_usage_error(self, capsys, argv):
-        code, out, err = run(capsys, *argv, "--spec", LOGISTIC_SPEC)
+    def test_invalid_parameter_is_usage_error(self, capsys, tmp_path, argv):
+        code, out, err = run(capsys, *(a.replace("{empty_dir}", str(tmp_path)) for a in argv))
         assert code == 1
         assert "Traceback" not in err
         assert err.startswith("tscomplex: usage error: ") and err.count("\n") == 1

@@ -4,7 +4,7 @@ from math import comb, factorial, log
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tscomplex import (
@@ -26,6 +26,15 @@ from conftest import make_series
 from oracles import ordinal_counts_direct, permen_direct, sampen_pairs_direct
 
 ABS_R = dict(r_mode="absolute")
+
+
+def sampen_counts(series, params=SampEnParams()):
+    """(A, B) behind a sample entropy, also when a zero count makes it raise."""
+    try:
+        res = sample_entropy(series, params)
+    except NumericalError as exc:
+        return exc.a_count, exc.b_count
+    return res.a_count, res.b_count
 
 
 class TestSampleEntropy:
@@ -74,30 +83,40 @@ class TestSampleEntropy:
         assert exc_info.value.a_count == 0
         assert exc_info.value.b_count > 0
 
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(10, 80), m=st.integers(1, 3))
-    @settings(max_examples=40, deadline=None)
-    def test_counts_match_bruteforce_oracle(self, seed, n, m):
+    @given(seed=st.integers(0, 2**32 - 1), extra=st.integers(0, 78), m=st.integers(1, 3),
+           kind=st.sampled_from(["normal", "integer", "grid128", "tenths"]))
+    @example(seed=0, extra=0, m=1, kind="integer")
+    @settings(max_examples=80, deadline=None)
+    def test_counts_match_bruteforce_oracle(self, seed, extra, m, kind):
+        # the tie-heavy kinds put many pair distances exactly at r, which
+        # pins the non-strict (<= r) match rule
         rng = np.random.Generator(np.random.PCG64(seed))
-        x = rng.normal(size=n)
-        r = 0.2 * float(np.std(x, ddof=1))
-        try:
-            res = sample_entropy(Series(x), SampEnParams(m=m, r_factor=r, **ABS_R))
-            counts = (res.a_count, res.b_count)
-        except NumericalError as exc:
-            counts = (exc.a_count, exc.b_count)  # zero-count series still compare
+        n = m + 2 + extra
+        if kind == "normal":
+            x = rng.normal(size=n)
+            r = 0.2 * float(np.std(x, ddof=1))
+        elif kind == "integer":
+            x = rng.integers(-3, 4, size=n).astype(float)
+            r = float(rng.integers(1, 3))
+        elif kind == "grid128":
+            x = rng.integers(-256, 257, size=n) / 128
+            r = int(rng.integers(1, 65)) / 128
+        else:
+            x = np.round(rng.normal(size=n), 1)
+            r = 0.1
+        counts = sampen_counts(Series(x), SampEnParams(m=m, r_factor=r, **ABS_R))
         assert counts == sampen_pairs_direct(x, m, r)
         assert 0 <= counts[0] <= counts[1]
 
     @given(seed=st.integers(0, 2**32 - 1),
            a=st.floats(-50, 50).filter(lambda v: abs(v) > 1e-3),
            b=st.floats(-100, 100))
+    @example(seed=1125, a=1.0, b=0.0)  # A = 0: the counts come from the error
     @settings(max_examples=30, deadline=None)
     def test_affine_invariance_of_counts(self, seed, a, b):
         rng = np.random.Generator(np.random.PCG64(seed))
         x = rng.normal(size=120)
-        base = sample_entropy(Series(x))
-        moved = sample_entropy(Series(a * x + b))
-        assert (moved.a_count, moved.b_count) == (base.a_count, base.b_count)
+        assert sampen_counts(Series(a * x + b)) == sampen_counts(Series(x))
 
 
 class TestPermutationEntropy:

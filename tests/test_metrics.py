@@ -30,7 +30,8 @@ class TestAnalysisConfig:
         config = AnalysisConfig(metrics=("runstest", "sampen"))
         assert [m.name for m in build_metrics(config)] == ["runstest", "sampen"]
 
-    @pytest.mark.parametrize("params", [{"m": 0}, {"n": 9}])
+    @pytest.mark.parametrize("params", [{"m": 0}, {"n": 9}, {"t": 9}, {"t": 1},
+                                        {"r_mode": "bogus"}])
     def test_invalid_parameters_fail_when_metrics_are_built(self, params):
         with pytest.raises(ValueError):
             build_metrics(AnalysisConfig(**params))
