@@ -13,7 +13,6 @@ from .core import (
     Series,
     SummaryStats,
     coarse_grain,
-    rescale_for_plot,
     summary,
 )
 from .entropy import (
@@ -92,7 +91,6 @@ __all__ = [
     "read_report_json",
     "read_series",
     "reproduce",
-    "rescale_for_plot",
     "runs_test",
     "sample_entropy",
     "summary",

@@ -8,17 +8,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from .core import DataError, MetricResult, NumericalError, Series
+from .core import DataError, MetricResult, NumericalError, Series, summary
 from .entropy import mse_sweep
-from .experiments import (
-    DEFAULT_SEED,
-    EXPERIMENTS,
-    compare_groups,
-    reproduce,
-    rescaled_scores_transform,
-)
+from .experiments import DEFAULT_SEED, EXPERIMENTS, compare_groups, reproduce
 from .generators import GeneratorSpec, build_series
 from .metrics import DEFAULT_SCALES, METRIC_NAMES, AnalysisConfig, build_metrics
 from .report import ExperimentReport, render_report, write_report, read_report_json
@@ -122,14 +117,13 @@ def _cmd_analyze(args) -> int:
             continue
         succeeded += 1
         report.add_profile(series.label or "series", mse_sweep(series, (1,), metrics))
-    if args.rescale:
-        rescaled_scores_transform(report)
     _emit(report, args)
     return EXIT_OK if succeeded else EXIT_DATA
 
 
 def _cmd_mse(args) -> int:
     config = _config_from(args)
+    metrics = build_metrics(config)  # invalid parameters fail before any input is read
     inputs = _gather_inputs(args)
     if len(inputs) != 1:
         raise DataError("mse takes exactly one input")
@@ -137,11 +131,9 @@ def _cmd_mse(args) -> int:
     series = item if isinstance(item, Series) else read_series(item)
     # an absolute tolerance is already fixed across scales
     if args.fixed_r and config.r_mode == "per_input_sd" and "sampen" in config.metrics:
-        from .core import summary
-        from dataclasses import replace
         r_abs = config.r_factor * summary(series).sd
-        config = replace(config, r_factor=r_abs, r_mode="absolute")
-    profile = mse_sweep(series, config.scales, build_metrics(config),
+        metrics = build_metrics(replace(config, r_factor=r_abs, r_mode="absolute"))
+    profile = mse_sweep(series, config.scales, metrics,
                         partial="mean" if args.partial_blocks else "drop")
     report = ExperimentReport()
     report.add_profile(series.label or "series", profile)
@@ -196,9 +188,7 @@ def _cmd_compare_groups(args) -> int:
 
 def _cmd_plot(args) -> int:
     report = read_report_json(args.report)
-    if args.rescale:
-        rescaled_scores_transform(report)
-    write_plot(report, args.kind, args.out)
+    write_plot(report, args.kind, args.out, rescale=args.rescale)
     return EXIT_OK
 
 
@@ -211,8 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("inputs", nargs="*", help="series files (plain lines)")
     p.add_argument("--spec", action="append", dest="specs",
                    help="generator spec, inline JSON or a path to a JSON file")
-    p.add_argument("--rescale", action="store_true",
-                   help="attach the [0,1]-rescaled comparison column")
     _add_metric_flags(p)
     _add_io_flags(p)
     p.set_defaults(func=_cmd_analyze)
@@ -264,7 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("line_by_scale", "grouped_bars", "box_by_group"),
                    required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--rescale", action="store_true")
+    p.add_argument("--rescale", action="store_true",
+                   help="grouped_bars only: draw every metric on the [0,1] comparison "
+                        "scale (1/ln chi-square, 1/|z|, then min-max per metric)")
     p.set_defaults(func=_cmd_plot)
     return parser
 

@@ -1,6 +1,5 @@
 """Core value types shared by every other module: the series container,
-summary statistics, coarse-graining, and the score-rescaling transforms
-used for comparison plots.
+summary statistics and coarse-graining.
 
 Everything here is a pure function over immutable values; instances are
 safe to share between threads.
@@ -8,7 +7,7 @@ safe to share between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Literal, Sequence
+from typing import Callable, Literal
 
 import numpy as np
 
@@ -109,35 +108,6 @@ def coarse_grain(series: Series, scale: int, *, partial: Literal["drop", "mean"]
     return Series(out, series.label)
 
 
-RescaleKind = Literal["minmax", "inv_ln", "inv_abs"]
-
-
-def rescale_for_plot(scores: Sequence[float], kind: RescaleKind) -> list[float]:
-    """Transform raw scores for side-by-side comparison plots.
-
-    minmax  -- (s - min) / (max - min), onto [0, 1]
-    inv_ln  -- 1 / ln(s), requires every score > 1
-    inv_abs -- 1 / |s|, requires every score != 0
-    """
-    vals = [float(s) for s in scores]
-    if kind == "minmax":
-        if len(set(vals)) < 2:
-            raise DataError("minmax rescale needs at least two distinct scores")
-        lo, hi = min(vals), max(vals)
-        return [(v - lo) / (hi - lo) for v in vals]
-    if kind == "inv_ln":
-        for v in vals:
-            if v <= 1.0:
-                raise DataError(f"inv_ln rescale requires scores > 1, got {v}")
-        return [1.0 / np.log(v) for v in vals]
-    if kind == "inv_abs":
-        for v in vals:
-            if v == 0.0:
-                raise DataError("inv_abs rescale requires nonzero scores, got 0")
-        return [1.0 / abs(v) for v in vals]
-    raise ValueError(f"unknown rescale kind: {kind!r}")
-
-
 @dataclass(frozen=True)
 class MetricResult:
     """A named score with optional test statistic, df and p-value."""
@@ -148,10 +118,6 @@ class MetricResult:
     df: float | None = None
     p_value: float | None = None
     warnings: tuple[str, ...] = ()
-
-    @property
-    def failed(self) -> bool:
-        return bool(np.isnan(self.value))
 
 
 @dataclass(frozen=True)

@@ -187,7 +187,8 @@ def permutation_entropy(series: Series, params: PermEnParams = PermEnParams()) -
     counts = ordinal_pattern_counts(series, params.n)
     total = counts.sum()
     p = counts[counts > 0] / total
-    h = float(-(p * np.log(p)).sum())
+    # + 0.0 normalizes the -0.0 that a single pattern (p = 1) produces
+    h = float(-(p * np.log(p)).sum()) + 0.0
     if params.normalize:
         return h / log(factorial(params.n))
     return h

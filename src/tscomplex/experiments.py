@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import reference as ref
-from .core import DataError, Metric, MetricResult, Series, rescale_for_plot
+from .core import DataError, Metric, MetricResult, Series
 from .entropy import mse_sweep
 from .generators import add_noise, arma_simulate, derive_seed, generate_iid, logistic_map
 from .metrics import METRIC_NAMES, AnalysisConfig, build_metrics
@@ -41,7 +41,6 @@ __all__ = [
     "compare_groups",
     "chf_nsr_comparison",
     "find_santafe_file",
-    "rescaled_scores_transform",
     "DEFAULT_SEED",
 ]
 
@@ -541,26 +540,3 @@ def chf_nsr_comparison(data_dir: str | Path,
         return None
     return compare_groups(chf, nsr, config, group_names=("CHF", "NSR"))
 
-
-# ---------------------------------------------------------------------------
-# figure-style rescaling
-# ---------------------------------------------------------------------------
-
-def rescaled_scores_transform(report: ExperimentReport, name: str = "rescaled") -> None:
-    """Attach the comparison-figure transform column: chi-square scores are
-    first mapped through 1/ln, runs scores through 1/|z|, then every metric
-    is min-max rescaled to [0,1] across the report's rows for that metric."""
-    per_metric: dict[str, list[int]] = {}
-    for i, row in enumerate(report.rows):
-        per_metric.setdefault(row.metric, []).append(i)
-    out = [float("nan")] * len(report.rows)
-    for metric, idxs in per_metric.items():
-        raw = [report.rows[i].value for i in idxs]
-        if metric == "permtest":
-            raw = rescale_for_plot(raw, "inv_ln")
-        elif metric == "runstest":
-            raw = rescale_for_plot(raw, "inv_abs")
-        scaled = rescale_for_plot(raw, "minmax") if len(set(raw)) > 1 else [0.5] * len(raw)
-        for i, v in zip(idxs, scaled):
-            out[i] = v
-    report.set_transform(name, out)

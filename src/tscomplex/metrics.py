@@ -14,7 +14,8 @@ from functools import partial
 
 from .core import Metric, MetricResult, Series
 from .entropy import PermEnParams, SampEnParams, permutation_entropy, sample_entropy
-from .randomness import RunsVariant, check_group_size, permutation_test, runs_test
+from .randomness import (RunsVariant, check_group_size, check_runs_variant,
+                         permutation_test, runs_test)
 
 __all__ = [
     "AnalysisConfig",
@@ -80,7 +81,7 @@ _METRICS = {
     "sampen": (lambda c: SampEnParams(m=c.m, r_factor=c.r_factor, r_mode=c.r_mode), _sampen),
     "permen": (lambda c: PermEnParams(n=c.n), _permen),
     "permtest": (lambda c: check_group_size(c.t), _permtest),
-    "runstest": (lambda c: c.runs_variant, _runstest),
+    "runstest": (lambda c: check_runs_variant(c.runs_variant), _runstest),
 }
 
 

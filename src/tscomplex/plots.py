@@ -1,10 +1,15 @@
 """Self-contained deterministic SVG charts for experiment reports.
 
 Three kinds: ``line_by_scale`` (metric value vs scale factor, one line per
-label/metric), ``grouped_bars`` (one bar per label/metric, using the
-report's first transform column when present, raw values otherwise), and
-``box_by_group`` (value distributions per group and metric; a row label of
-the form ``group:member`` contributes to box group ``group``).
+label/metric), ``grouped_bars`` (one bar per label/metric, raw values or,
+with ``rescale``, the comparison scale below), and ``box_by_group`` (value
+distributions per group and metric; a row label of the form
+``group:member`` contributes to box group ``group``).
+
+The comparison scale puts the four metrics side by side on [0, 1]: a
+chi-square score becomes 1/ln(chi-square), a runs-test z becomes 1/|z|, and
+then each metric is min-max scaled over its finite cells (0.5 when those are
+all equal). A failed (NaN) cell stays NaN and draws no bar.
 
 Output is byte-deterministic for identical reports: no timestamps, no
 generated ids, fixed float formatting.
@@ -99,20 +104,51 @@ def _y_axis(svg: _Svg, lo: float, hi: float):
     return to_y
 
 
-def render_plot(report: ExperimentReport, kind: PlotKind) -> str:
+def render_plot(report: ExperimentReport, kind: PlotKind, *, rescale: bool = False) -> str:
+    """The chart as SVG text; ``rescale`` draws ``grouped_bars`` on the
+    comparison scale and is an error with the other kinds."""
+    if rescale and kind != "grouped_bars":
+        raise ValueError(f"rescale applies to grouped_bars only, not {kind}")
     if not report.rows:
         raise DataError("empty report")
     if kind == "line_by_scale":
         return _render_lines(report)
     if kind == "grouped_bars":
-        return _render_bars(report)
+        return _render_bars(report, rescale)
     if kind == "box_by_group":
         return _render_boxes(report)
     raise ValueError(f"unknown plot kind: {kind!r}")
 
 
-def write_plot(report: ExperimentReport, kind: PlotKind, path: str | Path) -> None:
-    Path(path).write_text(render_plot(report, kind), encoding="utf-8")
+def write_plot(report: ExperimentReport, kind: PlotKind, path: str | Path, *,
+               rescale: bool = False) -> None:
+    Path(path).write_text(render_plot(report, kind, rescale=rescale), encoding="utf-8")
+
+
+def _comparison_scale(report: ExperimentReport) -> list[float]:
+    """Each row's value on the comparison scale, per metric over all of the
+    report's rows for that metric."""
+    rows_of: dict[str, list[int]] = {}
+    for i, row in enumerate(report.rows):
+        rows_of.setdefault(row.metric, []).append(i)
+    out = [math.nan] * len(report.rows)
+    for metric, idxs in rows_of.items():
+        raw = [report.rows[i].value for i in idxs]
+        if metric == "permtest":
+            bad = [v for v in raw if v <= 1.0]  # NaN fails no comparison
+            if bad:
+                raise DataError(f"rescale needs permtest scores > 1, got {bad[0]}")
+            raw = [float(1.0 / np.log(v)) for v in raw]
+        elif metric == "runstest":
+            if 0.0 in raw:
+                raise DataError("rescale needs nonzero runstest scores, got 0")
+            raw = [1.0 / abs(v) for v in raw]
+        finite = [v for v in raw if math.isfinite(v)]
+        lo, hi = min(finite, default=0.0), max(finite, default=0.0)
+        for i, v in zip(idxs, raw):
+            if math.isfinite(v):
+                out[i] = (v - lo) / (hi - lo) if hi > lo else 0.5
+    return out
 
 
 def _render_lines(report: ExperimentReport) -> str:
@@ -156,19 +192,16 @@ def _render_lines(report: ExperimentReport) -> str:
     return svg.render()
 
 
-def _render_bars(report: ExperimentReport) -> str:
+def _render_bars(report: ExperimentReport, rescale: bool) -> str:
     labels = report.labels()
     metrics = report.metrics()
-    if report.transforms:
-        column = next(iter(report.transforms))
-        raw = report.transforms[column]
-        y_label = column
+    if rescale:
+        values, y_label = _comparison_scale(report), "rescaled"
     else:
-        raw = [r.value for r in report.rows]
-        y_label = "value"
+        values, y_label = [r.value for r in report.rows], "value"
     # one bar per (label, metric); first occurrence wins if scales repeat
     heights: dict[tuple[str, str], float] = {}
-    for row, v in zip(report.rows, raw):
+    for row, v in zip(report.rows, values):
         heights.setdefault((row.label, row.metric), float(v))
     svg = _Svg(_W, _H)
     vals = [v for v in heights.values() if math.isfinite(v)]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import erfc, factorial, sqrt
-from typing import Literal, Sequence
+from typing import Literal, Sequence, get_args
 
 import numpy as np
 from scipy import special
@@ -105,6 +105,13 @@ def permutation_test(series: Series, t: int = 5) -> PermutationTestResult:
     )
 
 
+def check_runs_variant(variant: str) -> RunsVariant:
+    """The runs-test variant; ValueError unless it is one of ``RunsVariant``."""
+    if variant not in get_args(RunsVariant):
+        raise ValueError(f"unknown runs-test variant: {variant!r}")
+    return variant
+
+
 @dataclass(frozen=True)
 class RunsTestResult:
     z: float
@@ -131,6 +138,7 @@ def runs_test(series: Series, variant: RunsVariant = "above_below_median") -> Ru
 
     Fewer runs than expected gives negative z, more gives positive.
     """
+    variant = check_runs_variant(variant)
     x = series.values
     if variant == "above_below_median":
         med = float(np.median(x))
@@ -146,7 +154,7 @@ def runs_test(series: Series, variant: RunsVariant = "above_below_median") -> Ru
         mu = two_n1n2 / n + 1.0
         var = two_n1n2 * (two_n1n2 - n) / (n * n * (n - 1.0)) if n > 1 else 0.0
         n_eff = n
-    elif variant == "up_down":
+    else:  # up_down
         diffs = np.diff(x)
         diffs = diffs[diffs != 0]
         if diffs.size == 0:
@@ -157,8 +165,6 @@ def runs_test(series: Series, variant: RunsVariant = "above_below_median") -> Ru
         mu = (2.0 * n_d + 1.0) / 3.0
         var = (16.0 * n_d - 29.0) / 90.0
         n_eff = n_d
-    else:
-        raise ValueError(f"unknown runs-test variant: {variant!r}")
     if var <= 0:
         raise NumericalError(f"sample too small for the runs test (n={n_eff})")
     z = (runs - mu) / sqrt(var)

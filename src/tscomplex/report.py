@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Literal, Sequence
+from typing import Literal
 
 from .core import DataError, MetricResult
 from .entropy import MseProfile
@@ -51,11 +51,9 @@ class ReportRow:
 
 @dataclass
 class ExperimentReport:
-    """Rows keyed uniquely by (label, scale, metric), plus optional named
-    plot-transform columns aligned with the rows."""
+    """Rows keyed uniquely by (label, scale, metric)."""
 
     rows: list[ReportRow] = field(default_factory=list)
-    transforms: dict[str, list[float]] = field(default_factory=dict)
 
     def __post_init__(self):
         keys = [r.key for r in self.rows]
@@ -95,12 +93,6 @@ class ExperimentReport:
         for r in self.rows:
             seen.setdefault(r.metric)
         return list(seen)
-
-    def set_transform(self, name: str, values: Sequence[float]) -> None:
-        if len(values) != len(self.rows):
-            raise DataError(
-                f"transform {name!r} has {len(values)} values for {len(self.rows)} rows")
-        self.transforms[name] = [float(v) for v in values]
 
 
 def _fmt(value: float | None) -> str:

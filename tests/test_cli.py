@@ -64,6 +64,12 @@ class TestAnalyze:
             main(["analyze", "--spec", LOGISTIC_SPEC, "--scales", "1,2"])
         assert exc_info.value.code == 1
 
+    def test_rescale_flag_is_not_accepted(self, capsys):
+        # the comparison scale belongs to the chart: plot --rescale
+        with pytest.raises(SystemExit) as exc_info:
+            main(["analyze", "--spec", LOGISTIC_SPEC, "--rescale"])
+        assert exc_info.value.code == 1
+
     def test_per_cell_numerical_error(self, capsys, tmp_path):
         p = tmp_path / "const.txt"
         p.write_text("5.0\n" * 50)
@@ -80,6 +86,8 @@ class TestParameterErrors:
         ("mse", "--scales", "1,a", "--spec", LOGISTIC_SPEC),
         # refused before the missing data could be skipped
         ("reproduce", "santafe", "--t", "9", "--data-dir", "{empty_dir}"),
+        # refused before the missing input is read
+        ("mse", "{empty_dir}/missing.txt", "--t", "9"),
     ])
     def test_invalid_parameter_is_usage_error(self, capsys, tmp_path, argv):
         code, out, err = run(capsys, *(a.replace("{empty_dir}", str(tmp_path)) for a in argv))
@@ -235,6 +243,37 @@ class TestPlotCommand:
                          "--out", str(svg_path))
         assert code == 0
         assert "<polyline" in svg_path.read_text()
+
+    @pytest.mark.parametrize("flat_first", [False, True])
+    def test_rescaled_bars_leave_out_failed_cells(self, capsys, tmp_path, flat_first):
+        # the flat series fails sampen and runstest; the other two runs-test
+        # z values are equal
+        for name, spec in (("u", {"kind": "uniform", "length": 500, "seed": 1}),
+                           ("n", {"kind": "normal", "length": 500, "seed": 2})):
+            run(capsys, "generate", "--spec", json.dumps(spec),
+                "--out", str(tmp_path / f"{name}.txt"))
+        (tmp_path / "flat.txt").write_text("1.0\n" * 300)
+        files = [str(tmp_path / f) for f in ("u.txt", "n.txt", "flat.txt")]
+        if flat_first:
+            files = files[2:] + files[:2]
+        report_path, svg_path = tmp_path / "r.json", tmp_path / "bars.svg"
+        run(capsys, "analyze", *files, "--format", "json", "--out", str(report_path))
+        code, _, err = run(capsys, "plot", str(report_path), "--kind", "grouped_bars",
+                           "--rescale", "--out", str(svg_path))
+        assert code == 0, err
+        # background + 10 bars (12 cells, 2 failed) + 4 legend swatches
+        assert svg_path.read_text().count("<rect") == 15
+
+    @pytest.mark.parametrize("kind", ["line_by_scale", "box_by_group"])
+    def test_rescale_is_for_grouped_bars_only(self, capsys, tmp_path, kind):
+        report_path = tmp_path / "r.json"
+        run(capsys, "mse", "--spec", LOGISTIC_SPEC, "--metric", "permen",
+            "--format", "json", "--out", str(report_path))
+        code, _, err = run(capsys, "plot", str(report_path), "--kind", kind, "--rescale",
+                           "--out", str(tmp_path / "x.svg"))
+        assert code == 1
+        assert err.startswith("tscomplex: usage error: ") and err.count("\n") == 1
+        assert not (tmp_path / "x.svg").exists()
 
 
 class TestDeterminism:

@@ -1,4 +1,4 @@
-"""Core types, summary stats, coarse-graining, rescaling."""
+"""Core types, summary stats, coarse-graining, and the comparison-chart scale."""
 import math
 
 import numpy as np
@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 
 from tscomplex import (
     DataError,
+    ExperimentReport,
+    ReportRow,
     Series,
     coarse_grain,
     generate_iid,
-    rescale_for_plot,
     summary,
 )
+from tscomplex.plots import _comparison_scale
 
 from conftest import make_series
 
@@ -107,31 +109,63 @@ class TestCoarseGrain:
 
 
 class TestRescale:
+    """The comparison scale of ``plot --kind grouped_bars --rescale``."""
+
+    @staticmethod
+    def scale(metric, values):
+        report = ExperimentReport()
+        for i, v in enumerate(values):
+            report.add(ReportRow(f"s{i}", 1, metric, float(v)))
+        return _comparison_scale(report)
+
     def test_minmax(self):
-        assert rescale_for_plot([0, 5, 10], "minmax") == [0.0, 0.5, 1.0]
+        assert self.scale("sampen", [0, 5, 10]) == [0.0, 0.5, 1.0]
 
     def test_inv_ln(self):
-        assert rescale_for_plot([math.e], "inv_ln") == [pytest.approx(1.0)]
+        # 1/ln gives 1, 1/2, 1/4 before the min-max step
+        assert self.scale("permtest", [math.e, math.e ** 2, math.e ** 4]) == [
+            1.0, pytest.approx(1 / 3), 0.0]
 
     def test_inv_abs(self):
-        assert rescale_for_plot([-2, 4], "inv_abs") == [0.5, 0.25]
+        # 1/|z| gives 1/2, 1/4, 1 before the min-max step
+        assert self.scale("runstest", [-2, 4, -1]) == [pytest.approx(1 / 3), 0.0, 1.0]
 
-    def test_minmax_needs_two_distinct(self):
-        with pytest.raises(DataError, match="distinct"):
-            rescale_for_plot([3, 3, 3], "minmax")
+    def test_equal_scores_map_to_half(self):
+        assert self.scale("sampen", [3, 3, 3]) == [0.5, 0.5, 0.5]
 
     def test_inv_ln_rejects_scores_not_above_one(self):
         with pytest.raises(DataError, match="0.5"):
-            rescale_for_plot([2.0, 0.5], "inv_ln")
+            self.scale("permtest", [2.0, 0.5])
 
     def test_inv_abs_rejects_zero(self):
         with pytest.raises(DataError, match="nonzero"):
-            rescale_for_plot([1.0, 0.0], "inv_abs")
+            self.scale("runstest", [1.0, 0.0])
 
     @given(st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=2, max_size=40).filter(
         lambda v: len(set(v)) >= 2))
     @settings(max_examples=60, deadline=None)
     def test_minmax_range_and_endpoints(self, values):
-        out = rescale_for_plot(values, "minmax")
+        out = self.scale("sampen", values)
         assert all(0.0 <= v <= 1.0 for v in out)
         assert 0.0 in out and 1.0 in out
+
+    def test_pipeline(self):
+        report = ExperimentReport()
+        report.add(ReportRow("a", 1, "sampen", 1.0))
+        report.add(ReportRow("b", 1, "sampen", 3.0))
+        report.add(ReportRow("a", 1, "permtest", math.e ** 2))
+        report.add(ReportRow("b", 1, "permtest", math.e ** 4))
+        report.add(ReportRow("a", 1, "runstest", -2.0))
+        report.add(ReportRow("b", 1, "runstest", 4.0))
+        # sampen: minmax of (1,3); permtest: minmax of 1/ln -> (0.5, 0.25);
+        # runstest: minmax of 1/|z| -> (0.5, 0.25)
+        assert _comparison_scale(report) == [0.0, 1.0, 1.0, 0.0, 1.0, 0.0]
+
+    @pytest.mark.parametrize("metric,values,expected", [
+        ("sampen", [math.nan, 1.0, 3.0], [math.nan, 0.0, 1.0]),
+        ("runstest", [2.0, -2.0, math.nan], [0.5, 0.5, math.nan]),
+        ("permtest", [math.nan, 50.0], [math.nan, 0.5]),
+        ("sampen", [math.nan, math.nan], [math.nan, math.nan]),
+    ])
+    def test_failed_cells_stay_out_of_the_range(self, metric, values, expected):
+        np.testing.assert_array_equal(self.scale(metric, values), expected)

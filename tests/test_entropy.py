@@ -199,7 +199,8 @@ class TestMseSweep:
             cell = profile.results[(scale, "sampen")]
             assert math.isnan(cell.value)
             assert any("degenerate tolerance" in w for w in cell.warnings)
-            assert profile.results[(scale, "permen")].value == 0.0
+            permen = profile.results[(scale, "permen")].value
+            assert permen == 0.0 and math.copysign(1.0, permen) == 1.0
 
     def test_empty_scales_rejected(self, uniform_series):
         with pytest.raises(DataError, match="empty scale list"):

@@ -1,13 +1,9 @@
 """Reproduction harness and group comparison."""
-import math
-
 import numpy as np
 import pytest
 
 from tscomplex import (
     DataError,
-    ExperimentReport,
-    ReportRow,
     SampEnParams,
     Series,
     add_noise,
@@ -23,7 +19,6 @@ from tscomplex.experiments import (
     find_santafe_file,
     logistic_recipe,
     reproduce,
-    rescaled_scores_transform,
 )
 from tscomplex.metrics import AnalysisConfig
 
@@ -149,19 +144,3 @@ class TestCompareGroups:
 
     def test_chf_nsr_returns_none_without_data(self, tmp_path):
         assert chf_nsr_comparison(tmp_path) is None
-
-
-class TestRescaledTransform:
-    def test_pipeline(self):
-        report = ExperimentReport()
-        report.add(ReportRow("a", 1, "sampen", 1.0))
-        report.add(ReportRow("b", 1, "sampen", 3.0))
-        report.add(ReportRow("a", 1, "permtest", math.e ** 2))
-        report.add(ReportRow("b", 1, "permtest", math.e ** 4))
-        report.add(ReportRow("a", 1, "runstest", -2.0))
-        report.add(ReportRow("b", 1, "runstest", 4.0))
-        rescaled_scores_transform(report)
-        got = report.transforms["rescaled"]
-        # sampen: minmax of (1,3); permtest: minmax of 1/ln -> (0.5, 0.25);
-        # runstest: minmax of 1/|z| -> (0.5, 0.25)
-        assert got == [0.0, 1.0, 1.0, 0.0, 1.0, 0.0]

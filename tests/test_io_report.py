@@ -130,11 +130,6 @@ class TestReport:
         with pytest.raises(DataError, match="empty report"):
             write_report(ExperimentReport(), "csv", tmp_path / "e.csv")
 
-    def test_transform_length_checked(self):
-        report = _report()
-        with pytest.raises(DataError, match="transform"):
-            report.set_transform("rescaled", [0.5])
-
     def test_six_significant_digits(self):
         report = ExperimentReport()
         report.add(ReportRow("x", 1, "permtest", 5799.65201, statistic=5799.65201,

@@ -31,7 +31,7 @@ class TestAnalysisConfig:
         assert [m.name for m in build_metrics(config)] == ["runstest", "sampen"]
 
     @pytest.mark.parametrize("params", [{"m": 0}, {"n": 9}, {"t": 9}, {"t": 1},
-                                        {"r_mode": "bogus"}])
+                                        {"r_mode": "bogus"}, {"runs_variant": "bogus"}])
     def test_invalid_parameters_fail_when_metrics_are_built(self, params):
         with pytest.raises(ValueError):
             build_metrics(AnalysisConfig(**params))

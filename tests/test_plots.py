@@ -73,11 +73,13 @@ class TestGroupedBars:
         # background + 8 bars + 4 legend swatches
         assert svg.count("<rect") == 13
 
-    def test_uses_first_transform_column(self):
-        report = _bar_report()
-        report.set_transform("rescaled", [0.1] * len(report.rows))
-        svg = render_plot(report, "grouped_bars")
-        assert "rescaled" in svg
+    def test_rescale_draws_the_comparison_scale(self):
+        svg = render_plot(_bar_report(), "grouped_bars", rescale=True)
+        assert ">rescaled</text>" in svg and ">value</text>" not in svg
+        # each metric's two equal scores map to 0.5: all 8 bars, at one height
+        assert svg.count("<rect") == 13
+        bar_tops = re.findall(r'<rect x="[0-9.]+" y="([0-9.]+)"', svg)[1:9]
+        assert len(set(bar_tops)) == 1
 
 
 class TestBoxByGroup:
