@@ -11,9 +11,8 @@ from .core import (
     MetricResult,
     NumericalError,
     Series,
-    SummaryStats,
     coarse_grain,
-    summary,
+    sample_sd,
 )
 from .entropy import (
     MseProfile,
@@ -46,7 +45,7 @@ from .generators import (
     logistic_map,
 )
 from .metrics import AnalysisConfig, build_metrics
-from .seriesio import SeriesFile, read_series, write_series
+from .seriesio import read_series, render_series, write_series
 from .report import ExperimentReport, ReportRow, read_report_json, write_report
 from .plots import write_plot
 from .experiments import compare_groups, reproduce
@@ -69,8 +68,6 @@ __all__ = [
     "SampEnParams",
     "SampEnResult",
     "Series",
-    "SeriesFile",
-    "SummaryStats",
     "TTestResult",
     "add_noise",
     "arma_simulate",
@@ -90,10 +87,11 @@ __all__ = [
     "permutation_test",
     "read_report_json",
     "read_series",
+    "render_series",
     "reproduce",
     "runs_test",
     "sample_entropy",
-    "summary",
+    "sample_sd",
     "welch_t_test",
     "write_plot",
     "write_report",

@@ -10,15 +10,17 @@ import argparse
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import get_args
 
-from .core import DataError, MetricResult, NumericalError, Series, summary
+from .core import DataError, MetricResult, NumericalError, Series, sample_sd
 from .entropy import mse_sweep
 from .experiments import DEFAULT_SEED, EXPERIMENTS, compare_groups, reproduce
 from .generators import GeneratorSpec, build_series
 from .metrics import DEFAULT_SCALES, METRIC_NAMES, AnalysisConfig, build_metrics
 from .report import ExperimentReport, render_report, write_report, read_report_json
-from .plots import write_plot
-from .seriesio import SeriesFile, read_series, write_series
+from .plots import PlotKind, write_plot
+from .randomness import RunsVariant
+from .seriesio import read_series, render_series, write_series
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -34,17 +36,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_metric_flags(p: argparse.ArgumentParser) -> None:
+    defaults = AnalysisConfig()
     p.add_argument("--metric", action="append", choices=METRIC_NAMES, dest="metrics",
                    help="metric to compute (repeatable; default: all four)")
-    p.add_argument("--m", type=int, default=2, help="sample-entropy embedding length")
-    p.add_argument("--r-factor", type=float, default=0.2,
+    p.add_argument("--m", type=int, default=defaults.m, help="sample-entropy embedding length")
+    p.add_argument("--r-factor", type=float, default=defaults.r_factor,
                    help="sample-entropy tolerance as a multiple of the series SD")
     p.add_argument("--absolute-r", action="store_true",
                    help="treat --r-factor as an absolute tolerance")
-    p.add_argument("--n", type=int, default=5, help="permutation-entropy tuple size")
-    p.add_argument("--t", type=int, default=5, help="permutation-test group size")
-    p.add_argument("--runs-variant", choices=("above_below_median", "up_down"),
-                   default="above_below_median")
+    p.add_argument("--n", type=int, default=defaults.n, help="permutation-entropy tuple size")
+    p.add_argument("--t", type=int, default=defaults.t, help="permutation-test group size")
+    p.add_argument("--runs-variant", choices=get_args(RunsVariant),
+                   default=defaults.runs_variant)
 
 
 def _add_scales_flag(p: argparse.ArgumentParser) -> None:
@@ -83,15 +86,17 @@ def _load_spec(text: str) -> GeneratorSpec:
     return GeneratorSpec.from_json(stripped)
 
 
-def _gather_inputs(args) -> list[Series | SeriesFile]:
-    inputs: list[Series | SeriesFile] = []
-    for path in args.inputs or ():
-        inputs.append(SeriesFile(path))
-    for spec_text in args.specs or ():
-        inputs.append(build_series(_load_spec(spec_text)))
+def _gather_inputs(args) -> list[str | Series]:
+    """The series file paths, then the series built from each --spec."""
+    inputs = list(args.inputs or ())
+    inputs += [build_series(_load_spec(spec_text)) for spec_text in args.specs or ()]
     if not inputs:
         raise DataError("no inputs: pass series files and/or --spec")
     return inputs
+
+
+def _as_series(item: str | Series) -> Series:
+    return item if isinstance(item, Series) else read_series(item)
 
 
 def _emit(report: ExperimentReport, args) -> None:
@@ -107,11 +112,11 @@ def _cmd_analyze(args) -> int:
     succeeded = 0
     for item in _gather_inputs(args):
         try:
-            series = item if isinstance(item, Series) else read_series(item)
+            series = _as_series(item)
         except DataError as exc:
+            # only a file can fail here: a --spec is built by _gather_inputs
             for metric in metrics:
-                label = Path(item.path).stem if isinstance(item, SeriesFile) else "input"
-                report.add_result(label, 1, MetricResult(
+                report.add_result(Path(item).stem, 1, MetricResult(
                     metric=metric.name, value=float("nan"),
                     warnings=(f"error: {exc}",)))
             continue
@@ -127,11 +132,10 @@ def _cmd_mse(args) -> int:
     inputs = _gather_inputs(args)
     if len(inputs) != 1:
         raise DataError("mse takes exactly one input")
-    item = inputs[0]
-    series = item if isinstance(item, Series) else read_series(item)
+    series = _as_series(inputs[0])
     # an absolute tolerance is already fixed across scales
     if args.fixed_r and config.r_mode == "per_input_sd" and "sampen" in config.metrics:
-        r_abs = config.r_factor * summary(series).sd
+        r_abs = config.r_factor * sample_sd(series)
         metrics = build_metrics(replace(config, r_factor=r_abs, r_mode="absolute"))
     profile = mse_sweep(series, config.scales, metrics,
                         partial="mean" if args.partial_blocks else "drop")
@@ -142,13 +146,11 @@ def _cmd_mse(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    spec = _load_spec(args.spec)
-    series = build_series(spec)
+    series = build_series(_load_spec(args.spec))
     if args.out:
         write_series(series, args.out)
     else:
-        for v in series.values:
-            sys.stdout.write(f"{v:.17g}\n")
+        sys.stdout.write(render_series(series))
     return EXIT_OK
 
 
@@ -172,9 +174,11 @@ def _cmd_reproduce(args) -> int:
 
 def _cmd_compare_groups(args) -> int:
     config = _config_from(args)
+    build_metrics(config)  # invalid parameters fail before any file is read
     report, tests = compare_groups(
-        args.group_a, args.group_b, config,
-        group_names=(args.name_a, args.name_b),
+        [read_series(path) for path in args.group_a],
+        [read_series(path) for path in args.group_b],
+        config, group_names=(args.name_a, args.name_b),
     )
     for metric, res in tests.items():
         print(f"{metric}: t = {res.t_statistic:.4f}, df = {res.df:.1f}, "
@@ -249,8 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plot", help="render an SVG chart from a JSON report")
     p.add_argument("report", help="report JSON path")
-    p.add_argument("--kind", choices=("line_by_scale", "grouped_bars", "box_by_group"),
-                   required=True)
+    p.add_argument("--kind", choices=get_args(PlotKind), required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--rescale", action="store_true",
                    help="grouped_bars only: draw every metric on the [0,1] comparison "

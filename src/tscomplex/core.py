@@ -1,5 +1,5 @@
 """Core value types shared by every other module: the series container,
-summary statistics and coarse-graining.
+its sample standard deviation, coarse-graining and metric results.
 
 Everything here is a pure function over immutable values; instances are
 safe to share between threads.
@@ -51,37 +51,10 @@ class Series:
         return Series(self.values, label)
 
 
-@dataclass(frozen=True)
-class SummaryStats:
-    """Mean, standard deviation, extrema and count of a series.
-
-    ``sd_divisor`` records whether ``sd`` used the sample (``n-1``) or
-    population (``n``) divisor, so downstream tolerances can pin it.
-    """
-
-    mean: float
-    sd: float
-    minimum: float
-    maximum: float
-    n: int
-    sd_divisor: Literal["n-1", "n"] = "n-1"
-
-
-def summary(series: Series, *, population: bool = False) -> SummaryStats:
-    """Summary statistics of a series. Sample SD (divisor n-1) by default."""
+def sample_sd(series: Series) -> float:
+    """Sample standard deviation (divisor n-1); 0.0 for a single sample."""
     x = series.values
-    if x.size == 0:
-        raise DataError("empty input")
-    ddof = 0 if population else 1
-    sd = float(np.std(x, ddof=ddof)) if x.size > ddof else 0.0
-    return SummaryStats(
-        mean=float(np.mean(x)),
-        sd=sd,
-        minimum=float(np.min(x)),
-        maximum=float(np.max(x)),
-        n=int(x.size),
-        sd_divisor="n" if population else "n-1",
-    )
+    return float(np.std(x, ddof=1)) if x.size > 1 else 0.0
 
 
 def coarse_grain(series: Series, scale: int, *, partial: Literal["drop", "mean"] = "drop") -> Series:

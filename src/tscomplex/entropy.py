@@ -4,9 +4,11 @@ Sample entropy counts template pairs under the Chebyshev (max-coordinate)
 distance with non-strict matching (distance <= r) and no self-matches. The
 counts are exact and sub-quadratic: a kd-tree over the distinct templates,
 each weighted by its multiplicity, counts the neighbour pairs, so series of
-~100k points (24-hour RR-interval recordings) take seconds.
+~100k points (24-hour RR-interval recordings) take seconds. The default
+tolerance is a multiple of the series' sample SD (``core.sample_sd``).
 Permutation entropy histograms ordinal patterns of overlapping windows,
-with ties broken toward the earlier index (stable sort).
+with ties broken toward the earlier index (stable sort), and is always
+normalized: the Shannon entropy is divided by ln(n!), so it lies in [0, 1].
 """
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ from .core import (
     NumericalError,
     Series,
     coarse_grain,
-    summary,
+    sample_sd,
 )
 
 __all__ = [
@@ -65,7 +67,7 @@ class SampEnParams:
     def tolerance(self, series: Series) -> float:
         if self.r_mode == "absolute":
             return float(self.r_factor)
-        return self.r_factor * summary(series).sd
+        return self.r_factor * sample_sd(series)
 
 
 @dataclass(frozen=True)
@@ -147,7 +149,6 @@ def sample_entropy(series: Series, params: SampEnParams = SampEnParams()) -> Sam
 @dataclass(frozen=True)
 class PermEnParams:
     n: int = 5
-    normalize: bool = True
 
     def __post_init__(self):
         if not 2 <= self.n <= 8:
@@ -183,15 +184,13 @@ def ordinal_pattern_counts(series: Series, n: int) -> np.ndarray:
 
 def permutation_entropy(series: Series, params: PermEnParams = PermEnParams()) -> float:
     """Shannon entropy (natural log) of the ordinal-pattern distribution,
-    divided by ln(n!) when normalized."""
+    divided by its maximum ln(n!)."""
     counts = ordinal_pattern_counts(series, params.n)
     total = counts.sum()
     p = counts[counts > 0] / total
     # + 0.0 normalizes the -0.0 that a single pattern (p = 1) produces
     h = float(-(p * np.log(p)).sum()) + 0.0
-    if params.normalize:
-        return h / log(factorial(params.n))
-    return h
+    return h / log(factorial(params.n))
 
 
 @dataclass(frozen=True)

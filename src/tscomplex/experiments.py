@@ -29,7 +29,7 @@ from .generators import add_noise, arma_simulate, derive_seed, generate_iid, log
 from .metrics import METRIC_NAMES, AnalysisConfig, build_metrics
 from .randomness import TTestResult, chi_square_sf, normal_sf, welch_t_test
 from .report import ExperimentReport
-from .seriesio import SeriesFile, read_series
+from .seriesio import read_series
 
 __all__ = [
     "EXPERIMENTS",
@@ -319,7 +319,7 @@ def _santafe(metrics, config, seed, replications, data_dir) -> ReproduceResult:
             "laser data file not found; pass --data-dir with one of "
             + ", ".join(_SANTAFE_NAMES))
         return result
-    clean = read_series(SeriesFile(path)).with_label(ref.SF_CLEAN)
+    clean = read_series(path).with_label(ref.SF_CLEAN)
     report = ExperimentReport()
     variants = [clean] + [add_noise(clean, derive_seed(seed, 5, vi), sd_multiplier=mult,
                                     label=label)
@@ -489,8 +489,8 @@ def reproduce(experiment: str, *, data_dir: str | Path | None = None,
 # ---------------------------------------------------------------------------
 
 def compare_groups(
-    group_a: Sequence[SeriesFile | str | Path | Series],
-    group_b: Sequence[SeriesFile | str | Path | Series],
+    group_a: Sequence[Series],
+    group_b: Sequence[Series],
     config: AnalysisConfig | None = None,
     group_names: tuple[str, str] = ("A", "B"),
 ) -> tuple[ExperimentReport, dict[str, TTestResult]]:
@@ -504,17 +504,10 @@ def compare_groups(
     if len(group_a) < 2 or len(group_b) < 2:
         raise DataError("each group needs at least 2 series")
     metrics = build_metrics(config)
-
-    def load(item) -> Series:
-        if isinstance(item, Series):
-            return item
-        return read_series(item if isinstance(item, SeriesFile) else SeriesFile(item))
-
     report = ExperimentReport()
     values: dict[tuple[str, str], list[float]] = {}
     for gname, group in zip(group_names, (group_a, group_b)):
-        for item in group:
-            series = load(item)
+        for series in group:
             profile = mse_sweep(series, (1,), metrics)
             report.add_profile(f"{gname}:{series.label}", profile)
             for res in profile.results.values():
@@ -538,5 +531,6 @@ def chf_nsr_comparison(data_dir: str | Path,
     nsr = sorted((base / "nsr").glob("*.txt")) + sorted((base / "nsr").glob("*.dat"))
     if len(chf) < 2 or len(nsr) < 2:
         return None
-    return compare_groups(chf, nsr, config, group_names=("CHF", "NSR"))
+    return compare_groups([read_series(p) for p in chf], [read_series(p) for p in nsr],
+                          config, group_names=("CHF", "NSR"))
 

@@ -19,7 +19,7 @@ from typing import Any, Literal
 import numpy as np
 from scipy import signal, special
 
-from .core import DataError, NumericalError, Series, summary
+from .core import DataError, NumericalError, Series, sample_sd
 
 __all__ = [
     "GeneratorSpec",
@@ -179,7 +179,7 @@ def add_noise(
     if sd_multiplier is not None:
         if sd_multiplier < 0:
             raise DataError(f"sd multiplier must be >= 0, got {sd_multiplier}")
-        sigma = sd_multiplier * summary(series).sd
+        sigma = sd_multiplier * sample_sd(series)
     else:
         if sd_absolute < 0:
             raise DataError(f"noise sd must be >= 0, got {sd_absolute}")
@@ -198,8 +198,8 @@ _KINDS = ("uniform", "normal", "exponential", "logistic_map", "arma", "noise_ove
 class GeneratorSpec:
     """Reproducible description of a synthetic series.
 
-    Serializes to/from a JSON object with fields kind, params, length,
-    burn_in, seed (and an optional label). A burn_in of None means
+    Parsed from a JSON object with fields kind, params, length, burn_in,
+    seed (and an optional label). A burn_in of None means
     "kind default": 500 for arma, 0 otherwise.
     """
 
@@ -223,18 +223,6 @@ class GeneratorSpec:
         if self.burn_in is None:
             return 500 if self.kind == "arma" else 0
         return self.burn_in
-
-    def to_dict(self) -> dict[str, Any]:
-        d = {
-            "kind": self.kind,
-            "params": dict(self.params),
-            "length": self.length,
-            "burn_in": self.effective_burn_in,
-            "seed": self.seed,
-        }
-        if self.label is not None:
-            d["label"] = self.label
-        return d
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "GeneratorSpec":
@@ -260,9 +248,6 @@ class GeneratorSpec:
         if not isinstance(data, dict):
             raise DataError("generator spec JSON must be an object")
         return cls.from_dict(data)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=False)
 
 
 def build_series(spec: GeneratorSpec) -> Series:

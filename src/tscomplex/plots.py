@@ -1,10 +1,10 @@
 """Self-contained deterministic SVG charts for experiment reports.
 
 Three kinds: ``line_by_scale`` (metric value vs scale factor, one line per
-label/metric), ``grouped_bars`` (one bar per label/metric, raw values or,
-with ``rescale``, the comparison scale below), and ``box_by_group`` (value
-distributions per group and metric; a row label of the form
-``group:member`` contributes to box group ``group``).
+label/metric), ``grouped_bars`` (one bar per label/metric of a report at
+one scale, raw values or, with ``rescale``, the comparison scale below),
+and ``box_by_group`` (value distributions per group and metric; a row
+label of the form ``group:member`` contributes to box group ``group``).
 
 The comparison scale puts the four metrics side by side on [0, 1]: a
 chi-square score becomes 1/ln(chi-square), a runs-test z becomes 1/|z|, and
@@ -193,16 +193,16 @@ def _render_lines(report: ExperimentReport) -> str:
 
 
 def _render_bars(report: ExperimentReport, rescale: bool) -> str:
+    if len({r.scale for r in report.rows}) > 1:
+        raise DataError("grouped_bars needs rows at a single scale")
     labels = report.labels()
     metrics = report.metrics()
     if rescale:
         values, y_label = _comparison_scale(report), "rescaled"
     else:
         values, y_label = [r.value for r in report.rows], "value"
-    # one bar per (label, metric); first occurrence wins if scales repeat
-    heights: dict[tuple[str, str], float] = {}
-    for row, v in zip(report.rows, values):
-        heights.setdefault((row.label, row.metric), float(v))
+    # one bar per (label, metric): the report's keys are unique at one scale
+    heights = {(row.label, row.metric): float(v) for row, v in zip(report.rows, values)}
     svg = _Svg(_W, _H)
     vals = [v for v in heights.values() if math.isfinite(v)]
     lo, hi = _y_range(vals + [0.0])

@@ -1,27 +1,17 @@
 """Reading user-supplied series files and writing generated ones.
 
-plain_lines: UTF-8, one decimal real per line, blank lines skipped,
-LF or CRLF. csv_column: one column of a delimited file, selected by
-header name or zero-based index.
+A series file is UTF-8 text with one decimal real per line: blank lines
+are skipped, LF and CRLF both end a line, and a typographic minus sign
+reads as '-'. Files are written at 17 significant digits, which
+round-trips every float64 exactly.
 """
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Literal
 
 from .core import DataError, Series
 
-__all__ = ["SeriesFile", "read_series", "write_series"]
-
-
-@dataclass(frozen=True)
-class SeriesFile:
-    path: str | Path
-    format: Literal["plain_lines", "csv_column"] = "plain_lines"
-    column: str | int | None = None
-    skip_header: bool = False
+__all__ = ["read_series", "render_series", "write_series"]
 
 
 def _parse_real(text: str, path: Path, line_no: int) -> float:
@@ -33,59 +23,27 @@ def _parse_real(text: str, path: Path, line_no: int) -> float:
         raise DataError(f"{path}: non-numeric value {text.strip()!r} on line {line_no}") from None
 
 
-def read_series(file: SeriesFile | str | Path) -> Series:
+def read_series(file: str | Path) -> Series:
     """Parse a series file; the label is the file stem."""
-    if not isinstance(file, SeriesFile):
-        file = SeriesFile(path=file)
-    path = Path(file.path)
+    path = Path(file)
     if not path.is_file():
         raise DataError(f"missing file: {path}")
-    if file.format == "plain_lines":
-        values = []
-        with path.open("r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                values.append(_parse_real(line, path, line_no))
-    elif file.format == "csv_column":
-        values = _read_csv_column(path, file.column, file.skip_header)
-    else:
-        raise ValueError(f"unknown series file format: {file.format!r}")
+    values = []
+    with path.open("r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            values.append(_parse_real(line, path, line_no))
     if not values:
         raise DataError(f"{path}: no values")
     return Series(values, label=path.stem)
 
 
-def _read_csv_column(path: Path, column: str | int | None, skip_header: bool) -> list[float]:
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    rows = [(i + 1, row) for i, row in enumerate(rows) if any(cell.strip() for cell in row)]
-    if not rows:
-        raise DataError(f"{path}: no values")
-    idx = 0
-    if isinstance(column, str):
-        header_no, header = rows[0]
-        if column not in header:
-            raise DataError(f"{path}: no column named {column!r} in header {header}")
-        idx = header.index(column)
-        rows = rows[1:]
-    else:
-        if column is not None:
-            idx = int(column)
-        if skip_header:
-            rows = rows[1:]
-    values = []
-    for line_no, row in rows:
-        if idx >= len(row):
-            raise DataError(f"{path}: line {line_no} has no column {idx}")
-        values.append(_parse_real(row[idx], path, line_no))
-    return values
+def render_series(series: Series) -> str:
+    """The series-file text: one value per line at 17 significant digits."""
+    return "".join(f"{v:.17g}\n" for v in series.values)
 
 
 def write_series(series: Series, path: str | Path) -> None:
-    """Write one value per line at 17 significant digits (lossless for
-    float64 round-trips)."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        for v in series.values:
-            fh.write(f"{v:.17g}\n")
+    """Write the series-file text of ``render_series`` to ``path``."""
+    Path(path).write_text(render_series(series), encoding="utf-8")

@@ -88,6 +88,8 @@ class TestParameterErrors:
         ("reproduce", "santafe", "--t", "9", "--data-dir", "{empty_dir}"),
         # refused before the missing input is read
         ("mse", "{empty_dir}/missing.txt", "--t", "9"),
+        ("compare-groups", "--a", "{empty_dir}/a1.txt", "{empty_dir}/a2.txt",
+         "--b", "{empty_dir}/b1.txt", "{empty_dir}/b2.txt", "--m", "0"),
     ])
     def test_invalid_parameter_is_usage_error(self, capsys, tmp_path, argv):
         code, out, err = run(capsys, *(a.replace("{empty_dir}", str(tmp_path)) for a in argv))
@@ -153,6 +155,13 @@ class TestGenerate:
         code, out, _ = run(capsys, "generate", "--spec", str(spec_path))
         assert code == 0
         assert len(out.strip().splitlines()) == 1000
+
+    def test_stdout_matches_out_file(self, capsys, tmp_path):
+        out_path = tmp_path / "series.txt"
+        run(capsys, "generate", "--spec", LOGISTIC_SPEC, "--out", str(out_path))
+        code, out, _ = run(capsys, "generate", "--spec", LOGISTIC_SPEC)
+        assert code == 0
+        assert out.encode("utf-8") == out_path.read_bytes()
 
     def test_numerical_error_exit_code(self, capsys):
         bad = json.dumps({"kind": "logistic_map", "params": {"r": 4.0, "x0": 0.5},
@@ -263,6 +272,18 @@ class TestPlotCommand:
         assert code == 0, err
         # background + 10 bars (12 cells, 2 failed) + 4 legend swatches
         assert svg_path.read_text().count("<rect") == 15
+
+    @pytest.mark.parametrize("rescale", [False, True])
+    def test_grouped_bars_refuse_a_multi_scale_report(self, capsys, tmp_path, rescale):
+        report_path, svg_path = tmp_path / "r.json", tmp_path / "bars.svg"
+        run(capsys, "mse", "--spec", LOGISTIC_SPEC, "--scales", "1,2,3",
+            "--format", "json", "--out", str(report_path))
+        flags = ["--rescale"] if rescale else []
+        code, _, err = run(capsys, "plot", str(report_path), "--kind", "grouped_bars",
+                           *flags, "--out", str(svg_path))
+        assert code == 2
+        assert err == "tscomplex: data error: grouped_bars needs rows at a single scale\n"
+        assert not svg_path.exists()
 
     @pytest.mark.parametrize("kind", ["line_by_scale", "box_by_group"])
     def test_rescale_is_for_grouped_bars_only(self, capsys, tmp_path, kind):

@@ -1,4 +1,4 @@
-"""Core types, summary stats, coarse-graining, and the comparison-chart scale."""
+"""Core types, the sample SD, coarse-graining, and the comparison-chart scale."""
 import math
 
 import numpy as np
@@ -13,7 +13,7 @@ from tscomplex import (
     Series,
     coarse_grain,
     generate_iid,
-    summary,
+    sample_sd,
 )
 from tscomplex.plots import _comparison_scale
 
@@ -42,28 +42,17 @@ class TestSeries:
 
 class TestSummary:
     def test_symmetric_three_points(self):
-        stats = summary(make_series([1, 2, 3]))
-        assert stats.mean == 2.0
-        assert stats.sd == 1.0
-        assert stats.minimum == 1.0
-        assert stats.maximum == 3.0
-        assert stats.n == 3
-        assert stats.sd_divisor == "n-1"
+        # divisor n-1: sqrt((1 + 0 + 1) / 2)
+        assert sample_sd(make_series([1, 2, 3])) == 1.0
 
     def test_constant(self):
-        stats = summary(make_series([5, 5, 5, 5]))
-        assert stats.mean == 5.0
-        assert stats.sd == 0.0
+        assert sample_sd(make_series([5, 5, 5, 5])) == 0.0
+        assert sample_sd(make_series([5])) == 0.0
 
     def test_uniform_sd_band(self):
         # theoretical sd of Uniform(0,1) is 1/sqrt(12) ~ 0.2887
         s = generate_iid("uniform", 1000, seed=7)
-        assert 0.26 <= summary(s).sd <= 0.32
-
-    def test_population_divisor_recorded(self):
-        stats = summary(make_series([1, 2, 3]), population=True)
-        assert stats.sd_divisor == "n"
-        assert stats.sd == pytest.approx(math.sqrt(2.0 / 3.0))
+        assert 0.26 <= sample_sd(s) <= 0.32
 
 
 class TestCoarseGrain:

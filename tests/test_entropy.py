@@ -142,11 +142,6 @@ class TestPermutationEntropy:
         with pytest.raises(DataError, match="shorter than tuple"):
             permutation_entropy(make_series([1, 2, 3]), PermEnParams(n=5))
 
-    def test_unnormalized_range(self):
-        s = generate_iid("uniform", 500, seed=3)
-        h = permutation_entropy(s, PermEnParams(n=4, normalize=False))
-        assert 0.0 <= h <= log(factorial(4))
-
     def test_tie_rule_earlier_index_first(self):
         # all-equal windows collapse onto the identity pattern
         assert permutation_entropy(Series([7.0] * 30), PermEnParams(n=3)) == 0.0
@@ -212,10 +207,10 @@ class TestMseSweep:
 
     def test_per_scale_r_differs_from_fixed_r(self):
         # AR(1) block means lose variance, so recomputed r shrinks with scale
-        from tscomplex import arma_simulate, summary
+        from tscomplex import arma_simulate, sample_sd
         s = arma_simulate([0.9], [], 1000, seed=4)
         per_scale = mse_sweep(s, [1, 4], build_metrics(AnalysisConfig(metrics=("sampen",))))
-        r_abs = 0.2 * summary(s).sd
+        r_abs = 0.2 * sample_sd(s)
         fixed = mse_sweep(s, [1, 4], build_metrics(
             AnalysisConfig(metrics=("sampen",), r_factor=r_abs, r_mode="absolute")))
         assert per_scale.results[(1, "sampen")].value == fixed.results[(1, "sampen")].value

@@ -11,7 +11,6 @@ from tscomplex import (
     ExperimentReport,
     ReportRow,
     Series,
-    SeriesFile,
     read_report_json,
     read_series,
     write_report,
@@ -53,24 +52,6 @@ class TestReadSeries:
         p.write_text("\n\n")
         with pytest.raises(DataError, match="no values"):
             read_series(p)
-
-    def test_csv_column_by_name(self, tmp_path):
-        p = tmp_path / "t.csv"
-        p.write_text("t,v\n0,1.5\n1,2.5\n")
-        s = read_series(SeriesFile(p, format="csv_column", column="v", skip_header=True))
-        assert s.values.tolist() == [1.5, 2.5]
-
-    def test_csv_column_by_index(self, tmp_path):
-        p = tmp_path / "t.csv"
-        p.write_text("0,1.5\n1,2.5\n")
-        s = read_series(SeriesFile(p, format="csv_column", column=1))
-        assert s.values.tolist() == [1.5, 2.5]
-
-    def test_csv_missing_column(self, tmp_path):
-        p = tmp_path / "t.csv"
-        p.write_text("t,v\n0,1.5\n")
-        with pytest.raises(DataError, match="no column named"):
-            read_series(SeriesFile(p, format="csv_column", column="w", skip_header=True))
 
     @given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False,
                                      min_value=-1e300, max_value=1e300),
