@@ -7,6 +7,7 @@ Exit codes: 0 success (including skipped optional data), 1 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -196,6 +197,7 @@ def _cmd_plot(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # parsing leaves the parser unchanged, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="tscomplex",
                      description="entropy and randomness-test toolkit for time series")

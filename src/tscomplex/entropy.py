@@ -6,13 +6,18 @@ counts are exact and sub-quadratic: a kd-tree over the distinct templates,
 each weighted by its multiplicity, counts the neighbour pairs, so series of
 ~100k points (24-hour RR-interval recordings) take seconds. The default
 tolerance is a multiple of the series' sample SD (``core.sample_sd``).
-Permutation entropy histograms ordinal patterns of overlapping windows,
+Permutation entropy histograms the ordinal patterns of overlapping windows,
 with ties broken toward the earlier index (stable sort), and is always
 normalized: the Shannon entropy is divided by ln(n!), so it lies in [0, 1].
+No window is sorted: under that tie rule its pattern is fixed by the strict
+comparisons of each value with the later ones, whose counts (the inversion
+code) index a table of the n! patterns, built once per n.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import permutations
 from math import factorial, log
 from typing import Literal, Mapping, Sequence
 
@@ -155,19 +160,37 @@ class PermEnParams:
             raise ValueError(f"tuple size must be in [2, 8], got {self.n}")
 
 
+def _inversion_codes(rows: np.ndarray) -> np.ndarray:
+    """Mixed-radix code whose digit a counts the later b with ``row[b] < row[a]``."""
+    n = rows.shape[1]
+    codes = np.zeros(rows.shape[0], dtype=np.int64)
+    for a in range(n - 1):
+        digit = (rows[:, a + 1] < rows[:, a]).astype(np.int64)
+        for b in range(a + 2, n):
+            digit += rows[:, b] < rows[:, a]
+        codes = codes * (n - a) + digit
+    return codes
+
+
+@lru_cache(maxsize=None)
+def _lehmer_table(n: int) -> np.ndarray:
+    """The definition, run on the permutations of range(n) in lexicographic
+    order: row k has inversion code k, so the table is indexed by it."""
+    table = _inversion_codes(np.argsort(list(permutations(range(n))), axis=1, kind="stable"))
+    table.flags.writeable = False  # every caller shares it
+    return table
+
+
 def ordinal_pattern_codes(windows: np.ndarray) -> np.ndarray:
     """Map each row of ``windows`` to its ordinal-pattern code in [0, n!).
 
-    The pattern is the stable ascending argsort of the row (equal values
-    rank by original position, earlier first), packed into a Lehmer code.
+    The code is the Lehmer code of the row's stable ascending argsort
+    (equal values rank by position, earlier first). No row is sorted:
+    stably, position b > a ranks below a when ``(w[b], b) < (w[a], a)``,
+    which is the strict ``w[b] < w[a]``, so the row's own inversion code
+    fixes its pattern, ties included, and indexes an n!-entry table.
     """
-    n = windows.shape[1]
-    sigma = np.argsort(windows, axis=1, kind="stable")
-    codes = np.zeros(windows.shape[0], dtype=np.int64)
-    for i in range(n - 1):
-        larger = (sigma[:, i + 1:] < sigma[:, i:i + 1]).sum(axis=1)
-        codes = codes * (n - i) + larger
-    return codes
+    return _lehmer_table(windows.shape[1])[_inversion_codes(windows)]
 
 
 def ordinal_pattern_counts(series: Series, n: int) -> np.ndarray:

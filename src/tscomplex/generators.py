@@ -121,13 +121,13 @@ def logistic_map(
     if keep < 1 or keep > total:
         raise DataError(f"keep must be in [1, total], got keep={keep} total={total}")
     seq = np.empty(total, dtype=np.float64)
-    x = float(x0)
-    seq[0] = x
+    x = seq[0] = float(x0)
     for i in range(1, total):
-        x = (r * x) * (1.0 - x)
-        if not 0.0 < x < 1.0:
-            raise NumericalError(f"orbit escaped (0,1) at step {i}: {x}")
-        seq[i] = x
+        x = seq[i] = (r * x) * (1.0 - x)
+    escaped = np.flatnonzero(~((seq > 0.0) & (seq < 1.0)))
+    if escaped.size:
+        i = escaped[0]
+        raise NumericalError(f"orbit escaped (0,1) at step {i}: {seq[i]}")
     return Series(seq[total - keep:], label or f"logistic_map(r={r:g})")
 
 

@@ -101,7 +101,7 @@ def permutation_test(series: Series, t: int = 5) -> PermutationTestResult:
         p_value=chi_square_sf(chi_square, df),
         group_count=g,
         low_expected_warning=expected < _LOW_EXPECTED,
-        counts=tuple(int(c) for c in counts),
+        counts=tuple(counts.tolist()),
     )
 
 

@@ -1,12 +1,13 @@
 """Reading user-supplied series files and writing generated ones.
 
-A series file is UTF-8 text with one decimal real per line: blank lines
-are skipped, LF and CRLF both end a line, and a typographic minus sign
-reads as '-'. Files are written at 17 significant digits, which
+A series file is UTF-8 text with one finite decimal real per line: blank
+lines are skipped, LF and CRLF both end a line, and a typographic minus
+sign reads as '-'. Files are written at 17 significant digits, which
 round-trips every float64 exactly.
 """
 from __future__ import annotations
 
+from math import isfinite
 from pathlib import Path
 
 from .core import DataError, Series
@@ -18,9 +19,12 @@ def _parse_real(text: str, path: Path, line_no: int) -> float:
     # tolerate typographic minus signs in pasted data
     cleaned = text.strip().replace("−", "-")
     try:
-        return float(cleaned)
+        value = float(cleaned)
     except ValueError:
         raise DataError(f"{path}: non-numeric value {text.strip()!r} on line {line_no}") from None
+    if not isfinite(value):
+        raise DataError(f"{path}: non-finite value {text.strip()!r} on line {line_no}")
+    return value
 
 
 def read_series(file: str | Path) -> Series:

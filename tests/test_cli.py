@@ -77,6 +77,17 @@ class TestAnalyze:
         assert code == 0
         assert "degenerate tolerance" in out
 
+    def test_metric_selection_does_not_carry_over(self, capsys):
+        def metrics_in(out):
+            return {line.split(",")[2] for line in out.strip().splitlines()[1:]}
+        _, first, _ = run(capsys, "analyze", "--spec", LOGISTIC_SPEC, "--metric", "permen")
+        _, second, _ = run(capsys, "analyze", "--spec", LOGISTIC_SPEC, "--metric", "runstest",
+                           "--metric", "permtest")
+        _, third, _ = run(capsys, "analyze", "--spec", LOGISTIC_SPEC)
+        assert metrics_in(first) == {"permen"}
+        assert metrics_in(second) == {"runstest", "permtest"}
+        assert metrics_in(third) == set(METRIC_NAMES)
+
 
 class TestParameterErrors:
     @pytest.mark.parametrize("argv", [
@@ -240,6 +251,18 @@ class TestCompareGroupsCommand:
                          "--metric", "permen", "--plot", str(svg))
         assert code == 0
         assert svg.read_text().startswith("<?xml")
+
+    def test_non_finite_value_names_the_file(self, capsys, tmp_path):
+        files = []
+        for name, text in (("ok1", "1.0\n3.0\n2.0\n"), ("bad", "1.0\nnan\n2.0\n"),
+                           ("ok2", "2.0\n1.0\n3.0\n"), ("ok3", "3.0\n1.0\n2.0\n")):
+            p = tmp_path / f"{name}.txt"
+            p.write_text(text)
+            files.append(str(p))
+        code, _, err = run(capsys, "compare-groups", "--a", *files[:2], "--b", *files[2:],
+                           "--metric", "permen")
+        assert code == 2
+        assert err == f"tscomplex: data error: {files[1]}: non-finite value 'nan' on line 2\n"
 
 
 class TestPlotCommand:

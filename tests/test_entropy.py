@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from tscomplex import (
     DataError,
@@ -19,6 +20,7 @@ from tscomplex import (
     permutation_entropy,
     sample_entropy,
 )
+from tscomplex.entropy import _lehmer_table, ordinal_pattern_codes
 from tscomplex.experiments import logistic_recipe
 from tscomplex.metrics import build_metrics, AnalysisConfig
 
@@ -170,6 +172,39 @@ class TestPermutationEntropy:
         before = permutation_entropy(Series(x))
         after = permutation_entropy(Series(np.exp(0.5 * x) + x ** 3))
         assert after == before
+
+
+def argsort_lehmer_codes(rows):
+    """The definition: the stable ascending argsort of each row, as a Lehmer code."""
+    n = rows.shape[1]
+    sigma = np.argsort(rows, axis=1, kind="stable")
+    codes = np.zeros(rows.shape[0], dtype=np.int64)
+    for i in range(n - 1):
+        codes = codes * (n - i) + (sigma[:, i + 1:] < sigma[:, i:i + 1]).sum(axis=1)
+    return codes
+
+
+class TestOrdinalPatternCodes:
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8), size=st.integers(8, 400),
+           kind=st.sampled_from(["integer", "grid128", "constant_runs"]))
+    @settings(max_examples=120, deadline=None)
+    def test_tie_heavy_codes_match_the_argsort_definition(self, seed, n, size, kind):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        if kind == "integer":
+            x = rng.integers(-3, 4, size=size).astype(float)
+        elif kind == "grid128":
+            x = np.round(rng.normal(size=size) * 128) / 128
+        else:
+            x = np.repeat(rng.normal(size=size), rng.integers(1, 2 * n, size=size))[:size]
+        windows = sliding_window_view(x, n)
+        groups = x[: size // n * n].reshape(size // n, n)
+        for rows in (windows, groups):
+            assert np.array_equal(ordinal_pattern_codes(rows), argsort_lehmer_codes(rows))
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_table_is_a_permutation_of_the_codes(self, n):
+        table = _lehmer_table(n)
+        assert np.array_equal(np.sort(table), np.arange(factorial(n)))
 
 
 class TestMseSweep:

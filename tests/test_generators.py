@@ -101,6 +101,13 @@ class TestLogisticMap:
         with pytest.raises(NumericalError, match="orbit escaped"):
             logistic_map(4.0, 0.5, keep=10, total=10)
 
+    # at r=4, x0=0.5 maps to 1.0 at once; this x0 maps to 0.5 first
+    @pytest.mark.parametrize("x0, step", [(0.5, 1), (0.14644660940672624, 2)])
+    def test_orbit_escape_names_the_first_step_and_value(self, x0, step):
+        with pytest.raises(NumericalError) as exc_info:
+            logistic_map(4.0, x0, keep=10, total=10)
+        assert str(exc_info.value) == f"orbit escaped (0,1) at step {step}: 1.0"
+
     @pytest.mark.parametrize("kwargs", [dict(r=4.5, x0=0.3), dict(r=3.5, x0=0.0),
                                         dict(r=3.5, x0=1.0), dict(r=0.0, x0=0.3)])
     def test_parameter_validation(self, kwargs):

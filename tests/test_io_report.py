@@ -43,6 +43,14 @@ class TestReadSeries:
         with pytest.raises(DataError, match="line 2"):
             read_series(p)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity"])
+    def test_non_finite_value_names_file_and_line(self, tmp_path, bad):
+        p = tmp_path / "bad.txt"
+        p.write_text(f"1.0\n{bad}\n2.0\n")
+        with pytest.raises(DataError) as exc_info:
+            read_series(p)
+        assert str(exc_info.value) == f"{p}: non-finite value {bad!r} on line 2"
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="missing file"):
             read_series(tmp_path / "nope.txt")
