@@ -80,10 +80,11 @@ def _config_from(args) -> AnalysisConfig:
 def _load_spec(text: str) -> GeneratorSpec:
     stripped = text.strip()
     if not stripped.startswith("{"):
-        path = Path(stripped)
-        if not path.is_file():
-            raise DataError(f"spec is neither inline JSON nor an existing file: {text}")
-        stripped = path.read_text(encoding="utf-8")
+        try:
+            stripped = Path(stripped).read_text(encoding="utf-8")
+        except (OSError, ValueError):  # ValueError: a NUL byte or bad UTF-8
+            raise DataError(f"spec is neither inline JSON nor a readable file: "
+                            f"{text!r}") from None
     return GeneratorSpec.from_json(stripped)
 
 
@@ -129,16 +130,15 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_mse(args) -> int:
     config = _config_from(args)
-    metrics = build_metrics(config)  # invalid parameters fail before any input is read
     inputs = _gather_inputs(args)
     if len(inputs) != 1:
         raise DataError("mse takes exactly one input")
     series = _as_series(inputs[0])
-    # an absolute tolerance is already fixed across scales
-    if args.fixed_r and config.r_mode == "per_input_sd" and "sampen" in config.metrics:
-        r_abs = config.r_factor * sample_sd(series)
-        metrics = build_metrics(replace(config, r_factor=r_abs, r_mode="absolute"))
-    profile = mse_sweep(series, config.scales, metrics,
+    # an absolute tolerance is already fixed across scales, and a zero SD
+    # leaves none to fix: the per-input tolerance then fails those cells
+    if args.fixed_r and config.r_mode == "per_input_sd" and (sd := sample_sd(series)) > 0:
+        config = replace(config, r_factor=config.r_factor * sd, r_mode="absolute")
+    profile = mse_sweep(series, config.scales, build_metrics(config),
                         partial="mean" if args.partial_blocks else "drop")
     report = ExperimentReport()
     report.add_profile(series.label or "series", profile)
@@ -175,7 +175,6 @@ def _cmd_reproduce(args) -> int:
 
 def _cmd_compare_groups(args) -> int:
     config = _config_from(args)
-    build_metrics(config)  # invalid parameters fail before any file is read
     report, tests = compare_groups(
         [read_series(path) for path in args.group_a],
         [read_series(path) for path in args.group_b],

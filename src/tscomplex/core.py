@@ -1,11 +1,13 @@
 """Core value types shared by every other module: the series container,
-its sample standard deviation, coarse-graining and metric results.
+its sample standard deviation, coarse-graining and metric results, plus
+the number check that the spec and report readers apply to JSON fields.
 
 Everything here is a pure function over immutable values; instances are
 safe to share between threads.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Literal
 
@@ -49,6 +51,20 @@ class Series:
 
     def with_label(self, label: str) -> "Series":
         return Series(self.values, label)
+
+
+def json_number(value: object, name: str, kind: type = float):
+    """A JSON field's value as a finite ``kind`` (float or int); DataError
+    naming the field otherwise."""
+    try:
+        number = kind(value)
+        valid = math.isfinite(number)
+    except (TypeError, ValueError, OverflowError):
+        valid = False
+    if not valid:
+        raise DataError(f"{name} must be a finite {'integer' if kind is int else 'number'}, "
+                        f"got {value!r}")
+    return number
 
 
 def sample_sd(series: Series) -> float:

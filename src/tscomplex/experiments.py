@@ -15,16 +15,16 @@ because the source pipeline kept the trailing remainder as a short block.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from statistics import median
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
 from . import reference as ref
 from .core import DataError, Metric, MetricResult, Series
-from .entropy import mse_sweep
+from .entropy import MseProfile, mse_sweep
 from .generators import add_noise, arma_simulate, derive_seed, generate_iid, logistic_map
 from .metrics import METRIC_NAMES, AnalysisConfig, build_metrics
 from .randomness import TTestResult, chi_square_sf, normal_sf, welch_t_test
@@ -113,11 +113,10 @@ def logistic_recipe(r: float, label: str | None = None) -> Series:
                         label=label or f"logistic r={r:g}")
 
 
-def _scale1_results(draws: Sequence[Series],
-                    metrics: Sequence[Metric]) -> dict[str, list[MetricResult]]:
-    """Each metric's scale-1 result on every draw, in draw order."""
-    profiles = [mse_sweep(series, (1,), metrics) for series in draws]
-    return {m.name: [p.results[(1, m.name)] for p in profiles] for m in metrics}
+def _sweeps(series: Sequence[Series], scales: Sequence[int], metrics: Sequence[Metric],
+            partial: Literal["drop", "mean"] = "mean") -> list[MseProfile]:
+    """Every series' sweep, in input order: the only way the harness scores."""
+    return [mse_sweep(s, scales, metrics, partial=partial) for s in series]
 
 
 def _compare(report: ExperimentReport, cells: Sequence[ref.RefCell]) -> list[CellComparison]:
@@ -134,17 +133,22 @@ def _compare(report: ExperimentReport, cells: Sequence[ref.RefCell]) -> list[Cel
             passed = False
         else:
             passed = abs(observed - cell.value) <= cell.tol
+        note = cell.note
+        if cell.kind == "band":  # a replication mean: its warnings count failed ones
+            note = "; ".join(filter(None, (note, *row.warnings)))
         out.append(CellComparison(
             label=cell.label, scale=cell.scale, metric=cell.metric,
             observed=observed, reference=cell.value, tol=cell.tol,
-            kind=cell.kind, passed=passed, note=cell.note,
+            kind=cell.kind, passed=passed, note=note,
         ))
     return out
 
 
-def _mean_result(results: list[MetricResult], name: str) -> MetricResult:
-    """Aggregate one metric over replications: mean score, p-value of the
-    mean statistic for test metrics (the convention the source tables use)."""
+def _mean_result(profiles: Sequence[MseProfile], name: str) -> MetricResult:
+    """Aggregate one metric's scale-1 results over replications: mean score,
+    p-value of the mean statistic for test metrics (the convention the
+    source tables use). Failed replications are left out and counted."""
+    results = [p.results[(1, name)] for p in profiles]
     values = [r.value for r in results if math.isfinite(r.value)]
     if not values:
         return MetricResult(metric=name, value=float("nan"),
@@ -164,15 +168,15 @@ def _mean_result(results: list[MetricResult], name: str) -> MetricResult:
     return MetricResult(metric=name, value=mean, warnings=warn)
 
 
-def _ordered_counts(ladders: Iterable[Mapping[str, Sequence[MetricResult]]]) -> dict[str, int]:
-    """Per metric, how many ladders are ordered. A ladder holds each metric's
-    results on a run of series from the most regular to the least; it is
+def _ordered_counts(ladders: Iterable[Sequence[MseProfile]]) -> dict[str, int]:
+    """Per metric, how many ladders are ordered. A ladder holds the scale-1
+    profiles of a run of series from the most regular to the least; it is
     ordered when entropies strictly rise and |statistics| strictly fall."""
     counts: dict[str, int] = {}
     for ladder in ladders:
-        for name, results in ladder.items():
-            keys = [r.value if name in ("sampen", "permen") else -abs(r.value)
-                    for r in results]
+        for name in ladder[0].metrics:
+            values = [p.results[(1, name)].value for p in ladder]
+            keys = values if name in ("sampen", "permen") else [-abs(v) for v in values]
             counts[name] = counts.get(name, 0) + all(a < b for a, b in zip(keys, keys[1:]))
     return counts
 
@@ -181,55 +185,46 @@ def _ordered_counts(ladders: Iterable[Mapping[str, Sequence[MetricResult]]]) -> 
 # table2: logistic-map scores at scale 1
 # ---------------------------------------------------------------------------
 
-def _table2(metrics, config, seed, replications) -> ReproduceResult:
-    report = ExperimentReport()
-    for r in (3.5, 3.7, 3.9):
-        series = logistic_recipe(r)
-        report.add_profile(series.label, mse_sweep(series, (1,), metrics))
+def _table2(metrics, scales, seed, replications) -> ReproduceResult:
     base = logistic_recipe(3.5, label=ref.L35N)
     noisy = [add_noise(base, derive_seed(seed, 3, rep), sd_absolute=0.1)
              for rep in range(replications)]
-    # stochastic noisy cells: band on the mean over the seeded replications;
-    # replication 0 is also the report row, so it is scored with every metric
-    bands = [c for c in ref.TABLE2 if c.kind == "band"]
+    # noise replication 0 is also the report row, so it is scored with every
+    # metric; the others only with the metrics of the band cells
+    rows = [logistic_recipe(r) for r in (3.5, 3.7, 3.9)] + noisy[:1]
+    report = ExperimentReport()
+    profiles = _sweeps(rows, (1,), metrics)
+    for series, profile in zip(rows, profiles):
+        report.add_profile(series.label, profile)
+    bands = [replace(c, note=f"mean of {replications} noise seeds")
+             for c in ref.TABLE2 if c.kind == "band"]
     band_metrics = [m for m in metrics if m.name in {c.metric for c in bands}]
-    profiles = [mse_sweep(noisy[0], (1,), metrics)]
-    profiles += [mse_sweep(series, (1,), band_metrics) for series in noisy[1:]]
-    report.add_profile(ref.L35N, profiles[0])
-
-    comparisons = _compare(report, [c for c in ref.TABLE2 if c.kind != "band"])
-    for cell in bands:
-        if cell.metric not in profiles[0].metrics:
-            continue
-        observed = float(np.mean([p.results[(1, cell.metric)].value for p in profiles]))
-        comparisons.append(CellComparison(
-            label=cell.label, scale=1, metric=cell.metric, observed=observed,
-            reference=cell.value, tol=cell.tol, kind="band",
-            passed=abs(observed - cell.value) <= cell.tol,
-            note=f"mean of {replications} noise seeds",
-        ))
-    result = ReproduceResult("table2", "ok", report, comparisons)
-    result.notes.append("clean logistic cells are deterministic; the noisy column "
-                        "uses seeded noise replications")
-    return result
+    noise_profiles = profiles[-1:] + _sweeps(noisy[1:], (1,), band_metrics)
+    means = ExperimentReport()
+    for m in band_metrics:
+        means.add_result(ref.L35N, 1, _mean_result(noise_profiles, m.name))
+    comparisons = (_compare(report, [c for c in ref.TABLE2 if c.kind != "band"])
+                   + _compare(means, bands))
+    return ReproduceResult("table2", "ok", report, comparisons, notes=[
+        "clean logistic cells are deterministic; the noisy column uses seeded "
+        "noise replications"])
 
 
 # ---------------------------------------------------------------------------
 # table3_logistic: multi-scale sweep of r=3.7 and the noisy r=3.5 series
 # ---------------------------------------------------------------------------
 
-def _table3(metrics, config, seed, replications) -> ReproduceResult:
-    report = ExperimentReport()
+def _table3(metrics, scales, seed, replications) -> ReproduceResult:
     noisy = add_noise(logistic_recipe(3.5, label=ref.L35N), derive_seed(seed, 3, 0),
                       sd_absolute=0.1)
-    for series in (logistic_recipe(3.7), noisy):
-        report.add_profile(series.label,
-                           mse_sweep(series, config.scales, metrics, partial="mean"))
+    rows = [logistic_recipe(3.7), noisy]
+    report = ExperimentReport()
+    for series, profile in zip(rows, _sweeps(rows, scales, metrics)):
+        report.add_profile(series.label, profile)
     comparisons = _compare(report, ref.TABLE3_LOGISTIC)
-    result = ReproduceResult("table3_logistic", "ok", report, comparisons)
-    result.notes.append("runs-test cells beyond scale 1 are informational: the source "
-                        "pipeline decimated instead of averaging for that test")
-    return result
+    return ReproduceResult("table3_logistic", "ok", report, comparisons, notes=[
+        "runs-test cells beyond scale 1 are informational: the source pipeline "
+        "decimated instead of averaging for that test"])
 
 
 # ---------------------------------------------------------------------------
@@ -239,9 +234,9 @@ def _table3(metrics, config, seed, replications) -> ReproduceResult:
 _TABLE1_DISTS = ("uniform", "normal", "exponential")
 
 
-def _table1(metrics, config, seed, replications) -> ReproduceResult:
+def _table1(metrics, scales, seed, replications) -> ReproduceResult:
     permen = [m for m in metrics if m.name == "permen"]
-    deep = [s for s in config.scales if s != 1]
+    deep = [s for s in scales if s != 1]
     report = ExperimentReport()
     checks: list[PropertyCheck] = []
     p_cells_ok = 0
@@ -251,16 +246,17 @@ def _table1(metrics, config, seed, replications) -> ReproduceResult:
         draws = [generate_iid(dist, 1000, derive_seed(seed, di, rep))
                  for rep in range(replications)]
         # scale-1 cells: replication means
-        for name, results in _scale1_results(draws, metrics).items():
-            report.add_result(dist, 1, _mean_result(results, name))
+        profiles = _sweeps(draws, (1,), metrics)
+        for m in metrics:
+            report.add_result(dist, 1, _mean_result(profiles, m.name))
         # deeper scales: single seeded draw, as in the source table
         if deep:
-            report.add_profile(dist, mse_sweep(draws[0], deep, metrics, partial="mean"))
+            report.add_profile(dist, _sweeps(draws[:1], deep, metrics)[0])
         if dist == "uniform":
-            for series in draws:
-                pes = mse_sweep(series, config.scales, permen).values("permen")
+            for profile in _sweeps(draws, scales, permen, partial="drop"):
+                pes = profile.values("permen")
                 monotone_reps += all(pes[i + 1] <= pes[i] for i in range(len(pes) - 1))
-        for scale in config.scales:
+        for scale in scales:
             for name in ("permtest", "runstest"):
                 p = report.get(dist, scale, name).p_value
                 p_cells += 1
@@ -284,10 +280,9 @@ def _table1(metrics, config, seed, replications) -> ReproduceResult:
         passed=monotone_reps >= math.ceil(0.9 * replications),
         detail=f"{monotone_reps}/{replications} replications fully non-increasing",
     ))
-    result = ReproduceResult("table1", "ok", report, comparisons, checks)
-    result.notes.append("cells are statistical: scale-1 rows are replication means, "
-                        "deeper scales single seeded draws")
-    return result
+    return ReproduceResult("table1", "ok", report, comparisons, checks, notes=[
+        "cells are statistical: scale-1 rows are replication means, deeper scales "
+        "single seeded draws"])
 
 
 # ---------------------------------------------------------------------------
@@ -311,34 +306,36 @@ def find_santafe_file(data_dir: str | Path | None) -> Path | None:
     return None
 
 
-def _santafe(metrics, config, seed, replications, data_dir) -> ReproduceResult:
+def _santafe(metrics, scales, seed, replications, data_dir) -> ReproduceResult:
     path = find_santafe_file(data_dir)
     if path is None:
-        result = ReproduceResult("santafe", "skipped", ExperimentReport())
-        result.notes.append(
+        return ReproduceResult("santafe", "skipped", ExperimentReport(), notes=[
             "laser data file not found; pass --data-dir with one of "
-            + ", ".join(_SANTAFE_NAMES))
-        return result
+            + ", ".join(_SANTAFE_NAMES)])
     clean = read_series(path).with_label(ref.SF_CLEAN)
     report = ExperimentReport()
     variants = [clean] + [add_noise(clean, derive_seed(seed, 5, vi), sd_multiplier=mult,
                                     label=label)
                           for vi, (mult, label) in enumerate(ref.SF_NOISE.items())]
-    for series in variants:
-        report.add_profile(series.label, mse_sweep(series, (1,), metrics))
+    profiles = _sweeps(variants, (1,), metrics)
+    for series, profile in zip(variants, profiles):
+        report.add_profile(series.label, profile)
     # multi-scale rows for the clean series (scale-1 rows already present)
-    deep = [s for s in config.scales if s != 1]
+    deep = [s for s in scales if s != 1]
     if deep:
-        report.add_profile(ref.SF_CLEAN, mse_sweep(clean, deep, metrics, partial="mean"))
+        report.add_profile(ref.SF_CLEAN, _sweeps([clean], deep, metrics)[0])
     comparisons = _compare(report, ref.SANTAFE_SCORES)
     comparisons += [c for c in _compare(report, ref.SANTAFE_MSE) if c.scale != 1]
 
-    # noise ordering (levels 0, 0.1, 0.2, 1 SD) with fresh derived seeds
+    # noise ordering (levels 0, 0.1, 0.2, 1 SD) with fresh derived seeds; the
+    # clean series is deterministic, so its one profile starts every ladder
     reps = max(1, replications // 3)
-    ladders = ([clean] + [add_noise(clean, derive_seed(seed, 6, rep, vi), sd_multiplier=mult)
-                          for vi, mult in enumerate(ref.SF_NOISE, start=1)]
-               for rep in range(reps))
-    order_ok = _ordered_counts(_scale1_results(levels, metrics) for levels in ladders)
+    order_ok = _ordered_counts(
+        profiles[:1] + _sweeps([add_noise(clean, derive_seed(seed, 6, rep, vi),
+                                          sd_multiplier=mult)
+                                for vi, mult in enumerate(ref.SF_NOISE, start=1)],
+                               (1,), metrics)
+        for rep in range(reps))
     checks = [
         PropertyCheck(
             name="sampen and permen increase with noise level 0 -> 0.1 -> 0.2 -> 1",
@@ -367,23 +364,22 @@ def _arma_series(name: str, seed: int, rep: int) -> Series:
     return arma_simulate(ar, ma, 1000, derive_seed(seed, pi, rep), label=name)
 
 
-def _arma4(metrics, config, seed, replications) -> ReproduceResult:
+def _arma4(metrics, scales, seed, replications) -> ReproduceResult:
     report = ExperimentReport()
-    per_proc: dict[str, dict[str, list[MetricResult]]] = {}
+    per_proc: dict[str, list[MseProfile]] = {}
     for name in _ARMA_NAMES:
         draws = [_arma_series(name, seed, rep) for rep in range(replications)]
-        per_proc[name] = _scale1_results(draws, metrics)
-        for metric_name, results in per_proc[name].items():
-            report.add_result(name, 1, _mean_result(results, metric_name))
+        per_proc[name] = _sweeps(draws, (1,), metrics)
+        for m in metrics:
+            report.add_result(name, 1, _mean_result(per_proc[name], m.name))
 
     # orderings per replication: entropy falls, test statistics rise,
     # from ARMA(2,2) to ARMA(1,1) to AR(1), so AR(1) starts each ladder
-    counts = _ordered_counts(
-        {m: [per_proc[n][m][rep] for n in reversed(_ARMA_NAMES)] for m in per_proc[ref.AR1]}
-        for rep in range(replications))
+    counts = _ordered_counts([per_proc[n][rep] for n in reversed(_ARMA_NAMES)]
+                             for rep in range(replications))
     need = math.ceil(0.9 * replications)
-    ar1_p = median(per_proc[ref.AR1]["permtest"][rep].p_value for rep in range(replications))
-    a22_p = median(per_proc[ref.ARMA22]["runstest"][rep].p_value for rep in range(replications))
+    ar1_p = median(p.results[(1, "permtest")].p_value for p in per_proc[ref.AR1])
+    a22_p = median(p.results[(1, "runstest")].p_value for p in per_proc[ref.ARMA22])
     checks = [
         PropertyCheck(
             name=f"sampen and permen strictly decrease across {' > '.join(_ARMA_NAMES)} "
@@ -409,28 +405,23 @@ def _arma4(metrics, config, seed, replications) -> ReproduceResult:
         ),
     ]
     comparisons = _compare(report, ref.ARMA_TABLE4)
-    result = ReproduceResult("arma_table4", "ok", report, comparisons, checks)
-    result.notes.append("reference cells are unseeded draws; reported values are "
-                        f"means over {replications} seeded replications")
-    return result
+    return ReproduceResult("arma_table4", "ok", report, comparisons, checks, notes=[
+        "reference cells are unseeded draws; reported values are means over "
+        f"{replications} seeded replications"])
 
 
-def _arma5(metrics, config, seed, replications) -> ReproduceResult:
+def _arma5(metrics, scales, seed, replications) -> ReproduceResult:
+    draws = [_arma_series(name, seed, 0) for name in _ARMA_NAMES]
+    profiles = dict(zip(_ARMA_NAMES, _sweeps(draws, scales, metrics)))
     report = ExperimentReport()
-    profiles = {name: mse_sweep(_arma_series(name, seed, 0), config.scales, metrics,
-                                partial="mean")
-                for name in _ARMA_NAMES}
     for name, profile in profiles.items():
         report.add_profile(name, profile)
     # run-count decay for AR(1): median |z| per scale over replications, the
     # reported AR(1) series being replicate 0
     runs = [m for m in metrics if m.name == "runstest"]
-    ar1_abs_z = np.abs([profiles[ref.AR1].values("runstest")] + [
-        mse_sweep(_arma_series(ref.AR1, seed, rep), config.scales, runs,
-                  partial="mean").values("runstest")
-        for rep in range(1, replications)
-    ])
-    med = np.median(ar1_abs_z, axis=0)
+    ar1 = [profiles[ref.AR1]] + _sweeps(
+        [_arma_series(ref.AR1, seed, rep) for rep in range(1, replications)], scales, runs)
+    med = np.median(np.abs([p.values("runstest") for p in ar1]), axis=0)
     checks = [
         PropertyCheck(
             name="AR(1) runs |z| median decays monotonically across scales",
@@ -440,7 +431,7 @@ def _arma5(metrics, config, seed, replications) -> ReproduceResult:
         PropertyCheck(
             name="AR(1) runs |z| starts near 21.9 and ends small",
             passed=bool(14.0 <= med[0] <= 30.0 and med[-1] <= 6.0),
-            detail=f"scale 1 median {med[0]:.2f}, scale {config.scales[-1]} "
+            detail=f"scale 1 median {med[0]:.2f}, scale {scales[-1]} "
                    f"median {med[-1]:.2f}",
         ),
     ]
@@ -449,7 +440,7 @@ def _arma5(metrics, config, seed, replications) -> ReproduceResult:
 
 
 # name -> (recipe, default replications, the metrics its property checks
-# read). A recipe is called as recipe(metrics, config, seed, replications),
+# read). A recipe is called as recipe(metrics, scales, seed, replications),
 # santafe's also with data_dir. Reference-cell comparisons skip metrics left
 # out of the config; the checks cannot.
 EXPERIMENTS = {
@@ -475,13 +466,13 @@ def reproduce(experiment: str, *, data_dir: str | Path | None = None,
     if replications is None:
         replications = default_replications
     elif replications < 1:
-        raise DataError(f"replications must be >= 1, got {replications}")
+        raise ValueError(f"replications must be >= 1, got {replications}")
     missing = [m for m in checked if m not in config.metrics]
     if missing:
         raise DataError(f"{experiment} checks read metric(s) {', '.join(missing)}, "
                         "which the --metric selection leaves out")
     extra = {"data_dir": data_dir} if experiment == "santafe" else {}
-    return recipe(metrics, config, seed, replications, **extra)
+    return recipe(metrics, config.scales, seed, replications, **extra)
 
 
 # ---------------------------------------------------------------------------
@@ -507,8 +498,7 @@ def compare_groups(
     report = ExperimentReport()
     values: dict[tuple[str, str], list[float]] = {}
     for gname, group in zip(group_names, (group_a, group_b)):
-        for series in group:
-            profile = mse_sweep(series, (1,), metrics)
+        for series, profile in zip(group, _sweeps(group, (1,), metrics)):
             report.add_profile(f"{gname}:{series.label}", profile)
             for res in profile.results.values():
                 if math.isfinite(res.value):

@@ -19,7 +19,7 @@ from typing import Any, Literal
 import numpy as np
 from scipy import signal, special
 
-from .core import DataError, NumericalError, Series, sample_sd
+from .core import DataError, NumericalError, Series, json_number, sample_sd
 
 __all__ = [
     "GeneratorSpec",
@@ -175,7 +175,7 @@ def add_noise(
     """Add iid Gaussian noise, sized either relative to the input's sample
     SD (``sd_multiplier``) or as an absolute SD (``sd_absolute``)."""
     if (sd_multiplier is None) == (sd_absolute is None):
-        raise ValueError("specify exactly one of sd_multiplier / sd_absolute")
+        raise DataError("specify exactly one of sd_multiplier / sd_absolute")
     if sd_multiplier is not None:
         if sd_multiplier < 0:
             raise DataError(f"sd multiplier must be >= 0, got {sd_multiplier}")
@@ -217,6 +217,12 @@ class GeneratorSpec:
             raise DataError(f"length must be >= 1, got {self.length}")
         if self.burn_in is not None and self.burn_in < 0:
             raise DataError(f"burn_in must be >= 0, got {self.burn_in}")
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
+        if not isinstance(self.params, dict):
+            raise DataError(f"params must be an object, got {self.params!r}")
+        if self.label is not None and not isinstance(self.label, str):
+            raise DataError(f"label must be a string, got {self.label!r}")
 
     @property
     def effective_burn_in(self) -> int:
@@ -226,18 +232,17 @@ class GeneratorSpec:
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "GeneratorSpec":
-        try:
-            burn = d.get("burn_in")
-            return cls(
-                kind=d["kind"],
-                params=dict(d.get("params", {})),
-                length=int(d.get("length", 1000)),
-                burn_in=None if burn is None else int(burn),
-                seed=int(d.get("seed", 0)),
-                label=d.get("label"),
-            )
-        except KeyError as exc:
-            raise DataError(f"generator spec missing field {exc}") from exc
+        if "kind" not in d:
+            raise DataError("generator spec missing field 'kind'")
+        burn = d.get("burn_in")
+        return cls(
+            kind=d["kind"],
+            params=d.get("params", {}),
+            length=json_number(d.get("length", 1000), "length", int),
+            burn_in=None if burn is None else json_number(burn, "burn_in", int),
+            seed=json_number(d.get("seed", 0), "seed", int),
+            label=d.get("label"),
+        )
 
     @classmethod
     def from_json(cls, text: str) -> "GeneratorSpec":
@@ -250,28 +255,34 @@ class GeneratorSpec:
         return cls.from_dict(data)
 
 
+def _spec_numbers(value: Any, name: str) -> list[float]:
+    if not isinstance(value, list):
+        raise DataError(f"{name} must be a list of numbers, got {value!r}")
+    return [json_number(v, name) for v in value]
+
+
 def build_series(spec: GeneratorSpec) -> Series:
     """Materialize a GeneratorSpec into a Series."""
     p = spec.params
     if spec.kind in ("uniform", "normal", "exponential"):
         return generate_iid(
             spec.kind, spec.length, spec.seed,
-            rate=float(p.get("rate", 1.0)),
+            rate=json_number(p.get("rate", 1.0), "rate"),
             burn_in=spec.effective_burn_in,
             label=spec.label,
         )
     if spec.kind == "logistic_map":
         return logistic_map(
-            r=float(p.get("r", 3.9)),
-            x0=float(p.get("x0", 0.3)),
+            r=json_number(p.get("r", 3.9), "r"),
+            x0=json_number(p.get("x0", 0.3), "x0"),
             keep=spec.length,
             total=spec.length + spec.effective_burn_in,
             label=spec.label,
         )
     if spec.kind == "arma":
         return arma_simulate(
-            ar=list(p.get("ar", [])),
-            ma=list(p.get("ma", [])),
+            ar=_spec_numbers(p.get("ar", []), "ar"),
+            ma=_spec_numbers(p.get("ma", []), "ma"),
             n=spec.length,
             seed=spec.seed,
             burn_in=spec.effective_burn_in,
@@ -282,10 +293,8 @@ def build_series(spec: GeneratorSpec) -> Series:
         if not isinstance(base, dict):
             raise DataError("noise_overlay params need a nested 'base' spec object")
         base_series = build_series(GeneratorSpec.from_dict(base))
-        return add_noise(
-            base_series, spec.seed,
-            sd_multiplier=p.get("sd_multiplier"),
-            sd_absolute=p.get("sd_absolute"),
-            label=spec.label or base_series.label,
-        )
+        sizes = {name: None if p.get(name) is None else json_number(p[name], name)
+                 for name in ("sd_multiplier", "sd_absolute")}
+        return add_noise(base_series, spec.seed, **sizes,
+                         label=spec.label or base_series.label)
     raise DataError(f"unknown generator kind: {spec.kind!r}")

@@ -1,11 +1,12 @@
 """The metric table and the shared analysis configuration.
 
 ``build_metrics`` turns a config into named evaluators, one per selected
-metric, each bound to parameters validated once per call. The single path
-that applies them is ``entropy.mse_sweep``: it coarse-grains a series,
-evaluates every metric per scale and records a failed evaluation as a NaN
-cell; scale-1 scoring is a sweep over ``(1,)``. A result carries the
-statistic/df/p-value fields when the underlying score is a hypothesis test.
+metric, each bound to parameters the config checked when it was built.
+The single path that applies them is ``entropy.mse_sweep``: it
+coarse-grains a series, evaluates every metric per scale and records a
+failed evaluation as a NaN cell; scale-1 scoring is a sweep over ``(1,)``.
+A result carries the statistic/df/p-value fields when the underlying score
+is a hypothesis test.
 """
 from __future__ import annotations
 
@@ -31,7 +32,11 @@ DEFAULT_SCALES = (1, 2, 3, 4, 5, 10)
 @dataclass(frozen=True)
 class AnalysisConfig:
     """Metric selection and parameters; defaults are the experiment battery's
-    conventions (m=2, r=0.2*SD, n=5, t=5, median runs test, scales 1..10)."""
+    conventions (m=2, r=0.2*SD, n=5, t=5, median runs test, scales 1..10).
+
+    Construction checks every parameter, selected metric or not, and the
+    scale list, raising ValueError: a config that exists is valid.
+    """
 
     metrics: tuple[str, ...] = METRIC_NAMES
     m: int = 2
@@ -46,6 +51,14 @@ class AnalysisConfig:
         unknown = [m for m in self.metrics if m not in METRIC_NAMES]
         if unknown:
             raise ValueError(f"unknown metric(s): {', '.join(unknown)}")
+        for params_of, _ in _METRICS.values():
+            params_of(self)
+        if not self.scales:
+            raise ValueError("empty scale list")
+        if self.scales[0] < 1:
+            raise ValueError(f"scales must be >= 1, got {self.scales[0]}")
+        if any(b <= a for a, b in zip(self.scales, self.scales[1:])):
+            raise ValueError("scales must be strictly increasing")
 
 
 def _sampen(series: Series, params: SampEnParams) -> MetricResult:
@@ -86,8 +99,8 @@ _METRICS = {
 
 
 def build_metrics(config: AnalysisConfig) -> list[Metric]:
-    """Metrics selected by the config, in the config's order. Parameters are
-    built here, once, so invalid ones fail before any series is read."""
+    """Metrics selected by the config, in the config's order, each bound to
+    its parameters, built once here."""
     metrics = []
     for name in config.metrics:
         params_of, evaluate = _METRICS[name]

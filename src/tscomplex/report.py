@@ -8,11 +8,12 @@ row objects with the same field names at full precision.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Literal
 
-from .core import DataError, MetricResult
+from .core import DataError, MetricResult, json_number
 from .entropy import MseProfile
 
 __all__ = ["ReportRow", "ExperimentReport", "write_report", "read_report_json"]
@@ -160,15 +161,28 @@ def read_report_json(path: str | Path) -> ExperimentReport:
     if not isinstance(data, list):
         raise DataError(f"{path}: report JSON must be an array of row objects")
     report = ExperimentReport()
-    for obj in data:
-        report.add(ReportRow(
-            label=obj["label"],
-            scale=int(obj["scale"]),
-            metric=obj["metric"],
-            value=float("nan") if obj.get("value") is None else float(obj["value"]),
-            statistic=None if obj.get("statistic") is None else float(obj["statistic"]),
-            df=None if obj.get("df") is None else float(obj["df"]),
-            p_value=None if obj.get("p_value") is None else float(obj["p_value"]),
-            warnings=tuple(obj.get("warnings", ())),
-        ))
+    for i, obj in enumerate(data):
+        try:
+            report.add(_row_from_json(obj))
+        except DataError as exc:
+            raise DataError(f"{path}: row {i}: {exc}") from None
     return report
+
+
+def _row_from_json(obj) -> ReportRow:
+    if not isinstance(obj, dict):
+        raise DataError(f"not an object: {obj!r}")
+    for name in ("label", "metric"):
+        if not isinstance(obj.get(name), str):
+            raise DataError(f"{name} must be a string, got {obj.get(name)!r}")
+    if "scale" not in obj:
+        raise DataError("missing field 'scale'")
+    warnings = obj.get("warnings", [])
+    if not (isinstance(warnings, list) and all(isinstance(w, str) for w in warnings)):
+        raise DataError(f"warnings must be a list of strings, got {warnings!r}")
+    # a null value is a failed cell; the other numbers may be null
+    numbers = {name: json_number(obj[name], name) for name in ("value", "statistic", "df",
+               "p_value") if obj.get(name) is not None}
+    return ReportRow(label=obj["label"], scale=json_number(obj["scale"], "scale", int),
+                     metric=obj["metric"], **{"value": math.nan, **numbers},
+                     warnings=tuple(warnings))

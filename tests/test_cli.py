@@ -2,6 +2,8 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tscomplex import write_series, generate_iid
 from tscomplex.cli import main
@@ -101,6 +103,13 @@ class TestParameterErrors:
         ("mse", "{empty_dir}/missing.txt", "--t", "9"),
         ("compare-groups", "--a", "{empty_dir}/a1.txt", "{empty_dir}/a2.txt",
          "--b", "{empty_dir}/b1.txt", "{empty_dir}/b2.txt", "--m", "0"),
+        # a config checks the parameters of metrics it does not select
+        ("analyze", "--metric", "permen", "--m", "0", "--spec", LOGISTIC_SPEC),
+        ("mse", "--scales", "0", "--spec", LOGISTIC_SPEC),
+        ("mse", "--scales", "2,1", "--spec", LOGISTIC_SPEC),
+        ("mse", "--scales", "", "--spec", LOGISTIC_SPEC),
+        ("reproduce", "table2", "--scales", "0"),
+        ("reproduce", "table1", "--replications", "0"),
     ])
     def test_invalid_parameter_is_usage_error(self, capsys, tmp_path, argv):
         code, out, err = run(capsys, *(a.replace("{empty_dir}", str(tmp_path)) for a in argv))
@@ -148,6 +157,52 @@ class TestMse:
         code_b, out_b, _ = run(capsys, *argv, "--fixed-r")
         assert code_a == code_b == 0
         assert out_a == out_b
+
+    def test_fixed_r_on_a_zero_sd_series_keeps_per_input_cells(self, capsys, tmp_path):
+        p = tmp_path / "flat.txt"
+        p.write_text("5.0\n" * 200)
+        code_a, out_a, _ = run(capsys, "mse", str(p))
+        code_b, out_b, _ = run(capsys, "mse", str(p), "--fixed-r")
+        assert code_a == code_b == 0
+        assert out_a == out_b
+        assert "flat,1,sampen,nan,,,,error: degenerate tolerance (r = 0)" in out_a
+
+
+class TestMalformedJson:
+    @pytest.mark.parametrize("spec, field", [
+        ({"kind": "normal", "length": None}, "length"),
+        ({"kind": "normal", "burn_in": []}, "burn_in"),
+        ({"kind": "arma", "params": {"ar": 5}}, "ar"),
+        ({"kind": "logistic_map", "params": {"x0": None}}, "x0"),
+        ({"kind": "noise_overlay", "length": 50,
+          "params": {"base": {"kind": "normal", "length": 50}, "sd_multiplier": "a"}},
+         "sd_multiplier"),
+        ({"kind": "normal", "length": 50, "label": 5}, "label"),
+        ({"kind": "logistic_map", "params": {"r": "x"}}, "r"),
+        ({"kind": "normal", "length": "abc"}, "length"),
+        ({"kind": "normal", "length": 50, "seed": -1}, "seed"),
+    ])
+    def test_spec_field_is_a_data_error(self, capsys, spec, field):
+        code, out, err = run(capsys, "analyze", "--spec", json.dumps(spec))
+        assert code == 2
+        assert err.startswith(f"tscomplex: data error: {field} must ") and err.count("\n") == 1
+        assert not out
+
+    @pytest.mark.parametrize("rows, reason", [
+        ([1, 2], "row 0: not an object"),
+        ([{"label": "a", "scale": 1, "metric": "permen", "value": 0.5},
+          {"label": "a", "metric": "permen", "value": 0.5}], "row 1: missing field 'scale'"),
+        ([{"label": "a", "scale": "x", "metric": "permen", "value": 0.5}],
+         "row 0: scale must be a finite integer"),
+    ])
+    def test_report_row_is_a_data_error(self, capsys, tmp_path, rows, reason):
+        report_path = tmp_path / "r.json"
+        report_path.write_text(json.dumps(rows))
+        code, _, err = run(capsys, "plot", str(report_path), "--kind", "line_by_scale",
+                           "--out", str(tmp_path / "x.svg"))
+        assert code == 2
+        assert err.startswith(f"tscomplex: data error: {report_path}: {reason}")
+        assert err.count("\n") == 1
 
 
 class TestGenerate:
@@ -331,3 +386,75 @@ class TestDeterminism:
                 "--out", str(json_p))
             paths.append((csv_p.read_bytes(), json_p.read_bytes()))
         assert paths[0] == paths[1]
+
+
+# every generated number is bounded by 5000, so no spec asks for a long series
+_NUMBERS = st.integers(-5000, 5000) | st.floats(-5000, 5000)
+_VALUES = (st.none() | st.booleans() | _NUMBERS | st.text(max_size=4)
+           | st.lists(_NUMBERS, max_size=3))
+_KINDS = ("uniform", "normal", "exponential", "logistic_map", "arma", "noise_overlay")
+_SPEC_FIELDS = ("params", "length", "burn_in", "seed", "label")
+
+
+def _specs(params):
+    return st.fixed_dictionaries(
+        {"kind": st.sampled_from(_KINDS) | _VALUES},
+        optional={name: params if name == "params" else _VALUES for name in _SPEC_FIELDS})
+
+
+_PARAMS = st.dictionaries(st.sampled_from(("r", "x0", "rate", "ar", "ma", "sd_multiplier",
+                                           "sd_absolute")), _VALUES, max_size=3)
+_NESTED_PARAMS = st.builds(lambda p, base: {**p, "base": base}, _PARAMS,
+                           _specs(_PARAMS) | _VALUES)
+_REPORT_ROW = st.fixed_dictionaries({}, optional={
+    "label": st.sampled_from(("a", "b", "g:1", "g:2")) | _VALUES,
+    "scale": st.integers(1, 4) | _VALUES,
+    "metric": st.sampled_from(METRIC_NAMES) | _VALUES,
+    "value": _VALUES, "statistic": _VALUES, "df": _VALUES, "p_value": _VALUES,
+    "warnings": st.lists(st.text(max_size=3), max_size=2) | _VALUES,
+})
+_SERIES_LINES = st.lists(st.sampled_from(("", " ", "1.5", "2", "nan", "inf", "\u22121.25",
+                                          "\u2212", "abc", "1e400", "-0")), max_size=6)
+
+
+class TestErrorContract:
+    """Whatever JSON or series text comes in, the CLI exits 0-3 with at most
+    one line on stderr and no traceback."""
+
+    fuzz = settings(max_examples=40, deadline=None,
+                    suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+    def check(self, capsys, *argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse refusing the command line
+            capsys.readouterr()
+            assert exc.code == 1
+            return
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 3)
+        assert err.count("\n") <= 1, err
+
+    @fuzz
+    @given(spec=_specs(_PARAMS | _NESTED_PARAMS | _VALUES) | _VALUES)
+    def test_generate_spec(self, capsys, tmp_path, spec):
+        self.check(capsys, "generate", f"--spec={json.dumps(spec)}",
+                   "--out", str(tmp_path / "s.txt"))
+
+    @fuzz
+    @given(rows=st.lists(_REPORT_ROW | _VALUES, max_size=4) | _VALUES,
+           kind=st.sampled_from(("line_by_scale", "grouped_bars", "box_by_group")),
+           rescale=st.booleans())
+    def test_plot_report(self, capsys, tmp_path, rows, kind, rescale):
+        report_path = tmp_path / "r.json"
+        report_path.write_text(json.dumps(rows))
+        self.check(capsys, "plot", str(report_path), "--kind", kind,
+                   *(["--rescale"] if rescale else []), "--out", str(tmp_path / "x.svg"))
+
+    @fuzz
+    @given(lines=_SERIES_LINES, newline=st.sampled_from(("\n", "\r\n")),
+           command=st.sampled_from(("analyze", "mse")))
+    def test_series_file(self, capsys, tmp_path, lines, newline, command):
+        path = tmp_path / "s.txt"
+        path.write_bytes(newline.join(lines).encode("utf-8"))
+        self.check(capsys, command, str(path), *(["--scales", "1,2"] if command == "mse" else []))

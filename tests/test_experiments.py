@@ -4,6 +4,7 @@ import pytest
 
 from tscomplex import (
     DataError,
+    NumericalError,
     SampEnParams,
     Series,
     add_noise,
@@ -64,6 +65,24 @@ class TestReproduceTable2:
                            params).value
             for rep in range(3)])
         assert band.observed == pytest.approx(expected, rel=1e-12)
+
+    def test_band_mean_skips_and_counts_failed_replications(self):
+        # at an absolute r of 0.004 some noise replications have no matches
+        config = AnalysisConfig(metrics=("sampen",), r_factor=0.004, r_mode="absolute")
+        result = reproduce("table2", config=config)
+        band = next(c for c in result.comparisons if c.kind == "band")
+        base = logistic_recipe(3.5, label=L35N)
+        params = SampEnParams(r_factor=0.004, r_mode="absolute")
+        values = []
+        for rep in range(30):
+            try:
+                values.append(sample_entropy(
+                    add_noise(base, derive_seed(42, 3, rep), sd_absolute=0.1), params).value)
+            except NumericalError:
+                pass
+        assert len(values) == 26
+        assert band.observed == pytest.approx(np.mean(values), rel=1e-12)
+        assert band.note == "mean of 30 noise seeds; 4 replication(s) failed"
 
 
 class TestReproduceOthers:
