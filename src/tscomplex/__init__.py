@@ -46,8 +46,8 @@ from .generators import (
 )
 from .metrics import AnalysisConfig, build_metrics
 from .seriesio import read_series, render_series, write_series
-from .report import ExperimentReport, ReportRow, read_report_json, write_report
-from .plots import write_plot
+from .report import ExperimentReport, ReportRow, read_report_json, render_report
+from .plots import render_plot
 from .experiments import compare_groups, reproduce
 
 __version__ = "0.1.0"
@@ -87,13 +87,13 @@ __all__ = [
     "permutation_test",
     "read_report_json",
     "read_series",
+    "render_plot",
+    "render_report",
     "render_series",
     "reproduce",
     "runs_test",
     "sample_entropy",
     "sample_sd",
     "welch_t_test",
-    "write_plot",
-    "write_report",
     "write_series",
 ]

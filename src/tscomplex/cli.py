@@ -18,10 +18,10 @@ from .entropy import mse_sweep
 from .experiments import DEFAULT_SEED, EXPERIMENTS, compare_groups, reproduce
 from .generators import GeneratorSpec, build_series
 from .metrics import DEFAULT_SCALES, METRIC_NAMES, AnalysisConfig, build_metrics
-from .report import ExperimentReport, render_report, write_report, read_report_json
-from .plots import PlotKind, write_plot
+from .report import ExperimentReport, render_report, read_report_json
+from .plots import PlotKind, render_plot
 from .randomness import RunsVariant
-from .seriesio import read_series, render_series, write_series
+from .seriesio import read_series, render_series
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -101,11 +101,12 @@ def _as_series(item: str | Series) -> Series:
     return item if isinstance(item, Series) else read_series(item)
 
 
-def _emit(report: ExperimentReport, args) -> None:
-    if args.out:
-        write_report(report, args.format, args.out)
+def _emit(text: str, out: str | None) -> None:
+    """Write a command's output to the ``--out`` path, or to stdout without one."""
+    if out:
+        Path(out).write_text(text, encoding="utf-8")
     else:
-        sys.stdout.write(render_report(report, args.format))
+        sys.stdout.write(text)
 
 
 def _cmd_analyze(args) -> int:
@@ -124,7 +125,7 @@ def _cmd_analyze(args) -> int:
             continue
         succeeded += 1
         report.add_profile(series.label or "series", mse_sweep(series, (1,), metrics))
-    _emit(report, args)
+    _emit(render_report(report, args.format), args.out)
     return EXIT_OK if succeeded else EXIT_DATA
 
 
@@ -142,16 +143,12 @@ def _cmd_mse(args) -> int:
                         partial="mean" if args.partial_blocks else "drop")
     report = ExperimentReport()
     report.add_profile(series.label or "series", profile)
-    _emit(report, args)
+    _emit(render_report(report, args.format), args.out)
     return EXIT_OK
 
 
 def _cmd_generate(args) -> int:
-    series = build_series(_load_spec(args.spec))
-    if args.out:
-        write_series(series, args.out)
-    else:
-        sys.stdout.write(render_series(series))
+    _emit(render_series(build_series(_load_spec(args.spec))), args.out)
     return EXIT_OK
 
 
@@ -166,10 +163,8 @@ def _cmd_reproduce(args) -> int:
     )
     for line in result.summary_lines():
         print(line)
-    if result.report.rows and args.out:
-        write_report(result.report, args.format, args.out)
-    elif result.report.rows and args.print_table:
-        sys.stdout.write(render_report(result.report, args.format))
+    if result.report.rows and (args.out or args.print_table):
+        _emit(render_report(result.report, args.format), args.out)
     return EXIT_OK
 
 
@@ -184,15 +179,15 @@ def _cmd_compare_groups(args) -> int:
         print(f"{metric}: t = {res.t_statistic:.4f}, df = {res.df:.1f}, "
               f"p = {res.p_value:.4g} (means {res.mean_a:.4f} vs {res.mean_b:.4f})")
     if args.plot:
-        write_plot(report, "box_by_group", args.plot)
+        _emit(render_plot(report, "box_by_group"), args.plot)
     if args.out:
-        write_report(report, args.format, args.out)
+        _emit(render_report(report, args.format), args.out)
     return EXIT_OK
 
 
 def _cmd_plot(args) -> int:
     report = read_report_json(args.report)
-    write_plot(report, args.kind, args.out, rescale=args.rescale)
+    _emit(render_plot(report, args.kind, rescale=args.rescale), args.out)
     return EXIT_OK
 
 

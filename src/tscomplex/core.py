@@ -54,17 +54,18 @@ class Series:
 
 
 def json_number(value: object, name: str, kind: type = float):
-    """A JSON field's value as a finite ``kind`` (float or int); DataError
-    naming the field otherwise."""
+    """A JSON field's value as a finite ``kind``: a float field takes a JSON
+    integer or number, an int field only a JSON integer. A boolean, a string
+    or anything else is a DataError naming the field."""
     try:
-        number = kind(value)
-        valid = math.isfinite(number)
-    except (TypeError, ValueError, OverflowError):
+        valid = (isinstance(value, int if kind is int else (int, float))
+                 and not isinstance(value, bool) and math.isfinite(value))
+    except OverflowError:  # an integer too large for a float
         valid = False
     if not valid:
         raise DataError(f"{name} must be a finite {'integer' if kind is int else 'number'}, "
                         f"got {value!r}")
-    return number
+    return kind(value)
 
 
 def sample_sd(series: Series) -> float:

@@ -431,7 +431,7 @@ def _arma5(metrics, scales, seed, replications) -> ReproduceResult:
         PropertyCheck(
             name="AR(1) runs |z| starts near 21.9 and ends small",
             passed=bool(14.0 <= med[0] <= 30.0 and med[-1] <= 6.0),
-            detail=f"scale 1 median {med[0]:.2f}, scale {scales[-1]} "
+            detail=f"scale {scales[0]} median {med[0]:.2f}, scale {scales[-1]} "
                    f"median {med[-1]:.2f}",
         ),
     ]

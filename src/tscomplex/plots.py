@@ -17,7 +17,6 @@ generated ids, fixed float formatting.
 from __future__ import annotations
 
 import math
-from pathlib import Path
 from typing import Literal
 
 import numpy as np
@@ -25,7 +24,7 @@ import numpy as np
 from .core import DataError
 from .report import ExperimentReport
 
-__all__ = ["write_plot", "render_plot"]
+__all__ = ["render_plot"]
 
 PlotKind = Literal["line_by_scale", "grouped_bars", "box_by_group"]
 
@@ -104,6 +103,14 @@ def _y_axis(svg: _Svg, lo: float, hi: float):
     return to_y
 
 
+def _swatch_legend(svg: _Svg, names: list[str], colors: tuple[str, ...]) -> None:
+    """A colored square and a name per entry, down the right margin."""
+    for i, name in enumerate(names):
+        ly = _MT + 14 + 16 * i
+        svg.rect(_ML + _PW + 10, ly - 9, 12, 10, colors[i % len(colors)])
+        svg.text(_ML + _PW + 28, ly, name, size=10)
+
+
 def render_plot(report: ExperimentReport, kind: PlotKind, *, rescale: bool = False) -> str:
     """The chart as SVG text; ``rescale`` draws ``grouped_bars`` on the
     comparison scale and is an error with the other kinds."""
@@ -118,11 +125,6 @@ def render_plot(report: ExperimentReport, kind: PlotKind, *, rescale: bool = Fal
     if kind == "box_by_group":
         return _render_boxes(report)
     raise ValueError(f"unknown plot kind: {kind!r}")
-
-
-def write_plot(report: ExperimentReport, kind: PlotKind, path: str | Path, *,
-               rescale: bool = False) -> None:
-    Path(path).write_text(render_plot(report, kind, rescale=rescale), encoding="utf-8")
 
 
 def _comparison_scale(report: ExperimentReport) -> list[float]:
@@ -172,11 +174,7 @@ def _render_lines(report: ExperimentReport) -> str:
         svg.text(x, _MT + _PH + 16, str(s), size=10, anchor="middle")
     svg.text(_ML + _PW / 2, _H - 12, "scale factor", size=11, anchor="middle")
 
-    keys = []
-    for r in report.rows:
-        k = (r.label, r.metric)
-        if k not in keys:
-            keys.append(k)
+    keys = list(dict.fromkeys((r.label, r.metric) for r in report.rows))
     multi_metric = len({m for _, m in keys}) > 1
     for i, (label, metric) in enumerate(keys):
         pts = [(to_x(r.scale), to_y(r.value)) for r in report.rows
@@ -195,8 +193,8 @@ def _render_lines(report: ExperimentReport) -> str:
 def _render_bars(report: ExperimentReport, rescale: bool) -> str:
     if len({r.scale for r in report.rows}) > 1:
         raise DataError("grouped_bars needs rows at a single scale")
-    labels = report.labels()
-    metrics = report.metrics()
+    labels = list(dict.fromkeys(r.label for r in report.rows))
+    metrics = list(dict.fromkeys(r.metric for r in report.rows))
     if rescale:
         values, y_label = _comparison_scale(report), "rescaled"
     else:
@@ -222,10 +220,7 @@ def _render_bars(report: ExperimentReport, rescale: bool) -> str:
             y = to_y(v)
             top, height = (y, y0 - y) if v >= 0 else (y0, y - y0)
             svg.rect(x, top, bar_w * 0.92, height, _LINE_COLORS[mi % len(_LINE_COLORS)])
-    for mi, metric in enumerate(metrics):
-        ly = _MT + 14 + 16 * mi
-        svg.rect(_ML + _PW + 10, ly - 9, 12, 10, _LINE_COLORS[mi % len(_LINE_COLORS)])
-        svg.text(_ML + _PW + 28, ly, metric, size=10)
+    _swatch_legend(svg, metrics, _LINE_COLORS)
     svg.text(14, _MT + 10, y_label, size=10)
     return svg.render()
 
@@ -241,13 +236,8 @@ def _render_boxes(report: ExperimentReport) -> str:
             groups.setdefault((_group_of(r.label), r.metric), []).append(r.value)
     if not groups:
         raise DataError("no finite values to plot")
-    group_names = []
-    metric_names = []
-    for g, m in groups:
-        if g not in group_names:
-            group_names.append(g)
-        if m not in metric_names:
-            metric_names.append(m)
+    group_names = list(dict.fromkeys(g for g, _ in groups))
+    metric_names = list(dict.fromkeys(m for _, m in groups))
     svg = _Svg(_W, _H)
     lo, hi = _y_range([v for vals in groups.values() for v in vals])
     to_y = _y_axis(svg, lo, hi)
@@ -273,8 +263,5 @@ def _render_boxes(report: ExperimentReport) -> str:
             svg.circle(cx, to_y(float(v)), 2.0, color)
         label = f"{metric}" if len(group_names) > 1 else f"{group} {metric}"
         svg.text(cx, _MT + _PH + 16, label, size=10, anchor="middle")
-    for gi, group in enumerate(group_names):
-        ly = _MT + 14 + 16 * gi
-        svg.rect(_ML + _PW + 10, ly - 9, 12, 10, _BOX_COLORS[gi % len(_BOX_COLORS)])
-        svg.text(_ML + _PW + 28, ly, group, size=10)
+    _swatch_legend(svg, group_names, _BOX_COLORS)
     return svg.render()

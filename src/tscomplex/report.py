@@ -9,20 +9,23 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Literal
 
 from .core import DataError, MetricResult, json_number
 from .entropy import MseProfile
 
-__all__ = ["ReportRow", "ExperimentReport", "write_report", "read_report_json"]
+__all__ = ["ReportRow", "ExperimentReport", "render_report", "read_report_json"]
 
 CSV_COLUMNS = ("label", "scale", "metric", "value", "statistic", "df", "p_value", "warnings")
 
 
 @dataclass(frozen=True)
 class ReportRow:
+    """A cell's ``MetricResult`` behind its ``(label, scale)``: the fields
+    after ``scale`` are the result's fields, in its order."""
+
     label: str
     scale: int
     metric: str
@@ -36,31 +39,13 @@ class ReportRow:
     def key(self) -> tuple[str, int, str]:
         return (self.label, self.scale, self.metric)
 
-    @classmethod
-    def from_result(cls, label: str, scale: int, result: MetricResult) -> "ReportRow":
-        return cls(
-            label=label,
-            scale=scale,
-            metric=result.metric,
-            value=result.value,
-            statistic=result.statistic,
-            df=result.df,
-            p_value=result.p_value,
-            warnings=result.warnings,
-        )
 
-
-@dataclass
 class ExperimentReport:
-    """Rows keyed uniquely by (label, scale, metric)."""
+    """Rows keyed uniquely by (label, scale, metric), in insertion order."""
 
-    rows: list[ReportRow] = field(default_factory=list)
-
-    def __post_init__(self):
-        keys = [r.key for r in self.rows]
-        if len(set(keys)) != len(keys):
-            raise DataError("duplicate report keys")
-        self._index = {r.key: r for r in self.rows}
+    def __init__(self) -> None:
+        self.rows: list[ReportRow] = []
+        self._index: dict[tuple[str, int, str], ReportRow] = {}
 
     def add(self, row: ReportRow) -> None:
         if row.key in self._index:
@@ -69,7 +54,7 @@ class ExperimentReport:
         self._index[row.key] = row
 
     def add_result(self, label: str, scale: int, result: MetricResult) -> None:
-        self.add(ReportRow.from_result(label, scale, result))
+        self.add(ReportRow(label, scale, **vars(result)))
 
     def add_profile(self, label: str, profile: MseProfile) -> None:
         """One row per cell of a sweep, in scale-major order."""
@@ -79,18 +64,6 @@ class ExperimentReport:
 
     def get(self, label: str, scale: int, metric: str) -> ReportRow:
         return self._index[(label, scale, metric)]
-
-    def labels(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for r in self.rows:
-            seen.setdefault(r.label)
-        return list(seen)
-
-    def metrics(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for r in self.rows:
-            seen.setdefault(r.metric)
-        return list(seen)
 
 
 def _fmt(value: float | None) -> str:
@@ -118,16 +91,8 @@ def _csv_quote(cell: str) -> str:
     return cell
 
 
-def write_report(
-    report: ExperimentReport,
-    format: Literal["csv", "json"],
-    path: str | Path,
-) -> None:
-    Path(path).write_text(render_report(report, format), encoding="utf-8")
-
-
 def render_report(report: ExperimentReport, format: Literal["csv", "json"]) -> str:
-    """Serialize without touching the filesystem (used for stdout output)."""
+    """The report as CSV or JSON text."""
     if not report.rows:
         raise DataError("empty report")
     if format == "csv":
@@ -136,19 +101,9 @@ def render_report(report: ExperimentReport, format: Literal["csv", "json"]) -> s
             lines.append(",".join(_csv_quote(c) for c in _row_cells(row)))
         return "\n".join(lines) + "\n"
     if format == "json":
-        objs = []
-        for row in report.rows:
-            objs.append({
-                "label": row.label,
-                "scale": row.scale,
-                "metric": row.metric,
-                # NaN marks a failed cell; encode as null to stay strict JSON
-                "value": None if row.value != row.value else row.value,
-                "statistic": row.statistic,
-                "df": row.df,
-                "p_value": row.p_value,
-                "warnings": list(row.warnings),
-            })
+        # NaN marks a failed cell; encode as null to stay strict JSON
+        objs = [{**vars(row), "value": None if row.value != row.value else row.value,
+                 "warnings": list(row.warnings)} for row in report.rows]
         return json.dumps(objs, indent=2) + "\n"
     raise ValueError(f"unknown report format: {format!r}")
 

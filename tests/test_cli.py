@@ -181,6 +181,11 @@ class TestMalformedJson:
         ({"kind": "logistic_map", "params": {"r": "x"}}, "r"),
         ({"kind": "normal", "length": "abc"}, "length"),
         ({"kind": "normal", "length": 50, "seed": -1}, "seed"),
+        ({"kind": "normal", "length": 3.9}, "length"),
+        ({"kind": "normal", "length": True}, "length"),
+        ({"kind": "normal", "length": "4"}, "length"),
+        ({"kind": "normal", "length": 50, "seed": "2"}, "seed"),
+        ({"kind": "logistic_map", "params": {"r": "3.7"}}, "r"),
     ])
     def test_spec_field_is_a_data_error(self, capsys, spec, field):
         code, out, err = run(capsys, "analyze", "--spec", json.dumps(spec))
@@ -194,6 +199,12 @@ class TestMalformedJson:
           {"label": "a", "metric": "permen", "value": 0.5}], "row 1: missing field 'scale'"),
         ([{"label": "a", "scale": "x", "metric": "permen", "value": 0.5}],
          "row 0: scale must be a finite integer"),
+        ([{"label": "a", "scale": 1.5, "metric": "permen", "value": 0.5}],
+         "row 0: scale must be a finite integer"),
+        ([{"label": "a", "scale": 1, "metric": "permen", "value": "0.5"}],
+         "row 0: value must be a finite number"),
+        ([{"label": "a", "scale": 1, "metric": "permen", "value": True}],
+         "row 0: value must be a finite number"),
     ])
     def test_report_row_is_a_data_error(self, capsys, tmp_path, rows, reason):
         report_path = tmp_path / "r.json"
@@ -222,13 +233,6 @@ class TestGenerate:
         assert code == 0
         assert len(out.strip().splitlines()) == 1000
 
-    def test_stdout_matches_out_file(self, capsys, tmp_path):
-        out_path = tmp_path / "series.txt"
-        run(capsys, "generate", "--spec", LOGISTIC_SPEC, "--out", str(out_path))
-        code, out, _ = run(capsys, "generate", "--spec", LOGISTIC_SPEC)
-        assert code == 0
-        assert out.encode("utf-8") == out_path.read_bytes()
-
     def test_numerical_error_exit_code(self, capsys):
         bad = json.dumps({"kind": "logistic_map", "params": {"r": 4.0, "x0": 0.5},
                           "length": 10, "seed": 0})
@@ -244,6 +248,26 @@ class TestGenerate:
                               "--metric", "permtest")
         strip = lambda s: s.split(",", 1)[1]  # label differs (file stem)
         assert strip(from_file.splitlines()[1]) == strip(from_spec.splitlines()[1])
+
+
+class TestOut:
+    @pytest.mark.parametrize("argv", [
+        pytest.param(("generate", "--spec", LOGISTIC_SPEC), id="generate"),
+        pytest.param(("analyze", "--spec", LOGISTIC_SPEC), id="analyze-csv"),
+        pytest.param(("analyze", "--spec", LOGISTIC_SPEC, "--format", "json"),
+                     id="analyze-json"),
+        pytest.param(("mse", "--spec", LOGISTIC_SPEC, "--scales", "1,2"), id="mse"),
+        pytest.param(("reproduce", "table3_logistic", "--print-table",
+                      "--replications", "3"), id="reproduce-table"),
+    ])
+    def test_out_file_holds_what_stdout_would(self, capsys, tmp_path, argv):
+        # with --out the output leaves stdout for the file; reproduce's
+        # summary lines stay on stdout either way
+        out_path = tmp_path / "out"
+        code_file, shown, _ = run(capsys, *argv, "--out", str(out_path))
+        code, plain, _ = run(capsys, *argv)
+        assert code_file == code == 0
+        assert plain.encode("utf-8") == shown.encode("utf-8") + out_path.read_bytes()
 
 
 class TestReproduceCommand:

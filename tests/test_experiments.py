@@ -119,6 +119,13 @@ class TestReproduceOthers:
         # scores must rise with noise on a regular base signal
         assert result.checks[0].passed, result.checks[0].line()
 
+    def test_arma_table5_names_its_first_scale(self):
+        result = reproduce("arma_table5", replications=3,
+                           config=AnalysisConfig(metrics=("runstest",), scales=(2, 4)))
+        ends = next(c for c in result.checks if "starts near" in c.name)
+        assert ends.detail.startswith("scale 2 median ")
+        assert ", scale 4 median " in ends.detail
+
     def test_find_santafe_file(self, tmp_path):
         assert find_santafe_file(None) is None
         assert find_santafe_file(tmp_path) is None

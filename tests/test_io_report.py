@@ -1,4 +1,5 @@
 """Series-file ingestion and report serialization."""
+import dataclasses
 import math
 
 import numpy as np
@@ -9,14 +10,14 @@ from hypothesis import strategies as st
 from tscomplex import (
     DataError,
     ExperimentReport,
+    MetricResult,
     ReportRow,
     Series,
     read_report_json,
     read_series,
-    write_report,
+    render_report,
     write_series,
 )
-from tscomplex.report import render_report
 
 
 class TestReadSeries:
@@ -96,7 +97,7 @@ class TestReport:
 
     def test_json_round_trip(self, tmp_path):
         p = tmp_path / "r.json"
-        write_report(_report(), "json", p)
+        p.write_text(render_report(_report(), "json"), encoding="utf-8")
         back = read_report_json(p)
         assert back.rows == _report().rows
 
@@ -104,7 +105,7 @@ class TestReport:
         report = ExperimentReport()
         report.add(ReportRow("x", 1, "sampen", float("nan"), warnings=("error: boom",)))
         p = tmp_path / "r.json"
-        write_report(report, "json", p)
+        p.write_text(render_report(report, "json"), encoding="utf-8")
         assert '"value": null' in p.read_text()
         back = read_report_json(p)
         assert math.isnan(back.rows[0].value)
@@ -115,9 +116,16 @@ class TestReport:
         with pytest.raises(DataError, match="duplicate"):
             report.add(ReportRow("uniform", 1, "sampen", 9.9))
 
-    def test_empty_report_rejected(self, tmp_path):
+    def test_empty_report_rejected(self):
         with pytest.raises(DataError, match="empty report"):
-            write_report(ExperimentReport(), "csv", tmp_path / "e.csv")
+            render_report(ExperimentReport(), "csv")
+
+    def test_row_is_a_result_behind_label_and_scale(self):
+        # add_result passes every result field through by name, and the JSON
+        # writer emits every row field: one field list serves both paths
+        row_fields = [f.name for f in dataclasses.fields(ReportRow)]
+        result_fields = [f.name for f in dataclasses.fields(MetricResult)]
+        assert row_fields == ["label", "scale"] + result_fields
 
     def test_six_significant_digits(self):
         report = ExperimentReport()
