@@ -20,6 +20,7 @@ from .entropy import (
     SampEnParams,
     SampEnResult,
     mse_sweep,
+    mse_sweeps,
     ordinal_pattern_counts,
     permutation_entropy,
     sample_entropy,
@@ -81,6 +82,7 @@ __all__ = [
     "generate_iid",
     "logistic_map",
     "mse_sweep",
+    "mse_sweeps",
     "normal_sf",
     "ordinal_pattern_counts",
     "permutation_entropy",

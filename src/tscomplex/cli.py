@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import get_args
 
 from .core import DataError, MetricResult, NumericalError, Series, sample_sd
-from .entropy import mse_sweep
+from .entropy import mse_sweep, mse_sweeps
 from .experiments import DEFAULT_SEED, EXPERIMENTS, compare_groups, reproduce
 from .generators import GeneratorSpec, build_series
 from .metrics import DEFAULT_SCALES, METRIC_NAMES, AnalysisConfig, build_metrics
@@ -111,22 +111,26 @@ def _emit(text: str, out: str | None) -> None:
 
 def _cmd_analyze(args) -> int:
     metrics = build_metrics(_config_from(args))
-    report = ExperimentReport()
-    succeeded = 0
-    for item in _gather_inputs(args):
+    inputs = _gather_inputs(args)
+    loaded: list[Series | DataError] = []
+    for item in inputs:
         try:
-            series = _as_series(item)
+            loaded.append(_as_series(item))
         except DataError as exc:
             # only a file can fail here: a --spec is built by _gather_inputs
-            for metric in metrics:
-                report.add_result(Path(item).stem, 1, MetricResult(
-                    metric=metric.name, value=float("nan"),
-                    warnings=(f"error: {exc}",)))
+            loaded.append(exc)
+    read = [s for s in loaded if isinstance(s, Series)]
+    profiles = iter(mse_sweeps(read, (1,), metrics))
+    report = ExperimentReport()
+    for item, got in zip(inputs, loaded):
+        if isinstance(got, Series):
+            report.add_profile(got.label or "series", next(profiles))
             continue
-        succeeded += 1
-        report.add_profile(series.label or "series", mse_sweep(series, (1,), metrics))
+        for metric in metrics:
+            report.add_result(Path(item).stem, 1, MetricResult(
+                metric=metric.name, value=float("nan"), warnings=(f"error: {got}",)))
     _emit(render_report(report, args.format), args.out)
-    return EXIT_OK if succeeded else EXIT_DATA
+    return EXIT_OK if read else EXIT_DATA
 
 
 def _cmd_mse(args) -> int:

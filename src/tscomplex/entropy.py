@@ -1,4 +1,4 @@
-"""Sample entropy, normalized permutation entropy, and the multi-scale sweep.
+"""Sample entropy, normalized permutation entropy, and the multi-scale sweeps.
 
 Sample entropy counts template pairs under the Chebyshev (max-coordinate)
 distance with non-strict matching (distance <= r) and no self-matches. The
@@ -12,9 +12,16 @@ normalized: the Shannon entropy is divided by ln(n!), so it lies in [0, 1].
 No window is sorted: under that tie rule its pattern is fixed by the strict
 comparisons of each value with the later ones, whose counts (the inversion
 code) index a table of the n! patterns, built once per n.
+
+``mse_sweeps`` is the single evaluation path: it scores every (series,
+scale) cell of a multi-scale sweep on a thread pool, and ``mse_sweep`` is
+its one-series form. A cell must not call a sweep.
 """
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
@@ -45,6 +52,7 @@ __all__ = [
     "ordinal_pattern_codes",
     "ordinal_pattern_counts",
     "mse_sweep",
+    "mse_sweeps",
 ]
 
 @dataclass(frozen=True)
@@ -228,6 +236,95 @@ class MseProfile:
         return [self.results[(s, metric)].value for s in self.scales]
 
 
+# One pool for the process, built on first use. A forked child inherits the
+# pool object but not its threads, and the lock as some thread held it, so
+# it forgets both and builds its own pool.
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _executor() -> ThreadPoolExecutor:
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            try:
+                workers = len(os.sched_getaffinity(0))
+            except AttributeError:  # platforms without CPU affinity
+                workers = os.cpu_count() or 1
+            _pool = ThreadPoolExecutor(max_workers=workers,
+                                       thread_name_prefix="tscomplex-sweep")
+        return _pool
+
+
+def _forget_pool() -> None:
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _cell(series: Series, scale: int, metrics: Sequence[Metric],
+          partial: Literal["drop", "mean"]) -> list[MetricResult]:
+    """Every metric of one series at one scale; a failed metric is a NaN result
+    carrying the error message."""
+    grained = coarse_grain(series, scale, partial=partial)
+    results = []
+    for metric in metrics:
+        try:
+            results.append(metric(grained))
+        except (DataError, NumericalError) as exc:
+            results.append(MetricResult(metric=metric.name, value=float("nan"),
+                                        warnings=(f"error: {exc}",)))
+    return results
+
+
+def mse_sweeps(
+    series_list: Sequence[Series],
+    scales: Sequence[int],
+    metrics: Sequence[Metric],
+    *,
+    partial: Literal["drop", "mean"] = "drop",
+) -> list[MseProfile]:
+    """Coarse-grain every series at each scale and evaluate every metric.
+
+    This is the package's single evaluation path: every score the CLI and
+    the reproduction harness report comes from here. Metrics that derive
+    tolerances from their input (sample entropy in per-input-SD mode)
+    recompute them from each down-sampled series. A metric failure in one
+    (series, scale) cell is recorded in that cell as a NaN result with the
+    error message attached; the sweep continues. Any other exception
+    propagates and cancels the cells not yet started.
+
+    The scales and every series' length are checked before any cell runs.
+    The cells are independent, so they run on one module-level thread pool
+    with a worker per CPU in the process's affinity set (``taskset`` limits
+    it); the kernels release the interpreter lock. Results come back in
+    input order, so the output does not depend on the worker count. A
+    metric must not itself call a sweep: a cell waiting on the pool it runs
+    on can deadlock.
+    """
+    if len(scales) == 0:
+        raise DataError("empty scale list")
+    ordered = [int(s) for s in scales]
+    if ordered != sorted(set(ordered)):
+        raise DataError("scales must be strictly increasing")
+    for series in series_list:
+        for s in (ordered[0], ordered[-1]):
+            if s < 1 or s > len(series):
+                raise DataError(f"invalid scale {s} for series of length {len(series)}")
+    cells = [(series, scale) for series in series_list for scale in ordered]
+    rows = list(_executor().map(lambda cell: _cell(*cell, metrics, partial), cells))
+    names = tuple(m.name for m in metrics)
+    k = len(ordered)
+    return [MseProfile(scales=tuple(ordered), metrics=names,
+                       results={(scale, name): result
+                                for scale, row in zip(ordered, rows[i * k:(i + 1) * k])
+                                for name, result in zip(names, row)})
+            for i in range(len(series_list))]
+
+
 def mse_sweep(
     series: Series,
     scales: Sequence[int],
@@ -235,37 +332,6 @@ def mse_sweep(
     *,
     partial: Literal["drop", "mean"] = "drop",
 ) -> MseProfile:
-    """Coarse-grain the series at each scale and evaluate every metric.
-
-    This is the package's single evaluation path: every score the CLI and
-    the reproduction harness report comes from here, and scale-1 scoring
-    is a sweep over ``(1,)``. Metrics that derive tolerances from their
-    input (sample entropy in per-input-SD mode) recompute them from each
-    down-sampled series. A metric failure at one scale is
-    recorded in that cell as a NaN result with the error message attached;
-    the sweep continues.
-    """
-    if len(scales) == 0:
-        raise DataError("empty scale list")
-    ordered = [int(s) for s in scales]
-    if ordered != sorted(set(ordered)):
-        raise DataError("scales must be strictly increasing")
-    for s in (ordered[0], ordered[-1]):
-        if s < 1 or s > len(series):
-            raise DataError(f"invalid scale {s} for series of length {len(series)}")
-    results: dict[tuple[int, str], MetricResult] = {}
-    for scale in ordered:
-        grained = coarse_grain(series, scale, partial=partial)
-        for metric in metrics:
-            try:
-                results[(scale, metric.name)] = metric(grained)
-            except (DataError, NumericalError) as exc:
-                results[(scale, metric.name)] = MetricResult(
-                    metric=metric.name, value=float("nan"),
-                    warnings=(f"error: {exc}",),
-                )
-    return MseProfile(
-        scales=tuple(ordered),
-        metrics=tuple(m.name for m in metrics),
-        results=results,
-    )
+    """``mse_sweeps`` of one series: coarse-grain it at each scale and
+    evaluate every metric."""
+    return mse_sweeps([series], scales, metrics, partial=partial)[0]

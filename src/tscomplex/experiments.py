@@ -24,7 +24,7 @@ import numpy as np
 
 from . import reference as ref
 from .core import DataError, Metric, MetricResult, Series
-from .entropy import MseProfile, mse_sweep
+from .entropy import MseProfile, mse_sweeps
 from .generators import add_noise, arma_simulate, derive_seed, generate_iid, logistic_map
 from .metrics import METRIC_NAMES, AnalysisConfig, build_metrics
 from .randomness import TTestResult, chi_square_sf, normal_sf, welch_t_test
@@ -116,7 +116,7 @@ def logistic_recipe(r: float, label: str | None = None) -> Series:
 def _sweeps(series: Sequence[Series], scales: Sequence[int], metrics: Sequence[Metric],
             partial: Literal["drop", "mean"] = "mean") -> list[MseProfile]:
     """Every series' sweep, in input order: the only way the harness scores."""
-    return [mse_sweep(s, scales, metrics, partial=partial) for s in series]
+    return mse_sweeps(series, scales, metrics, partial=partial)
 
 
 def _compare(report: ExperimentReport, cells: Sequence[ref.RefCell]) -> list[CellComparison]:

@@ -2,9 +2,12 @@
 
 ``build_metrics`` turns a config into named evaluators, one per selected
 metric, each bound to parameters the config checked when it was built.
-The single path that applies them is ``entropy.mse_sweep``: it
-coarse-grains a series, evaluates every metric per scale and records a
-failed evaluation as a NaN cell; scale-1 scoring is a sweep over ``(1,)``.
+The single path that applies them is ``entropy.mse_sweeps``: it
+coarse-grains each series, evaluates every metric per scale and records a
+failed evaluation as a NaN cell; scale-1 scoring is a sweep over ``(1,)``,
+and ``entropy.mse_sweep`` is its one-series form. The (series, scale)
+cells run concurrently on one thread pool, so an evaluator must not call a
+sweep itself.
 A result carries the statistic/df/p-value fields when the underlying score
 is a hypothesis test.
 """

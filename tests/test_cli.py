@@ -50,6 +50,18 @@ class TestAnalyze:
         assert "error: missing file" in out
         assert "ok,1,permen," in out
 
+    def test_unreadable_file_keeps_its_place(self, capsys, tmp_path):
+        for name, seed in (("a", 1), ("c", 2)):
+            write_series(generate_iid("uniform", 300, seed=seed), tmp_path / f"{name}.txt")
+        code, out, _ = run(capsys, "analyze", str(tmp_path / "a.txt"),
+                           str(tmp_path / "b.txt"), str(tmp_path / "c.txt"),
+                           "--spec", LOGISTIC_SPEC, "--metric", "permen", "--metric", "runstest")
+        assert code == 0
+        rows = [line.split(",")[:3] for line in out.strip().splitlines()[1:]]
+        assert rows == [[label, "1", metric] for label in ("a", "b", "c", "period4")
+                        for metric in ("permen", "runstest")]
+        assert out.count("error: missing file") == 2
+
     def test_no_inputs_is_data_error(self, capsys):
         code, _, err = run(capsys, "analyze")
         assert code == 2

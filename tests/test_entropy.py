@@ -1,5 +1,8 @@
-"""Sample entropy, permutation entropy, and the multi-scale sweep."""
+"""Sample entropy, permutation entropy, and the multi-scale sweeps."""
 import math
+import multiprocessing
+import os
+import sys
 from math import comb, factorial, log
 
 import numpy as np
@@ -10,19 +13,22 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from tscomplex import (
     DataError,
+    Metric,
     NumericalError,
     PermEnParams,
     SampEnParams,
     Series,
     generate_iid,
     mse_sweep,
+    mse_sweeps,
     ordinal_pattern_counts,
     permutation_entropy,
     sample_entropy,
 )
+from tscomplex import entropy
 from tscomplex.entropy import _lehmer_table, ordinal_pattern_codes
 from tscomplex.experiments import logistic_recipe
-from tscomplex.metrics import build_metrics, AnalysisConfig
+from tscomplex.metrics import METRIC_NAMES, build_metrics, AnalysisConfig
 
 from conftest import make_series
 from oracles import ordinal_counts_direct, permen_direct, sampen_pairs_direct
@@ -250,3 +256,106 @@ class TestMseSweep:
             AnalysisConfig(metrics=("sampen",), r_factor=r_abs, r_mode="absolute")))
         assert per_scale.results[(1, "sampen")].value == fixed.results[(1, "sampen")].value
         assert per_scale.results[(4, "sampen")].value != fixed.results[(4, "sampen")].value
+
+
+def cells(profile):
+    """A profile's cells as text, so that NaN cells compare equal."""
+    return {key: repr(result) for key, result in profile.results.items()}
+
+
+@pytest.fixture
+def sweep_pool(monkeypatch):
+    """Rebuild the sweep pool as if the process could run on ``cpus`` CPUs;
+    every pool built is shut down after the test."""
+    built = []
+
+    def with_cpus(cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        monkeypatch.setattr(entropy, "_pool", None)
+        built.append(entropy._executor())
+        return built[-1]
+
+    yield with_cpus
+    for pool in built:
+        pool.shutdown()
+
+
+def _sweep_in_child(series, metrics, want):
+    if cells(mse_sweep(series, [1, 2], metrics)) != want:
+        raise SystemExit(1)
+
+
+class TestMseSweeps:
+    SERIES = [generate_iid("uniform", 600, seed=1), Series([1.0] * 300, "flat"),
+              logistic_recipe(3.7), generate_iid("normal", 450, seed=2)]
+    METRICS = build_metrics(AnalysisConfig())
+
+    def test_equals_one_sweep_per_series(self):
+        got = mse_sweeps(self.SERIES, [1, 2, 5], self.METRICS, partial="mean")
+        want = [mse_sweep(s, [1, 2, 5], self.METRICS, partial="mean") for s in self.SERIES]
+        assert [cells(p) for p in got] == [cells(p) for p in want]
+        assert all(p.scales == (1, 2, 5) and p.metrics == METRIC_NAMES for p in got)
+        flat = got[1].results
+        assert all(math.isnan(flat[(s, "sampen")].value) for s in (1, 2, 5))
+        assert all(math.isfinite(got[i].results[(1, "sampen")].value) for i in (0, 2, 3))
+
+    def test_other_errors_propagate(self):
+        def boom(series):
+            raise RuntimeError("boom")
+
+        with pytest.raises(RuntimeError, match="boom"):
+            mse_sweeps(self.SERIES, [1, 2], [*self.METRICS, Metric("boom", boom)])
+
+    def test_short_series_refused_before_any_cell(self):
+        seen = []
+        counting = Metric("count", lambda s: seen.append(len(s)))
+        series = [*self.SERIES[:2], Series([1.0, 2.0, 3.0], "short"), *self.SERIES[2:]]
+        with pytest.raises(DataError, match="invalid scale 5 for series of length 3"):
+            mse_sweeps(series, [1, 5], [counting])
+        assert seen == []
+
+    def test_pool_has_a_worker_per_cpu_in_the_affinity_set(self, sweep_pool):
+        assert sweep_pool(1)._max_workers == 1
+        assert sweep_pool(3)._max_workers == 3
+
+    def test_without_affinity_the_pool_has_a_worker_per_cpu(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(entropy, "_pool", None)
+        pool = entropy._executor()
+        try:
+            assert pool._max_workers == 3
+        finally:
+            pool.shutdown()
+
+    def test_cells_do_not_depend_on_the_worker_count(self, sweep_pool):
+        # more workers than cores, switching threads often: a lost or
+        # misplaced cell would change the profiles
+        sweep_pool(1)
+        want = [cells(p) for p in mse_sweeps(self.SERIES, [1, 2, 3], self.METRICS)]
+        sweep_pool(4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = [cells(p) for p in mse_sweeps(self.SERIES, [1, 2, 3], self.METRICS)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_builds_its_own_pool(self, uniform_series):
+        # the child inherits the pool object but not its threads; a child
+        # that submitted to it would wait forever
+        metrics = build_metrics(AnalysisConfig(metrics=("permen", "runstest")))
+        want = cells(mse_sweep(uniform_series, [1, 2], metrics))
+        child = multiprocessing.get_context("fork").Process(
+            target=_sweep_in_child, args=(uniform_series, metrics, want))
+        child.start()
+        child.join(timeout=30)
+        hung = child.is_alive()
+        if hung:
+            child.kill()
+            child.join()
+        assert not hung, "the forked child's sweep did not return"
+        assert child.exitcode == 0
