@@ -9,9 +9,10 @@ Run from the repository root; the suite lives outside the tier-1
 Each round is one ``cli.main`` call, as a user's command would run it, with
 the report written to a file. The tables run at their default replications
 and seed; ``mse`` reads an N(0,1) file and sweeps the default scales with
-all four metrics. Sweeps use every CPU in the process's affinity set, so
-record the CPU count (``nproc``) with the timings and pin with ``taskset``
-to time fewer.
+all four metrics. The tables' sweeps of several series use every CPU in
+the process's affinity set, so record the CPU count (``nproc``) with the
+timings and pin with ``taskset`` to time fewer; ``mse`` on one file runs
+on one CPU.
 """
 import numpy as np
 import pytest

@@ -13,20 +13,22 @@ No window is sorted: under that tie rule its pattern is fixed by the strict
 comparisons of each value with the later ones, whose counts (the inversion
 code) index a table of the n! patterns, built once per n.
 
-``mse_sweeps`` is the single evaluation path: it scores every (series,
-scale) cell of a multi-scale sweep on a thread pool, and ``mse_sweep`` is
-its one-series form. A cell must not call a sweep.
+``mse_sweeps`` is the single evaluation path: it shares the series of a
+multi-scale sweep out over the CPUs, each series' sweep whole in one
+thread, and ``mse_sweep`` is its one-series form, which runs in the
+calling thread. A cell must not call a sweep.
 """
 from __future__ import annotations
 
 import os
+import queue
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 from math import factorial, log
-from typing import Literal, Mapping, Sequence
+from typing import Callable, Literal, Mapping, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -236,6 +238,14 @@ class MseProfile:
         return [self.results[(s, metric)].value for s in self.scales]
 
 
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
 # One pool for the process, built on first use. A forked child inherits the
 # pool object but not its threads, and the lock as some thread held it, so
 # it forgets both and builds its own pool.
@@ -247,11 +257,7 @@ def _executor() -> ThreadPoolExecutor:
     global _pool
     with _pool_lock:
         if _pool is None:
-            try:
-                workers = len(os.sched_getaffinity(0))
-            except AttributeError:  # platforms without CPU affinity
-                workers = os.cpu_count() or 1
-            _pool = ThreadPoolExecutor(max_workers=workers,
+            _pool = ThreadPoolExecutor(max_workers=_cpus(),
                                        thread_name_prefix="tscomplex-sweep")
         return _pool
 
@@ -265,19 +271,65 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _cell(series: Series, scale: int, metrics: Sequence[Metric],
-          partial: Literal["drop", "mean"]) -> list[MetricResult]:
-    """Every metric of one series at one scale; a failed metric is a NaN result
-    carrying the error message."""
-    grained = coarse_grain(series, scale, partial=partial)
-    results = []
-    for metric in metrics:
-        try:
-            results.append(metric(grained))
-        except (DataError, NumericalError) as exc:
-            results.append(MetricResult(metric=metric.name, value=float("nan"),
-                                        warnings=(f"error: {exc}",)))
+def _map_in_order(fn: Callable[[Series], MseProfile],
+                  items: Sequence[Series]) -> list[MseProfile]:
+    """``[fn(item) for item in items]``, shared out over the CPUs.
+
+    The calling thread and one pool worker per other CPU (no more than
+    there are items) each take the next item until none is left, so a
+    single item runs in the calling thread. An exception stops any further
+    item from starting and propagates once every started item has ended.
+    """
+    todo: queue.SimpleQueue[int] = queue.SimpleQueue()
+    for i in range(len(items)):
+        todo.put(i)
+    results: list = [None] * len(items)
+    failed = threading.Event()
+
+    def take() -> None:
+        while not failed.is_set():
+            try:
+                i = todo.get_nowait()
+            except queue.Empty:
+                return
+            try:
+                results[i] = fn(items[i])
+            except BaseException:
+                failed.set()
+                raise
+
+    helpers = [_executor().submit(take) for _ in range(min(_cpus(), len(items)) - 1)]
+    try:
+        take()
+    finally:
+        # a helper still queued would find nothing left to take
+        started = [h for h in helpers if not h.cancel()]
+        wait(started)
+    for h in started:
+        h.result()
     return results
+
+
+def _sweep(series: Series, scales: Sequence[int], metrics: Sequence[Metric],
+           partial: Literal["drop", "mean"]) -> MseProfile:
+    """One series' sweep; a failed metric is a NaN cell carrying the error
+    message."""
+    results: dict[tuple[int, str], MetricResult] = {}
+    for scale in scales:
+        grained = coarse_grain(series, scale, partial=partial)
+        for metric in metrics:
+            try:
+                results[(scale, metric.name)] = metric(grained)
+            except (DataError, NumericalError) as exc:
+                results[(scale, metric.name)] = MetricResult(
+                    metric=metric.name, value=float("nan"),
+                    warnings=(f"error: {exc}",),
+                )
+    return MseProfile(
+        scales=tuple(scales),
+        metrics=tuple(m.name for m in metrics),
+        results=results,
+    )
 
 
 def mse_sweeps(
@@ -295,15 +347,18 @@ def mse_sweeps(
     recompute them from each down-sampled series. A metric failure in one
     (series, scale) cell is recorded in that cell as a NaN result with the
     error message attached; the sweep continues. Any other exception
-    propagates and cancels the cells not yet started.
+    propagates, and no series' sweep starts after it.
 
     The scales and every series' length are checked before any cell runs.
-    The cells are independent, so they run on one module-level thread pool
-    with a worker per CPU in the process's affinity set (``taskset`` limits
-    it); the kernels release the interpreter lock. Results come back in
-    input order, so the output does not depend on the worker count. A
-    metric must not itself call a sweep: a cell waiting on the pool it runs
-    on can deadlock.
+    The series are independent, so their sweeps are shared out between the
+    calling thread and one module-level thread pool with a worker per CPU
+    in the process's affinity set (``taskset`` limits it); the
+    sample-entropy kernel releases the interpreter lock. One series' sweep
+    runs whole in one thread: cells of the cheap, lock-holding metrics
+    gain nothing from a second thread, only lock hand-offs and a second
+    allocator arena. A one-series sweep runs in the calling thread.
+    Results come back in input order, so the output does not depend on the
+    worker count. A metric must not itself call a sweep.
     """
     if len(scales) == 0:
         raise DataError("empty scale list")
@@ -314,15 +369,8 @@ def mse_sweeps(
         for s in (ordered[0], ordered[-1]):
             if s < 1 or s > len(series):
                 raise DataError(f"invalid scale {s} for series of length {len(series)}")
-    cells = [(series, scale) for series in series_list for scale in ordered]
-    rows = list(_executor().map(lambda cell: _cell(*cell, metrics, partial), cells))
-    names = tuple(m.name for m in metrics)
-    k = len(ordered)
-    return [MseProfile(scales=tuple(ordered), metrics=names,
-                       results={(scale, name): result
-                                for scale, row in zip(ordered, rows[i * k:(i + 1) * k])
-                                for name, result in zip(names, row)})
-            for i in range(len(series_list))]
+    return _map_in_order(lambda series: _sweep(series, ordered, metrics, partial),
+                         series_list)
 
 
 def mse_sweep(

@@ -5,8 +5,8 @@ metric, each bound to parameters the config checked when it was built.
 The single path that applies them is ``entropy.mse_sweeps``: it
 coarse-grains each series, evaluates every metric per scale and records a
 failed evaluation as a NaN cell; scale-1 scoring is a sweep over ``(1,)``,
-and ``entropy.mse_sweep`` is its one-series form. The (series, scale)
-cells run concurrently on one thread pool, so an evaluator must not call a
+and ``entropy.mse_sweep`` is its one-series form. Different series are
+swept concurrently on one thread pool, so an evaluator must not call a
 sweep itself.
 A result carries the statistic/df/p-value fields when the underlying score
 is a hypothesis test.

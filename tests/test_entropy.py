@@ -3,6 +3,7 @@ import math
 import multiprocessing
 import os
 import sys
+import threading
 from math import comb, factorial, log
 
 import numpy as np
@@ -281,7 +282,15 @@ def sweep_pool(monkeypatch):
         pool.shutdown()
 
 
+def _meet_in_two_threads(series):
+    # each series' only cell waits for the other's: one thread alone would
+    # break the barrier at its timeout
+    barrier = threading.Barrier(2, timeout=10)
+    mse_sweeps([series, series], [1], [Metric("meet", lambda s: barrier.wait())])
+
+
 def _sweep_in_child(series, metrics, want):
+    _meet_in_two_threads(series)
     if cells(mse_sweep(series, [1, 2], metrics)) != want:
         raise SystemExit(1)
 
@@ -315,6 +324,30 @@ class TestMseSweeps:
             mse_sweeps(series, [1, 5], [counting])
         assert seen == []
 
+    def test_no_series_starts_after_an_exception(self, sweep_pool):
+        sweep_pool(1)
+        seen = []
+
+        def boom(series):
+            seen.append(len(series))
+            raise RuntimeError("boom")
+
+        with pytest.raises(RuntimeError, match="boom"):
+            mse_sweeps(self.SERIES, [1, 2], [Metric("boom", boom)])
+        assert seen == [600]
+
+    def test_one_series_runs_in_the_calling_thread(self, sweep_pool):
+        sweep_pool(2)
+        threads = set()
+        where = Metric("where", lambda s: threads.add(threading.get_ident()))
+        mse_sweep(self.SERIES[0], [1, 2, 3], [where])
+        mse_sweeps(self.SERIES[:1], [1, 2, 3], [where])
+        assert threads == {threading.get_ident()}
+
+    def test_series_run_in_parallel(self, sweep_pool):
+        sweep_pool(2)
+        _meet_in_two_threads(self.SERIES[0])
+
     def test_pool_has_a_worker_per_cpu_in_the_affinity_set(self, sweep_pool):
         assert sweep_pool(1)._max_workers == 1
         assert sweep_pool(3)._max_workers == 3
@@ -344,9 +377,11 @@ class TestMseSweeps:
         assert got == want
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-    def test_forked_child_builds_its_own_pool(self, uniform_series):
+    def test_forked_child_builds_its_own_pool(self, uniform_series, sweep_pool):
         # the child inherits the pool object but not its threads; a child
-        # that submitted to it would wait forever
+        # that submitted to it would sweep both series in one thread
+        sweep_pool(2)
+        _meet_in_two_threads(uniform_series)
         metrics = build_metrics(AnalysisConfig(metrics=("permen", "runstest")))
         want = cells(mse_sweep(uniform_series, [1, 2], metrics))
         child = multiprocessing.get_context("fork").Process(
