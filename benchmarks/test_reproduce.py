@@ -1,5 +1,6 @@
 """End-to-end timings of the command line: ``reproduce`` for the five
-built-in tables and ``mse`` on a 16k-point file.
+built-in tables, ``mse`` on a 16k-point file and ``mse --fixed-r`` on an
+8k-point noisy period-4 orbit.
 
 Run from the repository root; the suite lives outside the tier-1
 ``testpaths``, so it runs only when named:
@@ -8,16 +9,18 @@ Run from the repository root; the suite lives outside the tier-1
 
 Each round is one ``cli.main`` call, as a user's command would run it, with
 the report written to a file. The tables run at their default replications
-and seed; ``mse`` reads an N(0,1) file and sweeps the default scales with
-all four metrics. The tables' sweeps of several series use every CPU in
-the process's affinity set, so record the CPU count (``nproc``) with the
-timings and pin with ``taskset`` to time fewer; ``mse`` on one file runs
-on one CPU.
+and seed; ``mse`` sweeps the default scales with all four metrics. The
+N(0,1) file has sparse sample-entropy matches; the logistic r=3.5 orbit
+plus noise of 0.05 SD, with r fixed at 0.2 of the input's SD, has dense
+ones. Every command uses the CPUs in the process's affinity set: the
+tables share their series over them, and ``mse`` on one file splits its
+sample-entropy pair counts over them. So record the CPU count (``nproc``)
+with the timings, and pin with ``taskset`` to time fewer.
 """
 import numpy as np
 import pytest
 
-from tscomplex import Series, write_series
+from tscomplex import Series, add_noise, logistic_map, write_series
 from tscomplex.cli import main
 
 TABLES = ["table1", "table2", "table3_logistic", "arma_table4", "arma_table5"]
@@ -36,6 +39,16 @@ def test_mse_16k(benchmark, tmp_path):
     path = tmp_path / "normal16k.txt"
     write_series(Series(np.random.Generator(np.random.PCG64(16384)).normal(size=16384)), path)
     argv = ["mse", str(path), "--out", str(tmp_path / "report.csv")]
+    code = benchmark.pedantic(main, args=(argv,), rounds=ROUNDS, iterations=1)
+    assert code == 0
+    assert (tmp_path / "report.csv").read_text().count("\n") == 1 + 6 * 4
+
+
+def test_mse_periodic_8k(benchmark, tmp_path):
+    path = tmp_path / "periodic8k.txt"
+    write_series(add_noise(logistic_map(3.5, 0.3, keep=8192, total=9192), 8192,
+                           sd_multiplier=0.05), path)
+    argv = ["mse", str(path), "--fixed-r", "--out", str(tmp_path / "report.csv")]
     code = benchmark.pedantic(main, args=(argv,), rounds=ROUNDS, iterations=1)
     assert code == 0
     assert (tmp_path / "report.csv").read_text().count("\n") == 1 + 6 * 4

@@ -112,10 +112,16 @@ class MetricResult:
 
 @dataclass(frozen=True)
 class Metric:
-    """A named evaluation of a series, used by sweeps and the CLI."""
+    """A named evaluation of a series, used by sweeps and the CLI.
+
+    ``holds_lock`` declares that the evaluation holds the interpreter lock
+    for most of its time, so a sweep made only of such metrics gains
+    nothing from threads and runs in the calling thread.
+    """
 
     name: str
     evaluate: Callable[[Series], MetricResult] = field(repr=False)
+    holds_lock: bool = False
 
     def __call__(self, series: Series) -> MetricResult:
         return self.evaluate(series)

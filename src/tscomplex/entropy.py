@@ -13,10 +13,13 @@ No window is sorted: under that tie rule its pattern is fixed by the strict
 comparisons of each value with the later ones, whose counts (the inversion
 code) index a table of the n! patterns, built once per n.
 
-``mse_sweeps`` is the single evaluation path: it shares the series of a
-multi-scale sweep out over the CPUs, each series' sweep whole in one
-thread, and ``mse_sweep`` is its one-series form, which runs in the
-calling thread. A cell must not call a sweep.
+``mse_sweeps`` is the single evaluation path, and ``mse_sweep`` its
+one-series form. Threads go only where the sample-entropy kernel releases
+the interpreter lock: a sweep shares its series out over the CPUs, each
+series' sweep whole in one thread, and the CPUs that this leaves idle
+(all but one when one series is swept) split that series' pair counts. A
+sweep made only of lock-holding metrics runs in the calling thread. A
+cell must not call a sweep.
 """
 from __future__ import annotations
 
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 from math import factorial, log
-from typing import Callable, Literal, Mapping, Sequence
+from typing import Callable, Literal, Mapping, Sequence, TypeVar
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -56,6 +59,10 @@ __all__ = [
     "mse_sweep",
     "mse_sweeps",
 ]
+
+T = TypeVar("T")
+R = TypeVar("R")
+
 
 @dataclass(frozen=True)
 class SampEnParams:
@@ -109,15 +116,22 @@ def _pair_counts(x: np.ndarray, m: int, r: float) -> tuple[int, int]:
     unordered count. Collapsing keeps the tree splittable on tie-heavy
     input (quantized or binary series), where a tree over the raw
     templates cannot separate identical points and degenerates to
-    quadratic time.
+    quadratic time. Each count is split over the CPUs that the sweep
+    running in this thread leaves to its series (``_weighted_pairs``).
 
     The counts are exact. The tree decides a point pair by comparing the
     same rounded coordinate differences with r that the definition does,
     so distances exactly equal to r still match, and it counts or prunes a
     whole node pair only on bounding-box distances, which bound every
-    point distance inside also after rounding. Memory is O(N) for fixed m.
+    point distance inside also after rounding. A split count keeps both
+    properties: each part's own tree bounds its boxes by its own points'
+    coordinates, as the full tree does, and compares the same point pairs.
+    The weights are summed as floats; every partial sum, and so every
+    part's total and the sum of the parts, is an integer below
+    nt**2 < 2**53, so the total is exact. Memory is O(N) for fixed m.
     """
     nt = x.size - m
+    cpus = max(1, _cpus() // _in_flight.series)
     counts = []
     for k in (m, m + 1):
         # one opaque k*8-byte key per template, so that np.unique sorts
@@ -131,12 +145,29 @@ def _pair_counts(x: np.ndarray, m: int, r: float) -> tuple[int, int]:
         # templates, such as those of a noisy periodic orbit, where median
         # splits leave thin cells that prune poorly
         tree = cKDTree(templates, balanced_tree=False)
-        # the weights are summed as floats; every partial sum is an integer
-        # below nt**2 < 2**53, so the total is exact
-        total = tree.count_neighbors(tree, r, p=np.inf, weights=weights)
+        total = _weighted_pairs(tree, weights, r, min(cpus, weights.size))
         counts.append((int(total) - nt) // 2)
     b, a = counts
     return a, b
+
+
+def _weighted_pairs(tree: cKDTree, weights: np.ndarray, r: float, chunks: int) -> float:
+    """The weighted ordered pairs of the tree's points within Chebyshev
+    distance r, self-pairs included, counted in ``chunks`` parts on as many
+    threads.
+
+    A part is a run of the tree's points in leaf order, so it is compact in
+    space; its own tree is counted against the full tree, and the parts'
+    totals add up to the full tree's count against itself.
+    """
+    if chunks == 1:
+        return tree.count_neighbors(tree, r, p=np.inf, weights=weights)
+
+    def count(part: np.ndarray) -> float:
+        return cKDTree(tree.data[part], balanced_tree=False).count_neighbors(
+            tree, r, p=np.inf, weights=(weights[part], weights))
+
+    return sum(_map_in_order(count, np.array_split(tree.indices, chunks), chunks))
 
 
 def sample_entropy(series: Series, params: SampEnParams = SampEnParams()) -> SampEnResult:
@@ -271,14 +302,26 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _map_in_order(fn: Callable[[Series], MseProfile],
-                  items: Sequence[Series]) -> list[MseProfile]:
-    """``[fn(item) for item in items]``, shared out over the CPUs.
+class _InFlight(threading.local):
+    """How many series the sweep running in this thread has in flight; a
+    call outside any sweep is the one series in flight."""
 
-    The calling thread and one pool worker per other CPU (no more than
-    there are items) each take the next item until none is left, so a
-    single item runs in the calling thread. An exception stops any further
-    item from starting and propagates once every started item has ended.
+    series = 1
+
+
+_in_flight = _InFlight()
+
+
+def _map_in_order(fn: Callable[[T], R], items: Sequence[T], workers: int) -> list[R]:
+    """``[fn(item) for item in items]``, shared out over ``workers`` threads.
+
+    The calling thread and up to ``workers - 1`` pool workers (no more
+    than there are items) each take the next item until none is left, so
+    with one worker or one item everything runs in the calling thread. A
+    helper still queued when the items run out is cancelled, so a call made
+    from a pool worker never waits on a job queued behind itself. An
+    exception stops any further item from starting and propagates once
+    every started item has ended.
     """
     todo: queue.SimpleQueue[int] = queue.SimpleQueue()
     for i in range(len(items)):
@@ -298,7 +341,7 @@ def _map_in_order(fn: Callable[[Series], MseProfile],
                 failed.set()
                 raise
 
-    helpers = [_executor().submit(take) for _ in range(min(_cpus(), len(items)) - 1)]
+    helpers = [_executor().submit(take) for _ in range(min(workers, len(items)) - 1)]
     try:
         take()
     finally:
@@ -352,13 +395,17 @@ def mse_sweeps(
     The scales and every series' length are checked before any cell runs.
     The series are independent, so their sweeps are shared out between the
     calling thread and one module-level thread pool with a worker per CPU
-    in the process's affinity set (``taskset`` limits it); the
-    sample-entropy kernel releases the interpreter lock. One series' sweep
-    runs whole in one thread: cells of the cheap, lock-holding metrics
-    gain nothing from a second thread, only lock hand-offs and a second
-    allocator arena. A one-series sweep runs in the calling thread.
-    Results come back in input order, so the output does not depend on the
-    worker count. A metric must not itself call a sweep.
+    in the process's affinity set (``taskset`` limits it). One series'
+    sweep runs whole in one thread, and a one-series sweep in the calling
+    thread. Each series splits its sample-entropy pair counts over the
+    CPUs it has to itself, the CPU count divided by the series in flight:
+    all of them for one series, none beside its own for a sweep of as many
+    series as CPUs. The sample-entropy kernel releases the interpreter lock;
+    the other metrics hold it for most of their short cells, so a sweep
+    whose metrics all declare ``holds_lock`` runs in the calling thread,
+    where a second thread would add only lock hand-offs. Results come back
+    in input order, and the output does not depend on the worker count. A
+    metric must not itself call a sweep.
     """
     if len(scales) == 0:
         raise DataError("empty scale list")
@@ -369,8 +416,18 @@ def mse_sweeps(
         for s in (ordered[0], ordered[-1]):
             if s < 1 or s > len(series):
                 raise DataError(f"invalid scale {s} for series of length {len(series)}")
-    return _map_in_order(lambda series: _sweep(series, ordered, metrics, partial),
-                         series_list)
+    workers = 1 if all(metric.holds_lock for metric in metrics) else _cpus()
+    in_flight = min(workers, len(series_list))
+
+    def sweep(series: Series) -> MseProfile:
+        outside = _in_flight.series
+        _in_flight.series = in_flight
+        try:
+            return _sweep(series, ordered, metrics, partial)
+        finally:
+            _in_flight.series = outside
+
+    return _map_in_order(sweep, series_list, workers)
 
 
 def mse_sweep(

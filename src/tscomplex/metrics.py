@@ -6,8 +6,10 @@ The single path that applies them is ``entropy.mse_sweeps``: it
 coarse-grains each series, evaluates every metric per scale and records a
 failed evaluation as a NaN cell; scale-1 scoring is a sweep over ``(1,)``,
 and ``entropy.mse_sweep`` is its one-series form. Different series are
-swept concurrently on one thread pool, so an evaluator must not call a
-sweep itself.
+swept concurrently on one thread pool, and the pair counts of sample
+entropy are split over the CPUs left idle, so an evaluator must not call a
+sweep itself. Each metric declares whether it holds the interpreter lock;
+a sweep of lock-holding metrics only runs in the calling thread.
 A result carries the statistic/df/p-value fields when the underlying score
 is a hypothesis test.
 """
@@ -54,7 +56,7 @@ class AnalysisConfig:
         unknown = [m for m in self.metrics if m not in METRIC_NAMES]
         if unknown:
             raise ValueError(f"unknown metric(s): {', '.join(unknown)}")
-        for params_of, _ in _METRICS.values():
+        for params_of, _, _ in _METRICS.values():
             params_of(self)
         if not self.scales:
             raise ValueError("empty scale list")
@@ -92,12 +94,15 @@ def _runstest(series: Series, params: RunsVariant) -> MetricResult:
     return MetricResult(metric="runstest", value=res.z, statistic=res.z, p_value=res.p_value)
 
 
-# name -> (the metric's parameters drawn from the config, its evaluator)
+# name -> (the metric's parameters drawn from the config, its evaluator,
+# whether it holds the interpreter lock: only the sample-entropy kd-tree
+# releases it, the other three run short numpy steps between Python code)
 _METRICS = {
-    "sampen": (lambda c: SampEnParams(m=c.m, r_factor=c.r_factor, r_mode=c.r_mode), _sampen),
-    "permen": (lambda c: PermEnParams(n=c.n), _permen),
-    "permtest": (lambda c: check_group_size(c.t), _permtest),
-    "runstest": (lambda c: check_runs_variant(c.runs_variant), _runstest),
+    "sampen": (lambda c: SampEnParams(m=c.m, r_factor=c.r_factor, r_mode=c.r_mode), _sampen,
+               False),
+    "permen": (lambda c: PermEnParams(n=c.n), _permen, True),
+    "permtest": (lambda c: check_group_size(c.t), _permtest, True),
+    "runstest": (lambda c: check_runs_variant(c.runs_variant), _runstest, True),
 }
 
 
@@ -106,6 +111,6 @@ def build_metrics(config: AnalysisConfig) -> list[Metric]:
     its parameters, built once here."""
     metrics = []
     for name in config.metrics:
-        params_of, evaluate = _METRICS[name]
-        metrics.append(Metric(name, partial(evaluate, params=params_of(config))))
+        params_of, evaluate, holds_lock = _METRICS[name]
+        metrics.append(Metric(name, partial(evaluate, params=params_of(config)), holds_lock))
     return metrics

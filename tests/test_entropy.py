@@ -1,4 +1,5 @@
 """Sample entropy, permutation entropy, and the multi-scale sweeps."""
+import dataclasses
 import math
 import multiprocessing
 import os
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy.spatial import cKDTree
 
 from tscomplex import (
     DataError,
@@ -116,6 +118,21 @@ class TestSampleEntropy:
         counts = sampen_counts(Series(x), SampEnParams(m=m, r_factor=r, **ABS_R))
         assert counts == sampen_pairs_direct(x, m, r)
         assert 0 <= counts[0] <= counts[1]
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 5])
+    @pytest.mark.parametrize("x, r", [
+        # fewer distinct templates than CPUs: the split has one part per template
+        pytest.param(np.full(50, 1.5), 0.1, id="constant"),
+        pytest.param(np.random.Generator(np.random.PCG64(3)).integers(0, 2, 80).astype(float),
+                     0.5, id="binary"),
+        pytest.param(np.array([0.0, 0.25, 0.5, 0.25]), 0.5, id="minimum-length"),
+        pytest.param(np.random.Generator(np.random.PCG64(4)).integers(-3, 4, 300).astype(float),
+                     1.0, id="integer"),
+        pytest.param(np.random.Generator(np.random.PCG64(5)).normal(size=300), 0.2, id="normal"),
+    ])
+    def test_split_counts_match_bruteforce_oracle(self, sweep_pool, cpus, x, r):
+        sweep_pool(cpus)
+        assert entropy._pair_counts(x, 2, r) == sampen_pairs_direct(x, 2, r)
 
     @given(seed=st.integers(0, 2**32 - 1),
            a=st.floats(-50, 50).filter(lambda v: abs(v) > 1e-3),
@@ -375,6 +392,54 @@ class TestMseSweeps:
         finally:
             sys.setswitchinterval(interval)
         assert got == want
+
+    def test_split_cells_do_not_depend_on_the_worker_count(self, sweep_pool):
+        # one series splits its pair counts over every CPU, two series over
+        # half of them each
+        batches = [self.SERIES[:1], self.SERIES[2:]]
+        sweep_pool(1)
+        want = [[cells(p) for p in mse_sweeps(b, [1, 2, 3], self.METRICS)] for b in batches]
+        sweep_pool(4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = [[cells(p) for p in mse_sweeps(b, [1, 2, 3], self.METRICS)] for b in batches]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
+
+    def test_lock_holding_sweep_runs_in_the_calling_thread(self, sweep_pool):
+        sweep_pool(2)
+        threads = set()
+
+        def where(metric):
+            def evaluate(series):
+                threads.add(threading.get_ident())
+                return metric(series)
+            return dataclasses.replace(metric, evaluate=evaluate)
+
+        lock_holding = build_metrics(AnalysisConfig(metrics=("permen", "permtest", "runstest")))
+        assert all(metric.holds_lock for metric in lock_holding)
+        mse_sweeps(self.SERIES, [1, 2, 3], [where(metric) for metric in lock_holding])
+        assert threads == {threading.get_ident()}
+
+    def test_one_series_counts_pairs_on_a_pool_worker(self, sweep_pool, monkeypatch):
+        sweep_pool(2)
+        barrier = threading.Barrier(2, timeout=10)
+        threads = set()
+
+        class MeetingTree(cKDTree):
+            # each part of a split count waits for the other: counted in
+            # one thread, the parts would break the barrier at its timeout
+            def count_neighbors(self, other, *args, **kwargs):
+                if other is not self:
+                    barrier.wait()
+                    threads.add(threading.current_thread().name)
+                return super().count_neighbors(other, *args, **kwargs)
+
+        monkeypatch.setattr(entropy, "cKDTree", MeetingTree)
+        mse_sweep(self.SERIES[0], [1], build_metrics(AnalysisConfig(metrics=("sampen",))))
+        assert any(name.startswith("tscomplex-sweep") for name in threads)
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     def test_forked_child_builds_its_own_pool(self, uniform_series, sweep_pool):
