@@ -173,11 +173,11 @@ def _cmd_reproduce(args) -> int:
 
 
 def _cmd_compare_groups(args) -> int:
-    config = _config_from(args)
+    metrics = build_metrics(_config_from(args))
     report, tests = compare_groups(
         [read_series(path) for path in args.group_a],
         [read_series(path) for path in args.group_b],
-        config, group_names=(args.name_a, args.name_b),
+        metrics, group_names=(args.name_a, args.name_b),
     )
     for metric, res in tests.items():
         print(f"{metric}: t = {res.t_statistic:.4f}, df = {res.df:.1f}, "

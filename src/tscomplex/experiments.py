@@ -1,4 +1,4 @@
-"""Experiment recipes that regenerate the reference result tables.
+"""Experiment recipes: the reference result tables and the CHF/NSR comparison.
 
 ``EXPERIMENTS`` declares each table once: its recipe, its default number of
 replications and the metrics its property checks read. ``reproduce`` builds
@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from statistics import median
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -39,7 +39,6 @@ __all__ = [
     "reproduce",
     "logistic_recipe",
     "compare_groups",
-    "chf_nsr_comparison",
     "find_santafe_file",
     "DEFAULT_SEED",
 ]
@@ -113,12 +112,6 @@ def logistic_recipe(r: float, label: str | None = None) -> Series:
                         label=label or f"logistic r={r:g}")
 
 
-def _sweeps(series: Sequence[Series], scales: Sequence[int], metrics: Sequence[Metric],
-            partial: Literal["drop", "mean"] = "mean") -> list[MseProfile]:
-    """Every series' sweep, in input order: the only way the harness scores."""
-    return mse_sweeps(series, scales, metrics, partial=partial)
-
-
 def _compare(report: ExperimentReport, cells: Sequence[ref.RefCell]) -> list[CellComparison]:
     out = []
     for cell in cells:
@@ -185,7 +178,7 @@ def _ordered_counts(ladders: Iterable[Sequence[MseProfile]]) -> dict[str, int]:
 # table2: logistic-map scores at scale 1
 # ---------------------------------------------------------------------------
 
-def _table2(metrics, scales, seed, replications) -> ReproduceResult:
+def _table2(metrics, scales, seed, replications, data_dir) -> ReproduceResult:
     base = logistic_recipe(3.5, label=ref.L35N)
     noisy = [add_noise(base, derive_seed(seed, 3, rep), sd_absolute=0.1)
              for rep in range(replications)]
@@ -193,13 +186,13 @@ def _table2(metrics, scales, seed, replications) -> ReproduceResult:
     # metric; the others only with the metrics of the band cells
     rows = [logistic_recipe(r) for r in (3.5, 3.7, 3.9)] + noisy[:1]
     report = ExperimentReport()
-    profiles = _sweeps(rows, (1,), metrics)
+    profiles = mse_sweeps(rows, (1,), metrics)
     for series, profile in zip(rows, profiles):
         report.add_profile(series.label, profile)
     bands = [replace(c, note=f"mean of {replications} noise seeds")
              for c in ref.TABLE2 if c.kind == "band"]
     band_metrics = [m for m in metrics if m.name in {c.metric for c in bands}]
-    noise_profiles = profiles[-1:] + _sweeps(noisy[1:], (1,), band_metrics)
+    noise_profiles = profiles[-1:] + mse_sweeps(noisy[1:], (1,), band_metrics)
     means = ExperimentReport()
     for m in band_metrics:
         means.add_result(ref.L35N, 1, _mean_result(noise_profiles, m.name))
@@ -214,12 +207,12 @@ def _table2(metrics, scales, seed, replications) -> ReproduceResult:
 # table3_logistic: multi-scale sweep of r=3.7 and the noisy r=3.5 series
 # ---------------------------------------------------------------------------
 
-def _table3(metrics, scales, seed, replications) -> ReproduceResult:
+def _table3(metrics, scales, seed, replications, data_dir) -> ReproduceResult:
     noisy = add_noise(logistic_recipe(3.5, label=ref.L35N), derive_seed(seed, 3, 0),
                       sd_absolute=0.1)
     rows = [logistic_recipe(3.7), noisy]
     report = ExperimentReport()
-    for series, profile in zip(rows, _sweeps(rows, scales, metrics)):
+    for series, profile in zip(rows, mse_sweeps(rows, scales, metrics, partial="mean")):
         report.add_profile(series.label, profile)
     comparisons = _compare(report, ref.TABLE3_LOGISTIC)
     return ReproduceResult("table3_logistic", "ok", report, comparisons, notes=[
@@ -234,7 +227,7 @@ def _table3(metrics, scales, seed, replications) -> ReproduceResult:
 _TABLE1_DISTS = ("uniform", "normal", "exponential")
 
 
-def _table1(metrics, scales, seed, replications) -> ReproduceResult:
+def _table1(metrics, scales, seed, replications, data_dir) -> ReproduceResult:
     permen = [m for m in metrics if m.name == "permen"]
     deep = [s for s in scales if s != 1]
     report = ExperimentReport()
@@ -246,14 +239,14 @@ def _table1(metrics, scales, seed, replications) -> ReproduceResult:
         draws = [generate_iid(dist, 1000, derive_seed(seed, di, rep))
                  for rep in range(replications)]
         # scale-1 cells: replication means
-        profiles = _sweeps(draws, (1,), metrics)
+        profiles = mse_sweeps(draws, (1,), metrics)
         for m in metrics:
             report.add_result(dist, 1, _mean_result(profiles, m.name))
         # deeper scales: single seeded draw, as in the source table
         if deep:
-            report.add_profile(dist, _sweeps(draws[:1], deep, metrics)[0])
-        if dist == "uniform":
-            for profile in _sweeps(draws, scales, permen, partial="drop"):
+            report.add_profile(dist, mse_sweeps(draws[:1], deep, metrics, partial="mean")[0])
+        if dist == "uniform":  # this ladder drops the remainder, unlike the rows
+            for profile in mse_sweeps(draws, scales, permen):
                 pes = profile.values("permen")
                 monotone_reps += all(pes[i + 1] <= pes[i] for i in range(len(pes) - 1))
         for scale in scales:
@@ -317,13 +310,13 @@ def _santafe(metrics, scales, seed, replications, data_dir) -> ReproduceResult:
     variants = [clean] + [add_noise(clean, derive_seed(seed, 5, vi), sd_multiplier=mult,
                                     label=label)
                           for vi, (mult, label) in enumerate(ref.SF_NOISE.items())]
-    profiles = _sweeps(variants, (1,), metrics)
+    profiles = mse_sweeps(variants, (1,), metrics)
     for series, profile in zip(variants, profiles):
         report.add_profile(series.label, profile)
     # multi-scale rows for the clean series (scale-1 rows already present)
     deep = [s for s in scales if s != 1]
     if deep:
-        report.add_profile(ref.SF_CLEAN, _sweeps([clean], deep, metrics)[0])
+        report.add_profile(ref.SF_CLEAN, mse_sweeps([clean], deep, metrics, partial="mean")[0])
     comparisons = _compare(report, ref.SANTAFE_SCORES)
     comparisons += [c for c in _compare(report, ref.SANTAFE_MSE) if c.scale != 1]
 
@@ -331,10 +324,10 @@ def _santafe(metrics, scales, seed, replications, data_dir) -> ReproduceResult:
     # clean series is deterministic, so its one profile starts every ladder
     reps = max(1, replications // 3)
     order_ok = _ordered_counts(
-        profiles[:1] + _sweeps([add_noise(clean, derive_seed(seed, 6, rep, vi),
-                                          sd_multiplier=mult)
-                                for vi, mult in enumerate(ref.SF_NOISE, start=1)],
-                               (1,), metrics)
+        profiles[:1] + mse_sweeps([add_noise(clean, derive_seed(seed, 6, rep, vi),
+                                             sd_multiplier=mult)
+                                   for vi, mult in enumerate(ref.SF_NOISE, start=1)],
+                                  (1,), metrics)
         for rep in range(reps))
     checks = [
         PropertyCheck(
@@ -364,12 +357,12 @@ def _arma_series(name: str, seed: int, rep: int) -> Series:
     return arma_simulate(ar, ma, 1000, derive_seed(seed, pi, rep), label=name)
 
 
-def _arma4(metrics, scales, seed, replications) -> ReproduceResult:
+def _arma4(metrics, scales, seed, replications, data_dir) -> ReproduceResult:
     report = ExperimentReport()
     per_proc: dict[str, list[MseProfile]] = {}
     for name in _ARMA_NAMES:
         draws = [_arma_series(name, seed, rep) for rep in range(replications)]
-        per_proc[name] = _sweeps(draws, (1,), metrics)
+        per_proc[name] = mse_sweeps(draws, (1,), metrics)
         for m in metrics:
             report.add_result(name, 1, _mean_result(per_proc[name], m.name))
 
@@ -410,17 +403,17 @@ def _arma4(metrics, scales, seed, replications) -> ReproduceResult:
         f"{replications} seeded replications"])
 
 
-def _arma5(metrics, scales, seed, replications) -> ReproduceResult:
+def _arma5(metrics, scales, seed, replications, data_dir) -> ReproduceResult:
     draws = [_arma_series(name, seed, 0) for name in _ARMA_NAMES]
-    profiles = dict(zip(_ARMA_NAMES, _sweeps(draws, scales, metrics)))
+    profiles = dict(zip(_ARMA_NAMES, mse_sweeps(draws, scales, metrics, partial="mean")))
     report = ExperimentReport()
     for name, profile in profiles.items():
         report.add_profile(name, profile)
     # run-count decay for AR(1): median |z| per scale over replications, the
     # reported AR(1) series being replicate 0
     runs = [m for m in metrics if m.name == "runstest"]
-    ar1 = [profiles[ref.AR1]] + _sweeps(
-        [_arma_series(ref.AR1, seed, rep) for rep in range(1, replications)], scales, runs)
+    rest = [_arma_series(ref.AR1, seed, rep) for rep in range(1, replications)]
+    ar1 = [profiles[ref.AR1]] + mse_sweeps(rest, scales, runs, partial="mean")
     med = np.median(np.abs([p.values("runstest") for p in ar1]), axis=0)
     checks = [
         PropertyCheck(
@@ -439,10 +432,68 @@ def _arma5(metrics, scales, seed, replications) -> ReproduceResult:
     return ReproduceResult("arma_table5", "ok", report, comparisons, checks)
 
 
+# ---------------------------------------------------------------------------
+# group comparison, and chf_nsr: CHF vs NSR RR intervals (needs the data files)
+# ---------------------------------------------------------------------------
+
+def compare_groups(
+    group_a: Sequence[Series],
+    group_b: Sequence[Series],
+    metrics: Sequence[Metric],
+    group_names: tuple[str, str] = ("A", "B"),
+) -> tuple[ExperimentReport, dict[str, TTestResult]]:
+    """Score every series in both groups with ``metrics`` and Welch-t-test
+    each metric between them.
+
+    Returns the per-series report (rows labeled ``group:series``, ready for
+    a box_by_group plot) and the t-test of each metric scored in both groups.
+    """
+    if len(group_a) < 2 or len(group_b) < 2:
+        raise DataError("each group needs at least 2 series")
+    report = ExperimentReport()
+    values: dict[tuple[str, str], list[float]] = {}
+    for gname, group in zip(group_names, (group_a, group_b)):
+        for series, profile in zip(group, mse_sweeps(group, (1,), metrics)):
+            report.add_profile(f"{gname}:{series.label}", profile)
+            for res in profile.results.values():
+                if math.isfinite(res.value):
+                    values.setdefault((gname, res.metric), []).append(res.value)
+    tests: dict[str, TTestResult] = {}
+    for metric in metrics:
+        a = values.get((group_names[0], metric.name), [])
+        b = values.get((group_names[1], metric.name), [])
+        if len(a) >= 2 and len(b) >= 2:
+            tests[metric.name] = welch_t_test(a, b)
+    return report, tests
+
+
+def _chf_nsr(metrics, scales, seed, replications, data_dir) -> ReproduceResult:
+    dirs = [Path(data_dir) / group for group in ("chf", "nsr")] if data_dir else []
+    files = [sorted(d.glob("*.txt")) + sorted(d.glob("*.dat")) for d in dirs]
+    if not files or min(map(len, files)) < 2:
+        return ReproduceResult("chf_nsr", "skipped", ExperimentReport(), notes=[
+            "RR-interval data not found; pass --data-dir holding chf/ and nsr/ with "
+            "at least 2 series files (*.txt or *.dat) each"])
+    chf, nsr = ([read_series(path) for path in group] for group in files)
+    report, tests = compare_groups(chf, nsr, metrics, group_names=("CHF", "NSR"))
+    checks = []
+    # sampen and the runs test separate the groups; permen and permtest do not
+    for name, differ in (("sampen", True), ("runstest", True),
+                         ("permen", False), ("permtest", False)):
+        res = tests.get(name)
+        p = res.p_value if res else math.nan  # a NaN fails either relation
+        checks.append(PropertyCheck(
+            name=f"{name} CHF vs NSR Welch p {'<' if differ else '>='} 0.05",
+            passed=p < 0.05 if differ else p >= 0.05,
+            detail=(f"p {p:.3g}, means {res.mean_a:.4f} vs {res.mean_b:.4f}" if res
+                    else "no test: fewer than 2 finite scores in a group")))
+    return ReproduceResult("chf_nsr", "ok", report, checks=checks)
+
+
 # name -> (recipe, default replications, the metrics its property checks
-# read). A recipe is called as recipe(metrics, scales, seed, replications),
-# santafe's also with data_dir. Reference-cell comparisons skip metrics left
-# out of the config; the checks cannot.
+# read). Every recipe is called as recipe(metrics, scales, seed, replications,
+# data_dir); santafe and chf_nsr read data_dir. Reference-cell comparisons
+# skip metrics left out of the config; the checks cannot.
 EXPERIMENTS = {
     "table1": (_table1, 30, METRIC_NAMES),
     "table2": (_table2, 30, ()),
@@ -450,13 +501,14 @@ EXPERIMENTS = {
     "santafe": (_santafe, 30, METRIC_NAMES),
     "arma_table4": (_arma4, 10, METRIC_NAMES),
     "arma_table5": (_arma5, 10, ("runstest",)),
+    "chf_nsr": (_chf_nsr, 1, METRIC_NAMES),
 }
 
 
 def reproduce(experiment: str, *, data_dir: str | Path | None = None,
               seed: int = DEFAULT_SEED, replications: int | None = None,
               config: AnalysisConfig | None = None) -> ReproduceResult:
-    """Regenerate one named reference table and compare it cell by cell."""
+    """Regenerate one named experiment and check it."""
     if experiment not in EXPERIMENTS:
         raise DataError(f"unknown experiment {experiment!r}; choose from "
                         + ", ".join(EXPERIMENTS))
@@ -471,56 +523,4 @@ def reproduce(experiment: str, *, data_dir: str | Path | None = None,
     if missing:
         raise DataError(f"{experiment} checks read metric(s) {', '.join(missing)}, "
                         "which the --metric selection leaves out")
-    extra = {"data_dir": data_dir} if experiment == "santafe" else {}
-    return recipe(metrics, config.scales, seed, replications, **extra)
-
-
-# ---------------------------------------------------------------------------
-# group comparison (CHF vs NSR style)
-# ---------------------------------------------------------------------------
-
-def compare_groups(
-    group_a: Sequence[Series],
-    group_b: Sequence[Series],
-    config: AnalysisConfig | None = None,
-    group_names: tuple[str, str] = ("A", "B"),
-) -> tuple[ExperimentReport, dict[str, TTestResult]]:
-    """Score every series in both groups and Welch-t-test each metric
-    between them.
-
-    Returns the per-series report (rows labeled ``group:series``, ready for
-    a box_by_group plot) and the per-metric t-test results.
-    """
-    config = config or AnalysisConfig()
-    if len(group_a) < 2 or len(group_b) < 2:
-        raise DataError("each group needs at least 2 series")
-    metrics = build_metrics(config)
-    report = ExperimentReport()
-    values: dict[tuple[str, str], list[float]] = {}
-    for gname, group in zip(group_names, (group_a, group_b)):
-        for series, profile in zip(group, _sweeps(group, (1,), metrics)):
-            report.add_profile(f"{gname}:{series.label}", profile)
-            for res in profile.results.values():
-                if math.isfinite(res.value):
-                    values.setdefault((gname, res.metric), []).append(res.value)
-    tests: dict[str, TTestResult] = {}
-    for metric in config.metrics:
-        a = values.get((group_names[0], metric), [])
-        b = values.get((group_names[1], metric), [])
-        if len(a) >= 2 and len(b) >= 2:
-            tests[metric] = welch_t_test(a, b)
-    return report, tests
-
-
-def chf_nsr_comparison(data_dir: str | Path,
-                       config: AnalysisConfig | None = None):
-    """CHF-vs-NSR group comparison over ``data_dir/chf/*`` and
-    ``data_dir/nsr/*`` series files. Returns None when the data is absent."""
-    base = Path(data_dir)
-    chf = sorted((base / "chf").glob("*.txt")) + sorted((base / "chf").glob("*.dat"))
-    nsr = sorted((base / "nsr").glob("*.txt")) + sorted((base / "nsr").glob("*.dat"))
-    if len(chf) < 2 or len(nsr) < 2:
-        return None
-    return compare_groups([read_series(p) for p in chf], [read_series(p) for p in nsr],
-                          config, group_names=("CHF", "NSR"))
-
+    return recipe(metrics, config.scales, seed, replications, data_dir)

@@ -19,12 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal
 
+from .metrics import DEFAULT_SCALES
+
 CheckKind = Literal["exact", "band", "info"]
 
 # shared tolerances by metric (exact cells)
 TOL = {"sampen": 1e-3, "permen": 1e-3, "permtest": 0.5, "runstest": 0.05}
-
-SCALES = (1, 2, 3, 4, 5, 10)
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,7 @@ class RefCell:
 
 def _row(label: str, metric: str, values, kind: CheckKind = "exact", tol=None, note="") -> list[RefCell]:
     t = TOL[metric] if tol is None else tol
-    return [RefCell(label, s, metric, v, t, kind, note) for s, v in zip(SCALES, values)]
+    return [RefCell(label, s, metric, v, t, kind, note) for s, v in zip(DEFAULT_SCALES, values)]
 
 
 # ---------------------------------------------------------------------------

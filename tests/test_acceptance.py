@@ -34,7 +34,9 @@ from tscomplex import (
     PermEnParams,
     SampEnParams,
     Series,
+    arma_simulate,
     chi_square_sf,
+    generate_iid,
     logistic_map,
     normal_sf,
     ordinal_pattern_counts,
@@ -44,10 +46,7 @@ from tscomplex import (
     write_series,
 )
 from tscomplex.cli import main
-from tscomplex.experiments import (
-    chf_nsr_comparison,
-    reproduce,
-)
+from tscomplex.experiments import reproduce
 from tscomplex.report import render_report
 
 from oracles import chi2_sf_quad, normal_sf_quad, sampen_pairs_rowwise
@@ -262,16 +261,15 @@ def test_criterion_08_santafe():
 # ---------------------------------------------------------------------------
 
 def test_criterion_09_chf_nsr():
-    base = _data_dir()
-    comparison = chf_nsr_comparison(base) if base else None
-    if comparison is None:
+    result = reproduce("chf_nsr", data_dir=_data_dir())
+    if result.status == "skipped":
         announce("criterion 9: SKIPPED (RR-interval data not supplied)")
         pytest.skip("skipped: CHF/NSR data not supplied")
-    _, tests = comparison
-    assert tests["sampen"].p_value < 0.05
-    assert tests["runstest"].p_value < 0.05
-    assert tests["permen"].p_value >= 0.05
-    assert tests["permtest"].p_value >= 0.05
+    assert [c.name for c in result.checks] == [
+        "sampen CHF vs NSR Welch p < 0.05", "runstest CHF vs NSR Welch p < 0.05",
+        "permen CHF vs NSR Welch p >= 0.05", "permtest CHF vs NSR Welch p >= 0.05"]
+    for check in result.checks:
+        assert check.passed, check.line()
     announce("criterion 9: PASS")
 
 
@@ -304,7 +302,8 @@ def test_criterion_10_determinism(tmp_path, capsys):
 
 # The default-flag entries were recorded before the per-table scoring loops
 # were folded into mse_sweep; the santafe and small-sweep entries before the
-# recipes moved behind one experiment table.
+# recipes moved behind one experiment table; the chf_nsr entry when that
+# experiment joined the table.
 # Re-record only with a change that is meant to alter printed numbers.
 GOLDEN = json.loads((Path(__file__).parent / "golden_digests.json").read_text())
 
@@ -320,8 +319,13 @@ def test_golden_outputs(table1, table2, tmp_path, capsys):
     # them with the command's defaults (seed 42, 30 replications)
     computed = {f"reproduce {name} --print-table --format json": result
                 for name, result in (("table1", table1), ("table2", table2))}
-    # santafe runs on a deterministic substitute for the laser file
+    # santafe and chf_nsr run on deterministic substitutes for their data files
     write_series(logistic_map(3.9, 0.3, 1000, 5000), tmp_path / "santafe_a.txt")
+    for group, make in (("chf", lambda s: arma_simulate([0.9], [], 1000, s)),
+                        ("nsr", lambda s: generate_iid("normal", 1000, 100 + s))):
+        (tmp_path / group).mkdir()
+        for s in range(3):
+            write_series(make(s), tmp_path / group / f"{group}{s}.txt")
     for command, digest in GOLDEN.items():
         argv = shlex.split(command.replace("{data_dir}", str(tmp_path)))
         if command in computed:

@@ -1,12 +1,15 @@
 """End-to-end command-line behavior: subcommands, exit codes, determinism."""
 import json
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tscomplex import write_series, generate_iid
+from tscomplex import Series, arma_simulate, write_series, generate_iid
 from tscomplex.cli import main
+from tscomplex.experiments import EXPERIMENTS
 from tscomplex.metrics import METRIC_NAMES
 
 LOGISTIC_SPEC = json.dumps({
@@ -111,6 +114,7 @@ class TestParameterErrors:
         ("mse", "--scales", "1,a", "--spec", LOGISTIC_SPEC),
         # refused before the missing data could be skipped
         ("reproduce", "santafe", "--t", "9", "--data-dir", "{empty_dir}"),
+        ("reproduce", "chf_nsr", "--t", "9", "--data-dir", "{empty_dir}"),
         # refused before the missing input is read
         ("mse", "{empty_dir}/missing.txt", "--t", "9"),
         ("compare-groups", "--a", "{empty_dir}/a1.txt", "{empty_dir}/a2.txt",
@@ -294,6 +298,58 @@ class TestReproduceCommand:
         assert code == 0
         assert "skipped" in out
 
+    @staticmethod
+    def write_groups(base, chf, nsr):
+        for group, members in (("chf", chf), ("nsr", nsr)):
+            (base / group).mkdir()
+            for series in members:
+                write_series(series, base / group / f"{series.label}.txt")
+
+    def test_chf_nsr_runs_on_two_groups(self, capsys, tmp_path):
+        self.write_groups(
+            tmp_path,
+            [arma_simulate([0.9], [], 1000, seed=s, label=f"ar{s}") for s in range(3)],
+            [generate_iid("normal", 1000, seed=100 + s, label=f"iid{s}") for s in range(3)])
+        out_path = tmp_path / "report.json"
+        code, out, err = run(capsys, "reproduce", "chf_nsr", "--data-dir", str(tmp_path),
+                             "--format", "json", "--out", str(out_path))
+        assert code == 0 and not err
+        lines = out.splitlines()
+        assert lines[0] == "experiment chf_nsr: ok"
+        checks = [line for line in lines if " CHF vs NSR Welch p " in line]
+        assert [line.split()[0] for line in checks] == ["sampen", "runstest",
+                                                         "permen", "permtest"]
+        assert lines[-1].startswith("result: ")
+        labels = {row["label"] for row in json.loads(out_path.read_text())}
+        assert labels == ({f"CHF:ar{s}" for s in range(3)}
+                          | {f"NSR:iid{s}" for s in range(3)})
+
+    @pytest.mark.parametrize("flags", [("--data-dir", "{empty_dir}"), ()],
+                             ids=["empty-dir", "no-data-dir"])
+    def test_chf_nsr_skips_cleanly(self, capsys, tmp_path, flags):
+        code, out, err = run(capsys, "reproduce", "chf_nsr",
+                             *(a.replace("{empty_dir}", str(tmp_path)) for a in flags))
+        assert code == 0 and not err
+        assert out.startswith("experiment chf_nsr: skipped\n")
+        assert "result:" not in out
+
+    def test_chf_nsr_constant_series_fails_sampen_check(self, capsys, tmp_path):
+        # the flat series has no sample entropy, leaving CHF one sampen score
+        self.write_groups(
+            tmp_path,
+            [Series([5.0] * 1000, "flat"), generate_iid("normal", 1000, seed=1, label="c1")],
+            [generate_iid("normal", 1000, seed=100 + s, label=f"n{s}") for s in range(2)])
+        code, out, err = run(capsys, "reproduce", "chf_nsr", "--data-dir", str(tmp_path))
+        assert code == 0 and not err
+        sampen = next(line for line in out.splitlines() if line.startswith("sampen "))
+        assert sampen.startswith("sampen CHF vs NSR Welch p < 0.05: FAIL")
+        assert "no test: fewer than 2 finite scores in a group" in sampen
+
+    def test_readme_synopsis_lists_every_experiment(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        listed = re.search(r"^tscomplex reproduce \{([^}]*)\}", readme, re.M).group(1)
+        assert listed.split("|") == list(EXPERIMENTS)
+
     def test_report_written(self, capsys, tmp_path):
         out_path = tmp_path / "t2.json"
         code, _, _ = run(capsys, "reproduce", "table2", "--format", "json",
@@ -304,8 +360,7 @@ class TestReproduceCommand:
                    and r["value"] == 5800.0 for r in rows)
 
     @pytest.mark.parametrize("metric", METRIC_NAMES)
-    @pytest.mark.parametrize("experiment", ["table1", "table2", "table3_logistic",
-                                            "arma_table4", "arma_table5"])
+    @pytest.mark.parametrize("experiment", list(EXPERIMENTS))
     def test_single_metric_runs_or_refuses(self, capsys, experiment, metric):
         code, out, err = run(capsys, "reproduce", experiment, "--metric", metric,
                              "--replications", "2")

@@ -15,13 +15,12 @@ from tscomplex import (
 )
 from tscomplex.reference import L35N
 from tscomplex.experiments import (
-    chf_nsr_comparison,
     compare_groups,
     find_santafe_file,
     logistic_recipe,
     reproduce,
 )
-from tscomplex.metrics import AnalysisConfig
+from tscomplex.metrics import AnalysisConfig, build_metrics
 
 
 @pytest.fixture(scope="module")
@@ -137,7 +136,6 @@ class TestReproduceOthers:
     def test_scale_one_rows_match_direct_analyze(self):
         # sweep rows at scale 1 equal plain scale-1 evaluation
         result = reproduce("table3_logistic")
-        from tscomplex.metrics import build_metrics
         series = logistic_recipe(3.7)
         for metric in build_metrics(AnalysisConfig()):
             direct = metric(series)
@@ -148,7 +146,7 @@ class TestReproduceOthers:
 class TestCompareGroups:
     def test_identical_groups_give_t_zero(self):
         series = [generate_iid("uniform", 300, seed=s, label=f"u{s}") for s in range(4)]
-        report, tests = compare_groups(series, series, AnalysisConfig())
+        report, tests = compare_groups(series, series, build_metrics(AnalysisConfig()))
         for res in tests.values():
             assert res.t_statistic == 0.0
             assert res.p_value == 1.0
@@ -156,8 +154,8 @@ class TestCompareGroups:
     def test_ar1_vs_iid_separates_on_sampen(self):
         ar = [arma_simulate([0.9], [], 1000, seed=s, label=f"ar{s}") for s in range(10)]
         iid = [generate_iid("normal", 1000, seed=100 + s, label=f"n{s}") for s in range(10)]
-        report, tests = compare_groups(ar, iid, AnalysisConfig(metrics=("sampen",)),
-                                       group_names=("AR", "IID"))
+        sampen = build_metrics(AnalysisConfig(metrics=("sampen",)))
+        report, tests = compare_groups(ar, iid, sampen, group_names=("AR", "IID"))
         assert tests["sampen"].p_value < 0.01
         assert tests["sampen"].mean_a < tests["sampen"].mean_b
         labels = {r.label for r in report.rows}
@@ -166,7 +164,9 @@ class TestCompareGroups:
     def test_group_size_checked(self):
         s = generate_iid("uniform", 100, seed=1)
         with pytest.raises(DataError, match="at least 2"):
-            compare_groups([s], [s, s])
+            compare_groups([s], [s, s], build_metrics(AnalysisConfig()))
 
-    def test_chf_nsr_returns_none_without_data(self, tmp_path):
-        assert chf_nsr_comparison(tmp_path) is None
+    def test_chf_nsr_skips_without_data(self, tmp_path):
+        result = reproduce("chf_nsr", data_dir=tmp_path)
+        assert result.status == "skipped"
+        assert not result.checks and not result.report.rows
