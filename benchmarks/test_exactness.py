@@ -10,11 +10,12 @@ points. Here it is compared, at 8k-16k points, with a blocked numpy brute
 force over every template pair (m=2), on tie-heavy series whose pair
 distances often equal r exactly, where an off-by-one-ulp tolerance or an
 unsound box bound would change a count, and on the dense noisy period-4
-orbit. At 64k, where the brute force is too slow, the counts split over
-several CPUs are compared with one weighted ``count_neighbors`` of a
-single tree over the distinct templates. Each comparison runs as if the
-process had 1, 2 and 3 CPUs, so the kernel counts in 1, 2 and 3 parts.
-The brute force takes a few seconds per series.
+orbit. At 64k, where the brute force is too slow, the counts are compared
+with one weighted ``count_neighbors`` of a median-split tree over the
+distinct templates, built from ``np.unique(axis=0)`` rather than the
+kernel's byte keys and sliding-midpoint tree. The kernel reads no CPU
+count, so each comparison runs once. The brute force takes a few seconds
+per series.
 """
 from functools import lru_cache
 
@@ -26,7 +27,6 @@ from scipy.spatial import cKDTree
 from tscomplex import add_noise, arma_simulate, logistic_map
 from tscomplex import entropy
 
-CPUS = [1, 2, 3]
 BLOCK = 128  # brute-force rows per step: a few MB of temporaries
 
 
@@ -106,24 +106,13 @@ def _single_tree(name: str) -> tuple[int, int]:
     return a, b
 
 
-@pytest.fixture(params=CPUS, ids=[f"{c}cpu" for c in CPUS])
-def cpus(request, monkeypatch):
-    """Run as if the process could run on 1, 2 or 3 CPUs, with a pool of
-    that many workers, shut down after the test."""
-    monkeypatch.setattr(entropy, "_cpus", lambda: request.param)
-    monkeypatch.setattr(entropy, "_pool", None)
-    pool = entropy._executor()
-    yield request.param
-    pool.shutdown()
-
-
 @pytest.mark.parametrize("name", list(CASES))
-def test_pair_counts_equal_the_brute_force(cpus, name):
+def test_pair_counts_equal_the_brute_force(name):
     x, r = _series(name)
     assert entropy._pair_counts(x, 2, r) == _brute_force(name)
 
 
 @pytest.mark.parametrize("name", list(LONG))
-def test_split_counts_equal_one_tree_count(cpus, name):
+def test_pair_counts_equal_one_tree_count(name):
     x, r = _series(name)
     assert entropy._pair_counts(x, 2, r) == _single_tree(name)

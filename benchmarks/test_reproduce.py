@@ -1,6 +1,6 @@
 """End-to-end timings of the command line: ``reproduce`` for the five
-built-in tables, ``mse`` on a 16k-point file and ``mse --fixed-r`` on an
-8k-point noisy period-4 orbit.
+built-in tables, ``analyze`` and ``mse`` on a 16k-point file and
+``mse --fixed-r`` on an 8k-point noisy period-4 orbit.
 
 Run from the repository root; the suite lives outside the tier-1
 ``testpaths``, so it runs only when named:
@@ -9,13 +9,14 @@ Run from the repository root; the suite lives outside the tier-1
 
 Each round is one ``cli.main`` call, as a user's command would run it, with
 the report written to a file. The tables run at their default replications
-and seed; ``mse`` sweeps the default scales with all four metrics. The
-N(0,1) file has sparse sample-entropy matches; the logistic r=3.5 orbit
-plus noise of 0.05 SD, with r fixed at 0.2 of the input's SD, has dense
-ones. Every command uses the CPUs in the process's affinity set: the
-tables share their series over them, and ``mse`` on one file splits its
-sample-entropy pair counts over them. So record the CPU count (``nproc``)
-with the timings, and pin with ``taskset`` to time fewer.
+and seed; ``analyze`` scores scale 1 and ``mse`` sweeps the default
+scales, both with all four metrics. The N(0,1) file has sparse
+sample-entropy matches; the logistic r=3.5 orbit plus noise of 0.05 SD,
+with r fixed at 0.2 of the input's SD, has dense ones. Every command
+shares its (series, scale) cells over the CPUs in the process's affinity
+set, so ``mse`` on one file scores its six scales side by side, while
+``analyze`` on one file is a single cell in one thread. So record the CPU
+count (``nproc``) with the timings, and pin with ``taskset`` to time fewer.
 """
 import numpy as np
 import pytest
@@ -35,10 +36,22 @@ def test_reproduce(benchmark, tmp_path, table):
     assert code == 0
 
 
-def test_mse_16k(benchmark, tmp_path):
+@pytest.fixture
+def normal16k(tmp_path):
     path = tmp_path / "normal16k.txt"
     write_series(Series(np.random.Generator(np.random.PCG64(16384)).normal(size=16384)), path)
-    argv = ["mse", str(path), "--out", str(tmp_path / "report.csv")]
+    return path
+
+
+def test_analyze_16k(benchmark, tmp_path, normal16k):
+    argv = ["analyze", str(normal16k), "--out", str(tmp_path / "report.csv")]
+    code = benchmark.pedantic(main, args=(argv,), rounds=ROUNDS, iterations=1)
+    assert code == 0
+    assert (tmp_path / "report.csv").read_text().count("\n") == 1 + 4
+
+
+def test_mse_16k(benchmark, tmp_path, normal16k):
+    argv = ["mse", str(normal16k), "--out", str(tmp_path / "report.csv")]
     code = benchmark.pedantic(main, args=(argv,), rounds=ROUNDS, iterations=1)
     assert code == 0
     assert (tmp_path / "report.csv").read_text().count("\n") == 1 + 6 * 4

@@ -18,7 +18,7 @@ from .entropy import mse_sweep, mse_sweeps
 from .experiments import DEFAULT_SEED, EXPERIMENTS, compare_groups, reproduce
 from .generators import GeneratorSpec, build_series
 from .metrics import DEFAULT_SCALES, METRIC_NAMES, AnalysisConfig, build_metrics
-from .report import ExperimentReport, render_report, read_report_json
+from .report import ExperimentReport, refuse_duplicate_labels, render_report, read_report_json
 from .plots import PlotKind, render_plot
 from .randomness import RunsVariant
 from .seriesio import read_series, render_series
@@ -119,15 +119,18 @@ def _cmd_analyze(args) -> int:
         except DataError as exc:
             # only a file can fail here: a --spec is built by _gather_inputs
             loaded.append(exc)
+    labels = [(got.label or "series") if isinstance(got, Series) else Path(item).stem
+              for item, got in zip(inputs, loaded)]
+    refuse_duplicate_labels(labels, metrics)
     read = [s for s in loaded if isinstance(s, Series)]
     profiles = iter(mse_sweeps(read, (1,), metrics))
     report = ExperimentReport()
-    for item, got in zip(inputs, loaded):
+    for label, got in zip(labels, loaded):
         if isinstance(got, Series):
-            report.add_profile(got.label or "series", next(profiles))
+            report.add_profile(label, next(profiles))
             continue
         for metric in metrics:
-            report.add_result(Path(item).stem, 1, MetricResult(
+            report.add_result(label, 1, MetricResult(
                 metric=metric.name, value=float("nan"), warnings=(f"error: {got}",)))
     _emit(render_report(report, args.format), args.out)
     return EXIT_OK if read else EXIT_DATA
@@ -174,7 +177,7 @@ def _cmd_reproduce(args) -> int:
 
 def _cmd_compare_groups(args) -> int:
     metrics = build_metrics(_config_from(args))
-    report, tests = compare_groups(
+    report, tests, _ = compare_groups(
         [read_series(path) for path in args.group_a],
         [read_series(path) for path in args.group_b],
         metrics, group_names=(args.name_a, args.name_b),

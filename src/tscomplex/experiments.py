@@ -23,12 +23,12 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import reference as ref
-from .core import DataError, Metric, MetricResult, Series
+from .core import DataError, Metric, MetricResult, NumericalError, Series
 from .entropy import MseProfile, mse_sweeps
 from .generators import add_noise, arma_simulate, derive_seed, generate_iid, logistic_map
 from .metrics import METRIC_NAMES, AnalysisConfig, build_metrics
 from .randomness import TTestResult, chi_square_sf, normal_sf, welch_t_test
-from .report import ExperimentReport
+from .report import ExperimentReport, refuse_duplicate_labels
 from .seriesio import read_series
 
 __all__ = [
@@ -441,30 +441,42 @@ def compare_groups(
     group_b: Sequence[Series],
     metrics: Sequence[Metric],
     group_names: tuple[str, str] = ("A", "B"),
-) -> tuple[ExperimentReport, dict[str, TTestResult]]:
+) -> tuple[ExperimentReport, dict[str, TTestResult], dict[str, str]]:
     """Score every series in both groups with ``metrics`` and Welch-t-test
     each metric between them.
 
     Returns the per-series report (rows labeled ``group:series``, ready for
-    a box_by_group plot) and the t-test of each metric scored in both groups.
+    a box_by_group plot), the t-test of each metric that has one, and the
+    reason each other metric has none: fewer than two finite scores in a
+    group, or scores that are equal within each group. Two series with the
+    same label are refused before any cell is scored.
     """
     if len(group_a) < 2 or len(group_b) < 2:
         raise DataError("each group needs at least 2 series")
+    labels = [[f"{gname}:{series.label}" for series in group]
+              for gname, group in zip(group_names, (group_a, group_b))]
+    refuse_duplicate_labels([label for group in labels for label in group], metrics)
     report = ExperimentReport()
     values: dict[tuple[str, str], list[float]] = {}
-    for gname, group in zip(group_names, (group_a, group_b)):
-        for series, profile in zip(group, mse_sweeps(group, (1,), metrics)):
-            report.add_profile(f"{gname}:{series.label}", profile)
+    for gname, group, group_labels in zip(group_names, (group_a, group_b), labels):
+        for label, profile in zip(group_labels, mse_sweeps(group, (1,), metrics)):
+            report.add_profile(label, profile)
             for res in profile.results.values():
                 if math.isfinite(res.value):
                     values.setdefault((gname, res.metric), []).append(res.value)
     tests: dict[str, TTestResult] = {}
+    untested: dict[str, str] = {}
     for metric in metrics:
         a = values.get((group_names[0], metric.name), [])
         b = values.get((group_names[1], metric.name), [])
-        if len(a) >= 2 and len(b) >= 2:
+        if len(a) < 2 or len(b) < 2:
+            untested[metric.name] = "fewer than 2 finite scores in a group"
+            continue
+        try:
             tests[metric.name] = welch_t_test(a, b)
-    return report, tests
+        except NumericalError as exc:
+            untested[metric.name] = str(exc)
+    return report, tests, untested
 
 
 def _chf_nsr(metrics, scales, seed, replications, data_dir) -> ReproduceResult:
@@ -475,7 +487,7 @@ def _chf_nsr(metrics, scales, seed, replications, data_dir) -> ReproduceResult:
             "RR-interval data not found; pass --data-dir holding chf/ and nsr/ with "
             "at least 2 series files (*.txt or *.dat) each"])
     chf, nsr = ([read_series(path) for path in group] for group in files)
-    report, tests = compare_groups(chf, nsr, metrics, group_names=("CHF", "NSR"))
+    report, tests, untested = compare_groups(chf, nsr, metrics, group_names=("CHF", "NSR"))
     checks = []
     # sampen and the runs test separate the groups; permen and permtest do not
     for name, differ in (("sampen", True), ("runstest", True),
@@ -486,7 +498,7 @@ def _chf_nsr(metrics, scales, seed, replications, data_dir) -> ReproduceResult:
             name=f"{name} CHF vs NSR Welch p {'<' if differ else '>='} 0.05",
             passed=p < 0.05 if differ else p >= 0.05,
             detail=(f"p {p:.3g}, means {res.mean_a:.4f} vs {res.mean_b:.4f}" if res
-                    else "no test: fewer than 2 finite scores in a group")))
+                    else f"no test: {untested[name]}")))
     return ReproduceResult("chf_nsr", "ok", report, checks=checks)
 
 

@@ -5,11 +5,11 @@ metric, each bound to parameters the config checked when it was built.
 The single path that applies them is ``entropy.mse_sweeps``: it
 coarse-grains each series, evaluates every metric per scale and records a
 failed evaluation as a NaN cell; scale-1 scoring is a sweep over ``(1,)``,
-and ``entropy.mse_sweep`` is its one-series form. Different series are
-swept concurrently on one thread pool, and the pair counts of sample
-entropy are split over the CPUs left idle, so an evaluator must not call a
-sweep itself. Each metric declares whether it holds the interpreter lock;
-a sweep of lock-holding metrics only runs in the calling thread.
+and ``entropy.mse_sweep`` is its one-series form. The (series, scale)
+cells of a sweep are scored concurrently on one thread pool, so an
+evaluator must not call a sweep itself. Each metric declares whether it
+holds the interpreter lock; a sweep of lock-holding metrics only runs in
+the calling thread.
 A result carries the statistic/df/p-value fields when the underlying score
 is a hypothesis test.
 """

@@ -11,9 +11,9 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Literal
+from typing import Iterable, Literal, Sequence
 
-from .core import DataError, MetricResult, json_number
+from .core import DataError, Metric, MetricResult, json_number
 from .entropy import MseProfile
 
 __all__ = ["ReportRow", "ExperimentReport", "render_report", "read_report_json"]
@@ -64,6 +64,16 @@ class ExperimentReport:
 
     def get(self, label: str, scale: int, metric: str) -> ReportRow:
         return self._index[(label, scale, metric)]
+
+
+def refuse_duplicate_labels(labels: Iterable[str], metrics: Sequence[Metric]) -> None:
+    """Raise the DataError that ``ExperimentReport.add`` would raise on the
+    first scale-1 row of a label given twice, before any cell is scored."""
+    seen: set[str] = set()
+    for label in labels:
+        if metrics and label in seen:
+            raise DataError(f"duplicate report key: {(label, 1, metrics[0].name)}")
+        seen.add(label)
 
 
 def _fmt(value: float | None) -> str:

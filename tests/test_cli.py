@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tscomplex import Series, arma_simulate, write_series, generate_iid
+from tscomplex import cli, experiments
 from tscomplex.cli import main
 from tscomplex.experiments import EXPERIMENTS
 from tscomplex.metrics import METRIC_NAMES
@@ -69,6 +70,13 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze")
         assert code == 2
         assert "no inputs" in err
+
+    def test_shared_label_refused_before_any_cell(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "mse_sweeps", lambda *args, **kwargs: pytest.fail("swept"))
+        code, out, err = run(capsys, "analyze", "--spec", '{"kind":"uniform","seed":1}',
+                             "--spec", '{"kind":"uniform","seed":2}')
+        assert code == 2 and not out
+        assert err == "tscomplex: data error: duplicate report key: ('uniform', 1, 'sampen')\n"
 
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc_info:
@@ -345,6 +353,28 @@ class TestReproduceCommand:
         assert sampen.startswith("sampen CHF vs NSR Welch p < 0.05: FAIL")
         assert "no test: fewer than 2 finite scores in a group" in sampen
 
+    def test_chf_nsr_equal_scores_within_each_group_fail_every_check(self, capsys, tmp_path):
+        a, b = generate_iid("uniform", 500, seed=1), generate_iid("normal", 500, seed=2)
+        self.write_groups(tmp_path, [Series(a.values, f"c{i}") for i in range(2)],
+                          [Series(b.values, f"n{i}") for i in range(2)])
+        code, out, err = run(capsys, "reproduce", "chf_nsr", "--data-dir", str(tmp_path))
+        assert code == 0 and not err
+        checks = [line for line in out.splitlines() if " CHF vs NSR Welch p " in line]
+        assert len(checks) == 4
+        assert all(": FAIL" in line and "no test: degenerate variance in both groups" in line
+                   for line in checks)
+
+    def test_chf_nsr_shared_stem_refused_before_any_cell(self, capsys, tmp_path, monkeypatch):
+        self.write_groups(tmp_path, [generate_iid("uniform", 300, seed=s, label=f"chf{s}")
+                                     for s in range(2)],
+                          [generate_iid("normal", 300, seed=s, label=f"nsr{s}") for s in range(2)])
+        write_series(generate_iid("uniform", 300, seed=9), tmp_path / "chf" / "chf0.dat")
+        monkeypatch.setattr(experiments, "mse_sweeps",
+                            lambda *args, **kwargs: pytest.fail("swept"))
+        code, out, err = run(capsys, "reproduce", "chf_nsr", "--data-dir", str(tmp_path))
+        assert code == 2 and not out
+        assert err == "tscomplex: data error: duplicate report key: ('CHF:chf0', 1, 'sampen')\n"
+
     def test_readme_synopsis_lists_every_experiment(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         listed = re.search(r"^tscomplex reproduce \{([^}]*)\}", readme, re.M).group(1)
@@ -397,6 +427,16 @@ class TestCompareGroupsCommand:
                          "--metric", "permen", "--plot", str(svg))
         assert code == 0
         assert svg.read_text().startswith("<?xml")
+
+    def test_equal_scores_within_each_group_print_no_t_test(self, capsys, tmp_path):
+        files = []
+        for name, seed in (("a0", 1), ("a1", 1), ("b0", 2), ("b1", 2)):
+            p = tmp_path / f"{name}.txt"
+            write_series(generate_iid("uniform", 300, seed=seed), p)
+            files.append(str(p))
+        code, out, err = run(capsys, "compare-groups", "--a", *files[:2], "--b", *files[2:])
+        assert code == 0 and not err
+        assert out == ""
 
     def test_non_finite_value_names_the_file(self, capsys, tmp_path):
         files = []

@@ -12,7 +12,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.spatial import cKDTree
 
 from tscomplex import (
     DataError,
@@ -121,7 +120,7 @@ class TestSampleEntropy:
 
     @pytest.mark.parametrize("cpus", [1, 2, 3, 5])
     @pytest.mark.parametrize("x, r", [
-        # fewer distinct templates than CPUs: the split has one part per template
+        # one and two distinct templates, and the fewest points m=2 allows
         pytest.param(np.full(50, 1.5), 0.1, id="constant"),
         pytest.param(np.random.Generator(np.random.PCG64(3)).integers(0, 2, 80).astype(float),
                      0.5, id="binary"),
@@ -131,8 +130,12 @@ class TestSampleEntropy:
         pytest.param(np.random.Generator(np.random.PCG64(5)).normal(size=300), 0.2, id="normal"),
     ])
     def test_split_counts_match_bruteforce_oracle(self, sweep_pool, cpus, x, r):
+        # one count per worker of a ``cpus``-worker pool, all at once: each
+        # builds its own trees, so every count is the oracle's
         sweep_pool(cpus)
-        assert entropy._pair_counts(x, 2, r) == sampen_pairs_direct(x, 2, r)
+        want = sampen_pairs_direct(x, 2, r)
+        got = entropy._map_in_order(lambda _: entropy._pair_counts(x, 2, r), range(cpus), cpus)
+        assert got == [want] * cpus
 
     @given(seed=st.integers(0, 2**32 - 1),
            a=st.floats(-50, 50).filter(lambda v: abs(v) > 1e-3),
@@ -353,17 +356,24 @@ class TestMseSweeps:
             mse_sweeps(self.SERIES, [1, 2], [Metric("boom", boom)])
         assert seen == [600]
 
-    def test_one_series_runs_in_the_calling_thread(self, sweep_pool):
+    def test_one_cell_runs_in_the_calling_thread(self, sweep_pool):
         sweep_pool(2)
         threads = set()
         where = Metric("where", lambda s: threads.add(threading.get_ident()))
-        mse_sweep(self.SERIES[0], [1, 2, 3], [where])
-        mse_sweeps(self.SERIES[:1], [1, 2, 3], [where])
+        mse_sweep(self.SERIES[0], [1], [where])
+        mse_sweeps(self.SERIES[:1], [1], [where])
         assert threads == {threading.get_ident()}
 
     def test_series_run_in_parallel(self, sweep_pool):
         sweep_pool(2)
         _meet_in_two_threads(self.SERIES[0])
+
+    def test_scales_of_one_series_run_in_parallel(self, sweep_pool):
+        sweep_pool(2)
+        # each scale's only cell waits for the other's: one thread alone
+        # would break the barrier at its timeout
+        barrier = threading.Barrier(2, timeout=10)
+        mse_sweep(self.SERIES[0], [1, 2], [Metric("meet", lambda s: barrier.wait())])
 
     def test_pool_has_a_worker_per_cpu_in_the_affinity_set(self, sweep_pool):
         assert sweep_pool(1)._max_workers == 1
@@ -394,8 +404,7 @@ class TestMseSweeps:
         assert got == want
 
     def test_split_cells_do_not_depend_on_the_worker_count(self, sweep_pool):
-        # one series splits its pair counts over every CPU, two series over
-        # half of them each
+        # one series' scales split over the workers, and two series' cells
         batches = [self.SERIES[:1], self.SERIES[2:]]
         sweep_pool(1)
         want = [[cells(p) for p in mse_sweeps(b, [1, 2, 3], self.METRICS)] for b in batches]
@@ -422,24 +431,6 @@ class TestMseSweeps:
         assert all(metric.holds_lock for metric in lock_holding)
         mse_sweeps(self.SERIES, [1, 2, 3], [where(metric) for metric in lock_holding])
         assert threads == {threading.get_ident()}
-
-    def test_one_series_counts_pairs_on_a_pool_worker(self, sweep_pool, monkeypatch):
-        sweep_pool(2)
-        barrier = threading.Barrier(2, timeout=10)
-        threads = set()
-
-        class MeetingTree(cKDTree):
-            # each part of a split count waits for the other: counted in
-            # one thread, the parts would break the barrier at its timeout
-            def count_neighbors(self, other, *args, **kwargs):
-                if other is not self:
-                    barrier.wait()
-                    threads.add(threading.current_thread().name)
-                return super().count_neighbors(other, *args, **kwargs)
-
-        monkeypatch.setattr(entropy, "cKDTree", MeetingTree)
-        mse_sweep(self.SERIES[0], [1], build_metrics(AnalysisConfig(metrics=("sampen",))))
-        assert any(name.startswith("tscomplex-sweep") for name in threads)
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     def test_forked_child_builds_its_own_pool(self, uniform_series, sweep_pool):

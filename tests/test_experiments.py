@@ -4,6 +4,7 @@ import pytest
 
 from tscomplex import (
     DataError,
+    Metric,
     NumericalError,
     SampEnParams,
     Series,
@@ -146,7 +147,7 @@ class TestReproduceOthers:
 class TestCompareGroups:
     def test_identical_groups_give_t_zero(self):
         series = [generate_iid("uniform", 300, seed=s, label=f"u{s}") for s in range(4)]
-        report, tests = compare_groups(series, series, build_metrics(AnalysisConfig()))
+        report, tests, _ = compare_groups(series, series, build_metrics(AnalysisConfig()))
         for res in tests.values():
             assert res.t_statistic == 0.0
             assert res.p_value == 1.0
@@ -155,11 +156,19 @@ class TestCompareGroups:
         ar = [arma_simulate([0.9], [], 1000, seed=s, label=f"ar{s}") for s in range(10)]
         iid = [generate_iid("normal", 1000, seed=100 + s, label=f"n{s}") for s in range(10)]
         sampen = build_metrics(AnalysisConfig(metrics=("sampen",)))
-        report, tests = compare_groups(ar, iid, sampen, group_names=("AR", "IID"))
+        report, tests, _ = compare_groups(ar, iid, sampen, group_names=("AR", "IID"))
         assert tests["sampen"].p_value < 0.01
         assert tests["sampen"].mean_a < tests["sampen"].mean_b
         labels = {r.label for r in report.rows}
         assert "AR:ar0" in labels and "IID:n3" in labels
+
+    def test_shared_label_refused_before_any_cell(self):
+        seen = []
+        counting = Metric("count", lambda s: seen.append(len(s)))
+        group = [generate_iid("uniform", 100, seed=s, label=f"u{s}") for s in range(2)]
+        with pytest.raises(DataError, match=r"duplicate report key: \('B:u0', 1, 'count'\)"):
+            compare_groups(group, [*group[:1], *group], [counting])
+        assert seen == []
 
     def test_group_size_checked(self):
         s = generate_iid("uniform", 100, seed=1)
