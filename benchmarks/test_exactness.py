@@ -10,12 +10,16 @@ points. Here it is compared, at 8k-16k points, with a blocked numpy brute
 force over every template pair (m=2), on tie-heavy series whose pair
 distances often equal r exactly, where an off-by-one-ulp tolerance or an
 unsound box bound would change a count, and on the dense noisy period-4
-orbit. At 64k, where the brute force is too slow, the counts are compared
-with one weighted ``count_neighbors`` of a median-split tree over the
-distinct templates, built from ``np.unique(axis=0)`` rather than the
-kernel's byte keys and sliding-midpoint tree. The kernel reads no CPU
-count, so each comparison runs once. The brute force takes a few seconds
-per series.
+orbit. ``switch-below-8k`` and ``switch-above-8k`` are N(0,1) series whose
+tolerances put the length-m matches just under and just over
+``entropy._LIST_BELOW`` per template (127 and 131), so the length-(m+1)
+count is checked on both sides of the switch between listing the pairs
+and counting them in bulk. At 64k, where the brute force is too slow, the
+counts are compared with one weighted ``count_neighbors`` of a
+median-split tree over the distinct templates, built from
+``np.unique(axis=0)`` rather than the kernel's byte keys and
+sliding-midpoint tree. The kernel reads no CPU count, so each comparison
+runs once. The brute force takes a few seconds per series.
 """
 from functools import lru_cache
 
@@ -55,6 +59,8 @@ CASES = {
     "binary-16k": lambda: (_rng(16385).integers(0, 2, size=16384).astype(float), 1.0),
     "rr128-16k": lambda: (_rr_like(16384), 1 / 128),
     "periodic-8k": lambda: _periodic(8192),
+    "switch-below-8k": lambda: (_rng(8194).normal(size=8192), 0.315),
+    "switch-above-8k": lambda: (_rng(8194).normal(size=8192), 0.32),
 }
 
 # the same at 64k, checked against one tree over the distinct templates
@@ -110,6 +116,14 @@ def _single_tree(name: str) -> tuple[int, int]:
 def test_pair_counts_equal_the_brute_force(name):
     x, r = _series(name)
     assert entropy._pair_counts(x, 2, r) == _brute_force(name)
+
+
+@pytest.mark.parametrize("name, listed", [("switch-below-8k", True),
+                                          ("switch-above-8k", False)])
+def test_switch_cases_straddle_the_rule(name, listed):
+    x, _ = _series(name)
+    _, b = _brute_force(name)
+    assert (b <= entropy._LIST_BELOW * (x.size - 2)) == listed
 
 
 @pytest.mark.parametrize("name", list(LONG))

@@ -177,14 +177,18 @@ def _cmd_reproduce(args) -> int:
 
 def _cmd_compare_groups(args) -> int:
     metrics = build_metrics(_config_from(args))
-    report, tests, _ = compare_groups(
+    report, tests, untested = compare_groups(
         [read_series(path) for path in args.group_a],
         [read_series(path) for path in args.group_b],
         metrics, group_names=(args.name_a, args.name_b),
     )
-    for metric, res in tests.items():
-        print(f"{metric}: t = {res.t_statistic:.4f}, df = {res.df:.1f}, "
-              f"p = {res.p_value:.4g} (means {res.mean_a:.4f} vs {res.mean_b:.4f})")
+    for metric in metrics:
+        res = tests.get(metric.name)
+        if res is None:
+            print(f"{metric.name}: no t-test ({untested[metric.name]})")
+        else:
+            print(f"{metric.name}: t = {res.t_statistic:.4f}, df = {res.df:.1f}, "
+                  f"p = {res.p_value:.4g} (means {res.mean_a:.4f} vs {res.mean_b:.4f})")
     if args.plot:
         _emit(render_plot(report, "box_by_group"), args.plot)
     if args.out:

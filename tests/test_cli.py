@@ -436,7 +436,8 @@ class TestCompareGroupsCommand:
             files.append(str(p))
         code, out, err = run(capsys, "compare-groups", "--a", *files[:2], "--b", *files[2:])
         assert code == 0 and not err
-        assert out == ""
+        assert out == "".join(f"{name}: no t-test (degenerate variance in both groups)\n"
+                              for name in METRIC_NAMES)
 
     def test_non_finite_value_names_the_file(self, capsys, tmp_path):
         files = []
@@ -589,3 +590,28 @@ class TestErrorContract:
         path = tmp_path / "s.txt"
         path.write_bytes(newline.join(lines).encode("utf-8"))
         self.check(capsys, command, str(path), *(["--scales", "1,2"] if command == "mse" else []))
+
+    @fuzz
+    @given(command=st.sampled_from(("analyze", "mse")),
+           values=st.lists(st.integers(-3, 3), min_size=1, max_size=40),
+           metrics=st.lists(st.sampled_from(METRIC_NAMES), max_size=4, unique=True),
+           absolute_r=st.booleans(), fixed_r=st.booleans(), partial=st.booleans(),
+           scales=st.none() | st.lists(st.integers(-1, 50), max_size=4),
+           r_factor=st.none() | st.sampled_from((-1.0, 0.0, 1e-9, 0.2, 1.0, 5.0)),
+           bounds=st.dictionaries(st.sampled_from(("--m", "--n", "--t")), st.integers(0, 9),
+                                  max_size=3))
+    def test_flag_combinations(self, capsys, tmp_path, command, values, metrics, absolute_r,
+                               fixed_r, partial, scales, r_factor, bounds):
+        # short, tie-heavy inputs: too short for some scales and embedding
+        # lengths, constant for some draws
+        path = tmp_path / "s.txt"
+        path.write_text("".join(f"{v}\n" for v in values))
+        argv = [command, str(path), *(f"--metric={name}" for name in metrics),
+                *(["--absolute-r"] if absolute_r else []),
+                *([f"--r-factor={r_factor}"] if r_factor is not None else []),
+                *(f"{flag}={value}" for flag, value in bounds.items())]
+        if command == "mse":
+            argv += [*(["--fixed-r"] if fixed_r else []),
+                     *(["--partial-blocks"] if partial else []),
+                     *([f"--scales={','.join(map(str, scales))}"] if scales is not None else [])]
+        self.check(capsys, *argv)

@@ -20,7 +20,9 @@ from tscomplex import (
     PermEnParams,
     SampEnParams,
     Series,
+    add_noise,
     generate_iid,
+    logistic_map,
     mse_sweep,
     mse_sweeps,
     ordinal_pattern_counts,
@@ -33,9 +35,25 @@ from tscomplex.experiments import logistic_recipe
 from tscomplex.metrics import METRIC_NAMES, build_metrics, AnalysisConfig
 
 from conftest import make_series
-from oracles import ordinal_counts_direct, permen_direct, sampen_pairs_direct
+from oracles import (
+    ordinal_counts_direct,
+    permen_direct,
+    sampen_pairs_direct,
+    sampen_pairs_rowwise,
+)
 
 ABS_R = dict(r_mode="absolute")
+
+
+def _normal(n, seed):
+    return np.random.Generator(np.random.PCG64(seed)).normal(size=n)
+
+
+def _periodic(n):
+    """Logistic r=3.5 on its period-4 orbit plus noise of 0.05 SD, with
+    r = 0.2 SD: many matches per template."""
+    x = add_noise(logistic_map(3.5, 0.3, keep=n, total=n + 1000), n, sd_multiplier=0.05).values
+    return x, 0.2 * float(np.std(x, ddof=1))
 
 
 def sampen_counts(series, params=SampEnParams()):
@@ -136,6 +154,37 @@ class TestSampleEntropy:
         want = sampen_pairs_direct(x, 2, r)
         got = entropy._map_in_order(lambda _: entropy._pair_counts(x, 2, r), range(cpus), cpus)
         assert got == [want] * cpus
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("count", [entropy._listed_pairs, entropy._counted_pairs],
+                             ids=["listed", "counted"])
+    @pytest.mark.parametrize("x, r", [
+        # sparse matches; on the 1/128 grid many distances equal r exactly
+        pytest.param(_normal(300, 6), 0.2, id="normal"),
+        pytest.param(np.round(_normal(300, 7) * 128) / 128, 2 / 128, id="grid128"),
+        # dense matches, with few distinct templates or clustered ones
+        pytest.param(np.random.Generator(np.random.PCG64(8)).integers(0, 2, 300).astype(float),
+                     0.5, id="binary"),
+        pytest.param(*_periodic(300), id="periodic"),
+    ])
+    def test_both_ways_of_counting_match_bruteforce_oracle(self, x, r, count, m):
+        nt = x.size - m
+        a, b = sampen_pairs_direct(x, m, r)
+        assert count(*entropy._template_tree(x, m + 1, nt), r) == a
+        assert count(*entropy._template_tree(x, m, nt), r) == b
+
+    @pytest.mark.parametrize("x, r, listed", [
+        pytest.param(_normal(2048, 9), 0.2, True, id="sparse"),
+        pytest.param(*_periodic(2048), False, id="dense"),
+    ])
+    def test_pairs_are_listed_only_when_matches_are_sparse(self, monkeypatch, x, r, listed):
+        listed_pairs, calls = entropy._listed_pairs, []
+        monkeypatch.setattr(entropy, "_listed_pairs",
+                            lambda *args: calls.append(args) or listed_pairs(*args))
+        a, b = entropy._pair_counts(x, 2, r)
+        assert (a, b) == sampen_pairs_rowwise(x, 2, r)
+        assert (b <= entropy._LIST_BELOW * (x.size - 2)) == listed
+        assert len(calls) == listed
 
     @given(seed=st.integers(0, 2**32 - 1),
            a=st.floats(-50, 50).filter(lambda v: abs(v) > 1e-3),
