@@ -13,7 +13,10 @@ with ties broken toward the earlier index (stable sort), and is always
 normalized: the Shannon entropy is divided by ln(n!), so it lies in [0, 1].
 No window is sorted: under that tie rule its pattern is fixed by the strict
 comparisons of each value with the later ones, whose counts (the inversion
-code) index a table of the n! patterns, built once per n.
+code) index a table of the n! patterns, built once per n. The counts come
+from the n-1 lagged comparisons ``x[d:] < x[:-d]``, made once per series
+and shared by every window, and ``_ordinal_counts`` is the one kernel
+behind both permutation entropy and the permutation test.
 
 ``mse_sweeps`` is the single evaluation path, and ``mse_sweep`` its
 one-series form. Threads go only where the sample-entropy kernel releases
@@ -257,16 +260,46 @@ def ordinal_pattern_codes(windows: np.ndarray) -> np.ndarray:
     return _lehmer_table(windows.shape[1])[_inversion_codes(windows)]
 
 
+def _ordinal_counts(x: np.ndarray, n: int, step: int = 1) -> np.ndarray:
+    """Pattern counts of the windows ``x[s:s+n]`` for s = 0, step, 2*step, ...
+    while s+n <= N: a dense array of n! int64 counters, indexed like
+    ``ordinal_pattern_codes``.
+
+    Digit a of a window's inversion code counts the later b with
+    ``x[s+b] < x[s+a]``, so it is ``C[n-1-a][s+a]`` with
+    ``C[k][i] = sum(x[i+d] < x[i] for d in 1..k)``. The n-1 lagged
+    comparisons are made once for the whole series and summed as running
+    int8 counts (at most 7). Each digit is a shifted, strided slice of one
+    of them, and the mixed-radix code (below 8! = 40320) is assembled in
+    int32. The codes are counted, and the n! counts are moved to their
+    patterns through ``_lehmer_table`` rather than looking up every code.
+    Step 1 gives the overlapping windows of permutation entropy; step n the
+    disjoint groups of the permutation test.
+    """
+    span = (x.size - n) // step * step + 1  # from the first window's start to the last's
+    running = [(x[1:] < x[:-1]).view(np.int8)]  # running[k - 1] is C[k]
+    for d in range(2, n):
+        running.append(running[-1][:-1] + (x[d:] < x[:-d]))
+    codes = running[n - 2][:span:step].astype(np.int32)
+    for a in range(1, n - 1):
+        codes *= n - a
+        codes += running[n - 2 - a][a:a + span:step]
+    counts = np.zeros(factorial(n), dtype=np.int64)
+    counts[_lehmer_table(n)] = np.bincount(codes, minlength=counts.size)
+    return counts
+
+
 def ordinal_pattern_counts(series: Series, n: int) -> np.ndarray:
     """Histogram of ordinal patterns over the N-n+1 overlapping windows.
 
-    Dense array of n! counters; sums to N-n+1 exactly.
+    Dense array of n! counters, indexed by the pattern codes of
+    ``ordinal_pattern_codes``; sums to N-n+1 exactly. The windows are not
+    built: ``_ordinal_counts`` reads the patterns off n-1 lagged
+    comparisons of the whole series.
     """
     if len(series) < n:
         raise DataError(f"series shorter than tuple (N={len(series)}, n={n})")
-    windows = sliding_window_view(series.values, n)
-    codes = ordinal_pattern_codes(windows)
-    return np.bincount(codes, minlength=factorial(n))
+    return _ordinal_counts(series.values, n)
 
 
 def permutation_entropy(series: Series, params: PermEnParams = PermEnParams()) -> float:

@@ -16,7 +16,7 @@ import numpy as np
 from scipy import special
 
 from .core import DataError, NumericalError, Series
-from .entropy import ordinal_pattern_codes
+from .entropy import _ordinal_counts
 
 __all__ = [
     "PermutationTestResult",
@@ -78,7 +78,10 @@ def permutation_test(series: Series, t: int = 5) -> PermutationTestResult:
     """Chi-square test of ordinal-pattern uniformity over disjoint groups.
 
     Groups start at index 0 and do not overlap; trailing samples that do
-    not fill a group are discarded. The statistic is computed as
+    not fill a group are discarded. The groups are the windows of length t
+    at step t, so their pattern counts come from the kernel that permutation
+    entropy uses (``entropy._ordinal_counts``), and ``counts`` is indexed
+    by the same pattern codes. The statistic is computed as
     sum(O^2) * t! / G - G, which is algebraically Pearson's statistic with
     E = G/t! and integer-exact until the final division.
     """
@@ -87,10 +90,8 @@ def permutation_test(series: Series, t: int = 5) -> PermutationTestResult:
     g = n // t
     if g == 0:
         raise DataError(f"no complete group (N={n} < t={t})")
-    groups = series.values[: g * t].reshape(g, t)
-    codes = ordinal_pattern_codes(groups)
+    counts = _ordinal_counts(series.values, t, step=t)
     cats = factorial(t)
-    counts = np.bincount(codes, minlength=cats).astype(np.int64)
     sum_sq = int((counts * counts).sum())
     chi_square = sum_sq * cats / g - g
     df = cats - 1

@@ -615,3 +615,35 @@ class TestErrorContract:
                      *(["--partial-blocks"] if partial else []),
                      *([f"--scales={','.join(map(str, scales))}"] if scales is not None else [])]
         self.check(capsys, *argv)
+
+    @fuzz
+    @given(groups=st.lists(st.lists(st.lists(st.integers(-3, 3), min_size=1, max_size=30),
+                                    min_size=2, max_size=4), min_size=2, max_size=2),
+           metrics=st.lists(st.sampled_from(METRIC_NAMES), max_size=4, unique=True),
+           # compare-groups refuses --scales and an unknown --runs-variant,
+           # so both are drawn rarely
+           scales=st.sampled_from((None,) * 7 + ("1", "0", "1,2,3")),
+           bounds=st.dictionaries(st.sampled_from(("--m", "--n", "--t")), st.integers(0, 9),
+                                  max_size=3),
+           runs_variant=st.sampled_from((None, "above_below_median", "up_down") * 3
+                                        + ("median",)),
+           outputs=st.booleans())
+    def test_compare_groups_flag_combinations(self, capsys, tmp_path, groups, metrics, scales,
+                                              bounds, runs_variant, outputs):
+        # short, tie-heavy groups: too short for some metrics, constant or
+        # repeated across files for some draws; compare-groups takes no --scales
+        argv = ["compare-groups"]
+        for flag, files in zip(("--a", "--b"), groups):
+            argv.append(flag)
+            for i, values in enumerate(files):
+                path = tmp_path / f"{flag[2:]}{i}.txt"
+                path.write_text("".join(f"{v}\n" for v in values))
+                argv.append(str(path))
+        argv += [*(f"--metric={name}" for name in metrics),
+                 *(f"{flag}={value}" for flag, value in bounds.items()),
+                 *([f"--runs-variant={runs_variant}"] if runs_variant is not None else []),
+                 *([f"--scales={scales}"] if scales is not None else [])]
+        if outputs:
+            argv += ["--format=json", f"--out={tmp_path / 'r.json'}",
+                     f"--plot={tmp_path / 'box.svg'}"]
+        self.check(capsys, *argv)

@@ -80,6 +80,34 @@ class TestCoarseGrain:
         with pytest.raises(DataError, match="invalid scale"):
             coarse_grain(make_series([1, 2, 3, 4, 5, 6]), scale)
 
+    @staticmethod
+    def _order_sensitive_series():
+        """Series whose block sums change with the order of the adds, each
+        starting with 1000 samples of -0.0."""
+        rng = np.random.Generator(np.random.PCG64(7))
+        wide = rng.choice([-1.0, 1.0], 1500) * 10.0 ** rng.uniform(-300, 300, 1500)
+        wide[rng.random(1500) < 0.05] = -0.0
+        wide[rng.random(1500) < 0.05] = 0.0
+        cancelling = rng.choice([1e16, -1e16, 1.0, 3.0, 0.1, -0.0], 1500)
+        return [np.concatenate([np.full(1000, -0.0), tail])
+                for tail in (wide, cancelling, rng.normal(size=1500))]
+
+    @pytest.mark.parametrize("partial", ["drop", "mean"])
+    def test_block_means_are_bit_identical_to_numpy_mean(self, partial):
+        # the -0.0 prefix makes every scale up to 1000 average a block of
+        # -0.0, whose mean is +0.0
+        for x in self._order_sensitive_series():
+            n = x.size
+            assert coarse_grain(Series(x), 1, partial=partial).values.tobytes() == x.tobytes()
+            for scale in [*range(2, 141), 200, 256, 1000]:
+                nb = n // scale
+                expected = x[:nb * scale].reshape(nb, scale).mean(axis=1)
+                if partial == "mean" and nb * scale < n:
+                    expected = np.append(expected, x[nb * scale:].mean())
+                out = coarse_grain(Series(x), scale, partial=partial).values
+                assert out.tobytes() == expected.tobytes(), scale
+                assert not np.signbit(out[:1000 // scale]).any()
+
     @given(n=st.integers(1, 400), scale=st.integers(1, 400), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_length_and_mean_preservation(self, n, scale, seed):

@@ -34,7 +34,7 @@ from tscomplex.entropy import _lehmer_table, ordinal_pattern_codes
 from tscomplex.experiments import logistic_recipe
 from tscomplex.metrics import METRIC_NAMES, build_metrics, AnalysisConfig
 
-from conftest import make_series
+from conftest import TIE_KINDS, argsort_lehmer_codes, make_series, tie_heavy_values
 from oracles import (
     ordinal_counts_direct,
     permen_direct,
@@ -250,28 +250,12 @@ class TestPermutationEntropy:
         assert after == before
 
 
-def argsort_lehmer_codes(rows):
-    """The definition: the stable ascending argsort of each row, as a Lehmer code."""
-    n = rows.shape[1]
-    sigma = np.argsort(rows, axis=1, kind="stable")
-    codes = np.zeros(rows.shape[0], dtype=np.int64)
-    for i in range(n - 1):
-        codes = codes * (n - i) + (sigma[:, i + 1:] < sigma[:, i:i + 1]).sum(axis=1)
-    return codes
-
-
 class TestOrdinalPatternCodes:
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8), size=st.integers(8, 400),
-           kind=st.sampled_from(["integer", "grid128", "constant_runs"]))
+           kind=st.sampled_from(TIE_KINDS))
     @settings(max_examples=120, deadline=None)
     def test_tie_heavy_codes_match_the_argsort_definition(self, seed, n, size, kind):
-        rng = np.random.Generator(np.random.PCG64(seed))
-        if kind == "integer":
-            x = rng.integers(-3, 4, size=size).astype(float)
-        elif kind == "grid128":
-            x = np.round(rng.normal(size=size) * 128) / 128
-        else:
-            x = np.repeat(rng.normal(size=size), rng.integers(1, 2 * n, size=size))[:size]
+        x = tie_heavy_values(seed, kind, size, n)
         windows = sliding_window_view(x, n)
         groups = x[: size // n * n].reshape(size // n, n)
         for rows in (windows, groups):
@@ -281,6 +265,22 @@ class TestOrdinalPatternCodes:
     def test_table_is_a_permutation_of_the_codes(self, n):
         table = _lehmer_table(n)
         assert np.array_equal(np.sort(table), np.arange(factorial(n)))
+
+
+class TestOrdinalPatternCounts:
+    """The histogram read off the lagged comparisons, per pattern code."""
+
+    @pytest.mark.parametrize("kind", TIE_KINDS)
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_counts_per_code_match_the_argsort_definition(self, n, kind):
+        # N = n is a single window
+        for seed, size in enumerate((n, n + 1, 2 * n - 1, 3 * n + 2, 401)):
+            x = tie_heavy_values(seed, kind, size, n)
+            expected = np.bincount(argsort_lehmer_codes(sliding_window_view(x, n)),
+                                   minlength=factorial(n))
+            counts = ordinal_pattern_counts(Series(x), n)
+            assert counts.dtype == np.int64
+            assert np.array_equal(counts, expected), (size, seed)
 
 
 class TestMseSweep:

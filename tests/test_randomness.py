@@ -19,7 +19,7 @@ from tscomplex import (
 )
 from tscomplex.experiments import logistic_recipe
 
-from conftest import make_series
+from conftest import TIE_KINDS, argsort_lehmer_codes, make_series, tie_heavy_values
 from oracles import chi2_sf_quad, normal_sf_quad, runs_direct, welch_direct
 
 
@@ -68,6 +68,19 @@ class TestPermutationTest:
             permutation_test(make_series(range(100)), 1)
         with pytest.raises(ValueError):
             permutation_test(make_series(range(100)), 9)
+
+    @pytest.mark.parametrize("kind", TIE_KINDS)
+    @pytest.mark.parametrize("t", range(2, 9))
+    def test_counts_per_code_match_the_argsort_definition(self, t, kind):
+        # N = t is a single group; the others leave remainders 0 to t-1
+        for seed, size in enumerate((t, t + 1, 2 * t - 1, 5 * t, 5 * t + t // 2, 403)):
+            x = tie_heavy_values(seed, kind, size, t)
+            g = size // t
+            expected = np.bincount(argsort_lehmer_codes(x[:g * t].reshape(g, t)),
+                                   minlength=factorial(t))
+            res = permutation_test(Series(x), t)
+            assert res.group_count == g
+            assert res.counts == tuple(expected.tolist()), (size, seed)
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
