@@ -58,7 +58,6 @@ __all__ = [
     "MseProfile",
     "sample_entropy",
     "permutation_entropy",
-    "ordinal_pattern_codes",
     "ordinal_pattern_counts",
     "mse_sweep",
     "mse_sweeps",
@@ -248,22 +247,10 @@ def _lehmer_table(n: int) -> np.ndarray:
     return table
 
 
-def ordinal_pattern_codes(windows: np.ndarray) -> np.ndarray:
-    """Map each row of ``windows`` to its ordinal-pattern code in [0, n!).
-
-    The code is the Lehmer code of the row's stable ascending argsort
-    (equal values rank by position, earlier first). No row is sorted:
-    stably, position b > a ranks below a when ``(w[b], b) < (w[a], a)``,
-    which is the strict ``w[b] < w[a]``, so the row's own inversion code
-    fixes its pattern, ties included, and indexes an n!-entry table.
-    """
-    return _lehmer_table(windows.shape[1])[_inversion_codes(windows)]
-
-
 def _ordinal_counts(x: np.ndarray, n: int, step: int = 1) -> np.ndarray:
     """Pattern counts of the windows ``x[s:s+n]`` for s = 0, step, 2*step, ...
-    while s+n <= N: a dense array of n! int64 counters, indexed like
-    ``ordinal_pattern_codes``.
+    while s+n <= N: a dense array of n! int64 counters, indexed by the Lehmer
+    code of the window's stable ascending argsort (ties rank by position).
 
     Digit a of a window's inversion code counts the later b with
     ``x[s+b] < x[s+a]``, so it is ``C[n-1-a][s+a]`` with
@@ -292,8 +279,8 @@ def _ordinal_counts(x: np.ndarray, n: int, step: int = 1) -> np.ndarray:
 def ordinal_pattern_counts(series: Series, n: int) -> np.ndarray:
     """Histogram of ordinal patterns over the N-n+1 overlapping windows.
 
-    Dense array of n! counters, indexed by the pattern codes of
-    ``ordinal_pattern_codes``; sums to N-n+1 exactly. The windows are not
+    Dense array of n! counters, indexed by the Lehmer code of each window's
+    stable argsort; sums to N-n+1 exactly. The windows are not
     built: ``_ordinal_counts`` reads the patterns off n-1 lagged
     comparisons of the whole series.
     """

@@ -26,8 +26,8 @@ from . import reference as ref
 from .core import DataError, Metric, MetricResult, NumericalError, Series
 from .entropy import MseProfile, mse_sweeps
 from .generators import add_noise, arma_simulate, derive_seed, generate_iid, logistic_map
-from .metrics import METRIC_NAMES, AnalysisConfig, build_metrics
-from .randomness import TTestResult, chi_square_sf, normal_sf, welch_t_test
+from .metrics import METRIC_NAMES, AnalysisConfig, build_metrics, row_of
+from .randomness import TTestResult, welch_t_test
 from .report import ExperimentReport, refuse_duplicate_labels
 from .seriesio import read_series
 
@@ -151,14 +151,12 @@ def _mean_result(profiles: Sequence[MseProfile], name: str) -> MetricResult:
     failed = len(results) - len(values)
     if failed:
         warn = (f"{failed} replication(s) failed",)
-    if name == "permtest":
-        df = next(r.df for r in results if r.df is not None)
-        return MetricResult(metric=name, value=mean, statistic=mean, df=df,
-                            p_value=chi_square_sf(mean, int(df)), warnings=warn)
-    if name == "runstest":
-        return MetricResult(metric=name, value=mean, statistic=mean,
-                            p_value=2.0 * normal_sf(abs(mean)), warnings=warn)
-    return MetricResult(metric=name, value=mean, warnings=warn)
+    tail = row_of(name).tail
+    if tail is None:
+        return MetricResult(metric=name, value=mean, warnings=warn)
+    df = next((r.df for r in results if r.df is not None), None)
+    return MetricResult(metric=name, value=mean, statistic=mean, df=df,
+                        p_value=tail(mean, df), warnings=warn)
 
 
 def _ordered_counts(ladders: Iterable[Sequence[MseProfile]]) -> dict[str, int]:
@@ -169,7 +167,7 @@ def _ordered_counts(ladders: Iterable[Sequence[MseProfile]]) -> dict[str, int]:
     for ladder in ladders:
         for name in ladder[0].metrics:
             values = [p.results[(1, name)].value for p in ladder]
-            keys = values if name in ("sampen", "permen") else [-abs(v) for v in values]
+            keys = values if row_of(name).tail is None else [-abs(v) for v in values]
             counts[name] = counts.get(name, 0) + all(a < b for a, b in zip(keys, keys[1:]))
     return counts
 

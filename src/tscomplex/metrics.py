@@ -1,27 +1,29 @@
 """The metric table and the shared analysis configuration.
 
-``build_metrics`` turns a config into named evaluators, one per selected
-metric, each bound to parameters the config checked when it was built.
-The single path that applies them is ``entropy.mse_sweeps``: it
-coarse-grains each series, evaluates every metric per scale and records a
-failed evaluation as a NaN cell; scale-1 scoring is a sweep over ``(1,)``,
-and ``entropy.mse_sweep`` is its one-series form. The (series, scale)
-cells of a sweep are scored concurrently on one thread pool, so an
-evaluator must not call a sweep itself. Each metric declares whether it
-holds the interpreter lock; a sweep of lock-holding metrics only runs in
-the calling thread.
-A result carries the statistic/df/p-value fields when the underlying score
-is a hypothesis test.
+A metric is one row of ``_METRICS``: its parameters drawn from the config,
+its evaluator, whether it holds the interpreter lock, its test's tail and
+its map onto the comparison scale. Other modules read a metric's row
+through ``row_of`` instead of testing its name; a name outside the table,
+which a report file may carry, reads as an entropy on the plain min-max
+scale. ``build_metrics`` binds each selected metric to parameters the
+config checked when it was built. The single path that applies them is
+``entropy.mse_sweeps``, which records a failed evaluation as a NaN cell
+and scores the (series, scale) cells on one thread pool, so an evaluator
+must not call a sweep; a sweep of lock-holding metrics runs in the calling
+thread. A test's result carries its statistic, df and p-value.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from typing import Callable, NamedTuple
 
-from .core import Metric, MetricResult, Series
+import numpy as np
+
+from .core import DataError, Metric, MetricResult, Series
 from .entropy import PermEnParams, SampEnParams, permutation_entropy, sample_entropy
-from .randomness import (RunsVariant, check_group_size, check_runs_variant,
-                         permutation_test, runs_test)
+from .randomness import (RunsVariant, check_group_size, check_runs_variant, chi_square_sf,
+                         normal_sf, permutation_test, runs_test)
 
 __all__ = [
     "AnalysisConfig",
@@ -29,9 +31,66 @@ __all__ = [
     "METRIC_NAMES",
 ]
 
-METRIC_NAMES = ("sampen", "permen", "permtest", "runstest")
+
+def _permtest(series: Series, params: int) -> MetricResult:
+    res = permutation_test(series, params)
+    warnings = ()
+    if res.low_expected_warning:
+        warnings = (f"low expected count ({res.group_count}/{res.df + 1} < 5 per category)",)
+    return MetricResult(
+        metric="permtest",
+        value=res.chi_square,
+        statistic=res.chi_square,
+        df=float(res.df),
+        p_value=res.p_value,
+        warnings=warnings,
+    )
+
+
+def _runstest(series: Series, params: RunsVariant) -> MetricResult:
+    res = runs_test(series, params)
+    return MetricResult(metric="runstest", value=res.z, statistic=res.z, p_value=res.p_value)
+
+
+def _inv_ln(chi_square: float) -> float:
+    if chi_square <= 1.0:  # NaN fails no comparison and stays NaN
+        raise DataError(f"rescale needs permtest scores > 1, got {chi_square}")
+    return float(1.0 / np.log(chi_square))
+
+
+def _inv_abs(z: float) -> float:
+    if z == 0.0:
+        raise DataError("rescale needs nonzero runstest scores, got 0")
+    return 1.0 / abs(z)
+
+
+class MetricRow(NamedTuple):
+    params_of: Callable  # the config -> the metric's parameters, checked
+    evaluate: Callable   # (series, params=...) -> MetricResult
+    holds_lock: bool = False  # sampen's kd-tree frees it; the rest run short numpy steps
+    tail: Callable | None = None  # a test's (statistic, df) -> p-value; None for an entropy
+    to_scale: Callable = float    # a score on the comparison scale, before its min-max step
+
+
+_METRICS = {
+    "sampen": MetricRow(lambda c: SampEnParams(m=c.m, r_factor=c.r_factor, r_mode=c.r_mode),
+                        lambda x, params: MetricResult("sampen", sample_entropy(x, params).value)),
+    "permen": MetricRow(lambda c: PermEnParams(n=c.n), lambda x, params: MetricResult(
+        "permen", permutation_entropy(x, params)), True),
+    "permtest": MetricRow(lambda c: check_group_size(c.t), _permtest, True,
+                          lambda s, df: chi_square_sf(s, int(df)), _inv_ln),
+    "runstest": MetricRow(lambda c: check_runs_variant(c.runs_variant), _runstest, True,
+                          lambda s, df: 2.0 * normal_sf(abs(s)), _inv_abs),
+}
+
+METRIC_NAMES = tuple(_METRICS)
 
 DEFAULT_SCALES = (1, 2, 3, 4, 5, 10)
+
+
+def row_of(name: str) -> MetricRow:
+    """The table's row for ``name``; any other name gets a row with the defaults."""
+    return _METRICS.get(name, MetricRow(None, None))
 
 
 @dataclass(frozen=True)
@@ -56,8 +115,8 @@ class AnalysisConfig:
         unknown = [m for m in self.metrics if m not in METRIC_NAMES]
         if unknown:
             raise ValueError(f"unknown metric(s): {', '.join(unknown)}")
-        for params_of, _, _ in _METRICS.values():
-            params_of(self)
+        for row in _METRICS.values():
+            row.params_of(self)
         if not self.scales:
             raise ValueError("empty scale list")
         if self.scales[0] < 1:
@@ -66,51 +125,11 @@ class AnalysisConfig:
             raise ValueError("scales must be strictly increasing")
 
 
-def _sampen(series: Series, params: SampEnParams) -> MetricResult:
-    return MetricResult(metric="sampen", value=sample_entropy(series, params).value)
-
-
-def _permen(series: Series, params: PermEnParams) -> MetricResult:
-    return MetricResult(metric="permen", value=permutation_entropy(series, params))
-
-
-def _permtest(series: Series, params: int) -> MetricResult:
-    res = permutation_test(series, params)
-    warnings = ()
-    if res.low_expected_warning:
-        warnings = (f"low expected count ({res.group_count}/{res.df + 1} < 5 per category)",)
-    return MetricResult(
-        metric="permtest",
-        value=res.chi_square,
-        statistic=res.chi_square,
-        df=float(res.df),
-        p_value=res.p_value,
-        warnings=warnings,
-    )
-
-
-def _runstest(series: Series, params: RunsVariant) -> MetricResult:
-    res = runs_test(series, params)
-    return MetricResult(metric="runstest", value=res.z, statistic=res.z, p_value=res.p_value)
-
-
-# name -> (the metric's parameters drawn from the config, its evaluator,
-# whether it holds the interpreter lock: only the sample-entropy kd-tree
-# releases it, the other three run short numpy steps between Python code)
-_METRICS = {
-    "sampen": (lambda c: SampEnParams(m=c.m, r_factor=c.r_factor, r_mode=c.r_mode), _sampen,
-               False),
-    "permen": (lambda c: PermEnParams(n=c.n), _permen, True),
-    "permtest": (lambda c: check_group_size(c.t), _permtest, True),
-    "runstest": (lambda c: check_runs_variant(c.runs_variant), _runstest, True),
-}
-
-
 def build_metrics(config: AnalysisConfig) -> list[Metric]:
     """Metrics selected by the config, in the config's order, each bound to
     its parameters, built once here."""
     metrics = []
     for name in config.metrics:
-        params_of, evaluate, holds_lock = _METRICS[name]
+        params_of, evaluate, holds_lock = _METRICS[name][:3]
         metrics.append(Metric(name, partial(evaluate, params=params_of(config)), holds_lock))
     return metrics

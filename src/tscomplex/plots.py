@@ -6,10 +6,10 @@ one scale, raw values or, with ``rescale``, the comparison scale below),
 and ``box_by_group`` (value distributions per group and metric; a row
 label of the form ``group:member`` contributes to box group ``group``).
 
-The comparison scale puts the four metrics side by side on [0, 1]: a
-chi-square score becomes 1/ln(chi-square), a runs-test z becomes 1/|z|, and
-then each metric is min-max scaled over its finite cells (0.5 when those are
-all equal). A failed (NaN) cell stays NaN and draws no bar.
+The comparison scale puts the four metrics side by side on [0, 1]: the
+metric table's row maps each score (a chi-square to 1/ln(chi-square), a
+runs-test z to 1/|z|), then each metric is min-max scaled over its finite
+cells (0.5 when those are all equal). A failed (NaN) cell draws no bar.
 
 Output is byte-deterministic for identical reports: no timestamps, no
 generated ids, fixed float formatting.
@@ -22,6 +22,7 @@ from typing import Literal
 import numpy as np
 
 from .core import DataError
+from .metrics import row_of
 from .report import ExperimentReport
 
 __all__ = ["render_plot"]
@@ -130,21 +131,12 @@ def render_plot(report: ExperimentReport, kind: PlotKind, *, rescale: bool = Fal
 def _comparison_scale(report: ExperimentReport) -> list[float]:
     """Each row's value on the comparison scale, per metric over all of the
     report's rows for that metric."""
-    rows_of: dict[str, list[int]] = {}
+    idxs_of: dict[str, list[int]] = {}
     for i, row in enumerate(report.rows):
-        rows_of.setdefault(row.metric, []).append(i)
+        idxs_of.setdefault(row.metric, []).append(i)
     out = [math.nan] * len(report.rows)
-    for metric, idxs in rows_of.items():
-        raw = [report.rows[i].value for i in idxs]
-        if metric == "permtest":
-            bad = [v for v in raw if v <= 1.0]  # NaN fails no comparison
-            if bad:
-                raise DataError(f"rescale needs permtest scores > 1, got {bad[0]}")
-            raw = [float(1.0 / np.log(v)) for v in raw]
-        elif metric == "runstest":
-            if 0.0 in raw:
-                raise DataError("rescale needs nonzero runstest scores, got 0")
-            raw = [1.0 / abs(v) for v in raw]
+    for metric, idxs in idxs_of.items():
+        raw = [row_of(metric).to_scale(report.rows[i].value) for i in idxs]
         finite = [v for v in raw if math.isfinite(v)]
         lo, hi = min(finite, default=0.0), max(finite, default=0.0)
         for i, v in zip(idxs, raw):

@@ -647,3 +647,29 @@ class TestErrorContract:
             argv += ["--format=json", f"--out={tmp_path / 'r.json'}",
                      f"--plot={tmp_path / 'box.svg'}"]
         self.check(capsys, *argv)
+
+    @fuzz
+    @given(experiment=st.sampled_from(tuple(EXPERIMENTS)),
+           metrics=st.lists(st.sampled_from(METRIC_NAMES), max_size=4, unique=True),
+           # the generated series have 1000 points, so scales past that are refused
+           scales=st.none() | st.lists(st.sampled_from((-1, 0, 1, 2, 5, 999, 1000, 1001, 5000)),
+                                       min_size=1, max_size=3, unique=True).map(sorted),
+           replications=st.sampled_from((0, -1) + (1, 2) * 2),
+           seed=st.none() | st.integers(-1, 2**64),
+           data_dir=st.sampled_from((None, "missing", "empty", "file")),
+           bounds=st.dictionaries(st.sampled_from(("--m", "--n", "--t")), st.integers(0, 9),
+                                  max_size=3))
+    def test_reproduce_flag_combinations(self, capsys, tmp_path, experiment, metrics, scales,
+                                         replications, seed, data_dir, bounds):
+        # never the default 30 replications, so each example stays short, and
+        # a valid count twice as often as a refused one; the data file is a
+        # short tie-heavy series, which santafe reads
+        (tmp_path / "empty").mkdir(exist_ok=True)
+        (tmp_path / "file").write_text("".join(f"{v % 7 - 3}\n" for v in range(50)))
+        argv = ["reproduce", experiment, f"--replications={replications}",
+                *(f"--metric={name}" for name in metrics),
+                *([f"--scales={','.join(map(str, scales))}"] if scales is not None else []),
+                *([f"--seed={seed}"] if seed is not None else []),
+                *([f"--data-dir={tmp_path / data_dir}"] if data_dir is not None else []),
+                *(f"{flag}={value}" for flag, value in bounds.items())]
+        self.check(capsys, *argv)

@@ -136,7 +136,10 @@ class TestRescale:
         return _comparison_scale(report)
 
     def test_minmax(self):
-        assert self.scale("sampen", [0, 5, 10]) == [0.0, 0.5, 1.0]
+        # the entropies, and a metric the table does not know (a report file
+        # may name any), are min-max scaled only
+        for metric in ("sampen", "permen", "chi2x"):
+            assert self.scale(metric, [0, 5, 10]) == [0.0, 0.5, 1.0]
 
     def test_inv_ln(self):
         # 1/ln gives 1, 1/2, 1/4 before the min-max step

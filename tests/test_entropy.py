@@ -30,7 +30,7 @@ from tscomplex import (
     sample_entropy,
 )
 from tscomplex import entropy
-from tscomplex.entropy import _lehmer_table, ordinal_pattern_codes
+from tscomplex.entropy import _lehmer_table
 from tscomplex.experiments import logistic_recipe
 from tscomplex.metrics import METRIC_NAMES, build_metrics, AnalysisConfig
 
@@ -251,16 +251,6 @@ class TestPermutationEntropy:
 
 
 class TestOrdinalPatternCodes:
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8), size=st.integers(8, 400),
-           kind=st.sampled_from(TIE_KINDS))
-    @settings(max_examples=120, deadline=None)
-    def test_tie_heavy_codes_match_the_argsort_definition(self, seed, n, size, kind):
-        x = tie_heavy_values(seed, kind, size, n)
-        windows = sliding_window_view(x, n)
-        groups = x[: size // n * n].reshape(size // n, n)
-        for rows in (windows, groups):
-            assert np.array_equal(ordinal_pattern_codes(rows), argsort_lehmer_codes(rows))
-
     @pytest.mark.parametrize("n", range(2, 9))
     def test_table_is_a_permutation_of_the_codes(self, n):
         table = _lehmer_table(n)

@@ -12,10 +12,12 @@ from tscomplex import (
     arma_simulate,
     derive_seed,
     generate_iid,
+    mse_sweeps,
     sample_entropy,
 )
 from tscomplex.reference import L35N
 from tscomplex.experiments import (
+    _mean_result,
     compare_groups,
     find_santafe_file,
     logistic_recipe,
@@ -142,6 +144,24 @@ class TestReproduceOthers:
             direct = metric(series)
             row = result.report.get(series.label, 1, metric.name)
             assert row.value == direct.value
+
+
+class TestMeanResult:
+    @pytest.mark.parametrize("seed", (1, 2, 3))
+    def test_one_replication_is_its_cell(self, seed):
+        # the metric table's tail gives the mean the p-value the kernel gives
+        # the cell, bit for bit
+        series = [generate_iid("normal", 500, seed),
+                  arma_simulate((0.9,), (), 500, seed),
+                  add_noise(logistic_recipe(3.5), seed, sd_absolute=0.1)]
+        metrics = build_metrics(AnalysisConfig())
+        fields = ("value", "statistic", "df", "p_value")
+        for profile in mse_sweeps(series, (1,), metrics):
+            for metric in metrics:
+                cell = profile.results[(1, metric.name)]
+                mean = _mean_result([profile], metric.name)
+                assert ([repr(getattr(mean, f)) for f in fields]
+                        == [repr(getattr(cell, f)) for f in fields]), metric.name
 
 
 class TestCompareGroups:
