@@ -104,7 +104,10 @@ def _as_series(item: str | Series) -> Series:
 def _emit(text: str, out: str | None) -> None:
     """Write a command's output to the ``--out`` path, or to stdout without one."""
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise DataError(f"cannot write {out}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 

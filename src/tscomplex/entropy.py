@@ -20,17 +20,17 @@ behind both permutation entropy and the permutation test.
 
 ``mse_sweeps`` is the single evaluation path, and ``mse_sweep`` its
 one-series form. Threads go only where the sample-entropy kernel releases
-the interpreter lock: a sweep shares its (series, scale) cells out over
-the CPUs, each cell whole in one thread, and counts each cell's pairs in
-one tree. A sweep made only of lock-holding metrics runs in the calling
-thread. A cell must not call a sweep.
+the interpreter lock: a sweep starts a helper thread per extra CPU, shares
+its (series, scale) cells out over them and the calling thread, each cell
+whole in one thread, counts each cell's pairs in one tree, and joins the
+helpers before it returns. A sweep made only of lock-holding metrics runs
+in the calling thread.
 """
 from __future__ import annotations
 
 import os
 import queue
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
@@ -320,68 +320,49 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-# One pool for the process, built on first use. A forked child inherits the
-# pool object but not its threads, and the lock as some thread held it, so
-# it forgets both and builds its own pool.
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
-
-
-def _executor() -> ThreadPoolExecutor:
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max_workers=_cpus(),
-                                       thread_name_prefix="tscomplex-sweep")
-        return _pool
-
-
-def _forget_pool() -> None:
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
 def _map_in_order(fn: Callable[[T], R], items: Sequence[T], workers: int) -> list[R]:
     """``[fn(item) for item in items]``, shared out over ``workers`` threads.
 
-    The calling thread and up to ``workers - 1`` pool workers (no more
-    than there are items) each take the next item until none is left, so
-    with one worker or one item everything runs in the calling thread. A
-    helper still queued when the items run out is cancelled rather than
-    waited for. An exception stops any further item from starting and
-    propagates once every started item has ended.
+    The calling thread and ``min(workers, len(items)) - 1`` helper threads,
+    started here and joined before it returns, each take the next item
+    until none is left, so with one worker or one item everything runs in
+    the calling thread. An exception, or an interrupt while the caller
+    waits, stops any further item from starting and propagates once every
+    started item has ended.
     """
     todo: queue.SimpleQueue[int] = queue.SimpleQueue()
     for i in range(len(items)):
         todo.put(i)
     results: list = [None] * len(items)
-    failed = threading.Event()
+    errors: list[BaseException] = []
 
     def take() -> None:
-        while not failed.is_set():
+        while not errors:
             try:
                 i = todo.get_nowait()
             except queue.Empty:
                 return
             try:
                 results[i] = fn(items[i])
-            except BaseException:
-                failed.set()
-                raise
+            except BaseException as exc:
+                errors.append(exc)
 
-    helpers = [_executor().submit(take) for _ in range(min(workers, len(items)) - 1)]
+    helpers: list[threading.Thread] = []
     try:
+        for _ in range(min(workers, len(items)) - 1):
+            helper = threading.Thread(target=take, name="tscomplex-sweep")
+            helper.start()
+            helpers.append(helper)
         take()
-    finally:
-        # a helper still queued would find nothing left to take
-        started = [h for h in helpers if not h.cancel()]
-        wait(started)
-    for h in started:
-        h.result()
+        for helper in helpers:
+            helper.join()
+    except BaseException as exc:  # an interrupt, or a helper that could not start
+        errors.append(exc)
+        for helper in helpers:
+            helper.join()
+        raise
+    if errors:
+        raise errors[0]
     return results
 
 
@@ -404,16 +385,17 @@ def mse_sweeps(
 
     The scales and every series' length are checked before any cell runs.
     The (series, scale) cells are independent, so they are shared out in
-    series-major order between the calling thread and one module-level
-    thread pool with a worker per CPU in the process's affinity set
-    (``taskset`` limits it); a one-cell sweep runs in the calling thread.
-    Each cell coarse-grains its series and evaluates every metric. The
-    sample-entropy kernel releases the interpreter lock; the other metrics
-    hold it for most of their short cells, so a sweep whose metrics all
-    declare ``holds_lock`` runs in the calling thread, where a second
-    thread would add only lock hand-offs. Results come back in input order,
-    and the output does not depend on the worker count. A metric must not
-    itself call a sweep.
+    series-major order between the calling thread and helper threads that
+    the sweep starts and joins, one per further CPU in the process's
+    affinity set (``taskset`` limits it) and no more than there are cells;
+    a one-cell sweep runs in the calling thread. Each cell coarse-grains
+    its series and evaluates every metric. The sample-entropy kernel
+    releases the interpreter lock; the other metrics hold it for most of
+    their short cells, so a sweep whose metrics all declare ``holds_lock``
+    runs in the calling thread, where a second thread would add only lock
+    hand-offs. Results come back in input order, and the output does not
+    depend on the worker count. A metric may itself call a sweep, which
+    starts helpers of its own.
     """
     if len(scales) == 0:
         raise DataError("empty scale list")

@@ -8,9 +8,9 @@ which a report file may carry, reads as an entropy on the plain min-max
 scale. ``build_metrics`` binds each selected metric to parameters the
 config checked when it was built. The single path that applies them is
 ``entropy.mse_sweeps``, which records a failed evaluation as a NaN cell
-and scores the (series, scale) cells on one thread pool, so an evaluator
-must not call a sweep; a sweep of lock-holding metrics runs in the calling
-thread. A test's result carries its statistic, df and p-value.
+and shares the (series, scale) cells out over threads it starts and joins;
+a sweep of lock-holding metrics runs in the calling thread. A test's
+result carries its statistic, df and p-value.
 """
 from __future__ import annotations
 

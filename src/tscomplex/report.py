@@ -123,6 +123,10 @@ def read_report_json(path: str | Path) -> ExperimentReport:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid report JSON: {exc}") from exc
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: not UTF-8 text") from None
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror}") from None
     if not isinstance(data, list):
         raise DataError(f"{path}: report JSON must be an array of row objects")
     report = ExperimentReport()

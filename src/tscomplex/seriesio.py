@@ -33,11 +33,16 @@ def read_series(file: str | Path) -> Series:
     if not path.is_file():
         raise DataError(f"missing file: {path}")
     values = []
-    with path.open("r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            values.append(_parse_real(line, path, line_no))
+    try:
+        with path.open("r", encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                values.append(_parse_real(line, path, line_no))
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: not UTF-8 text") from None
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror}") from None
     if not values:
         raise DataError(f"{path}: no values")
     return Series(values, label=path.stem)

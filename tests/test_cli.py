@@ -229,6 +229,8 @@ class TestMalformedJson:
          "row 0: value must be a finite number"),
         ([{"label": "a", "scale": 1, "metric": "permen", "value": True}],
          "row 0: value must be a finite number"),
+        ([{"label": "a", "scale": 1, "metric": "permen", "value": 0.5, "warnings": "x"}],
+         "row 0: warnings must be a list of strings"),
     ])
     def test_report_row_is_a_data_error(self, capsys, tmp_path, rows, reason):
         report_path = tmp_path / "r.json"
@@ -238,6 +240,56 @@ class TestMalformedJson:
         assert code == 2
         assert err.startswith(f"tscomplex: data error: {report_path}: {reason}")
         assert err.count("\n") == 1
+
+
+class TestFileErrors:
+    """A file that cannot be read or written is a one-line data error that
+    names it."""
+
+    def check(self, capsys, message, *argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith(f"tscomplex: data error: {message}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("name, reason", [("missing.json", "No such file or directory"),
+                                              ("", "Is a directory")], ids=["missing", "dir"])
+    def test_unreadable_report(self, capsys, tmp_path, name, reason):
+        path = tmp_path / name
+        self.check(capsys, f"cannot read {path}: {reason}",
+                   "plot", str(path), "--kind", "line_by_scale", "--out", str(tmp_path / "x.svg"))
+
+    def test_report_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "r.json"
+        path.write_bytes(b'[{"label": "\xff"}]')
+        self.check(capsys, f"{path}: not UTF-8 text\n",
+                   "plot", str(path), "--kind", "line_by_scale", "--out", str(tmp_path / "x.svg"))
+
+    def test_series_file_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "s.txt"
+        path.write_bytes(b"1.0\n2\xff\n3.0\n")
+        self.check(capsys, f"{path}: not UTF-8 text\n", "mse", str(path))
+
+    def test_series_file_not_utf8_keeps_its_place(self, capsys, tmp_path):
+        (tmp_path / "a.txt").write_bytes(b"1.0\n2\xff\n3.0\n")
+        write_series(generate_iid("uniform", 300, seed=1), tmp_path / "b.txt")
+        code, out, _ = run(capsys, "analyze", str(tmp_path / "a.txt"), str(tmp_path / "b.txt"),
+                           "--metric", "permen")
+        assert code == 0
+        rows = out.strip().splitlines()[1:]
+        assert rows[0] == f"a,1,permen,nan,,,,error: {tmp_path / 'a.txt'}: not UTF-8 text"
+        assert rows[1].startswith("b,1,permen,0.")
+
+    @pytest.mark.parametrize("command", ["generate", "analyze", "compare-groups"])
+    def test_unwritable_output(self, capsys, tmp_path, command):
+        files = [str(tmp_path / f"{name}.txt") for name in "abcd"]
+        for seed, path in enumerate(files):
+            write_series(generate_iid("uniform", 300, seed=seed), path)
+        argv = {"generate": ["generate", "--spec", LOGISTIC_SPEC, "--out"],
+                "analyze": ["analyze", *files, "--out"],
+                "compare-groups": ["compare-groups", "--a", *files[:2], "--b", *files[2:],
+                                   "--metric", "permen", "--plot"]}[command]
+        out = tmp_path / "no" / "x.txt"
+        self.check(capsys, f"cannot write {out}: No such file or directory\n", *argv, str(out))
 
 
 class TestGenerate:

@@ -1,4 +1,5 @@
 """Sample entropy, permutation entropy, and the multi-scale sweeps."""
+import contextlib
 import dataclasses
 import math
 import multiprocessing
@@ -147,10 +148,9 @@ class TestSampleEntropy:
                      1.0, id="integer"),
         pytest.param(np.random.Generator(np.random.PCG64(5)).normal(size=300), 0.2, id="normal"),
     ])
-    def test_split_counts_match_bruteforce_oracle(self, sweep_pool, cpus, x, r):
-        # one count per worker of a ``cpus``-worker pool, all at once: each
+    def test_split_counts_match_bruteforce_oracle(self, cpus, x, r):
+        # one count per thread of a ``cpus``-thread map, all at once: each
         # builds its own trees, so every count is the oracle's
-        sweep_pool(cpus)
         want = sampen_pairs_direct(x, 2, r)
         got = entropy._map_in_order(lambda _: entropy._pair_counts(x, 2, r), range(cpus), cpus)
         assert got == [want] * cpus
@@ -324,21 +324,13 @@ def cells(profile):
 
 
 @pytest.fixture
-def sweep_pool(monkeypatch):
-    """Rebuild the sweep pool as if the process could run on ``cpus`` CPUs;
-    every pool built is shut down after the test."""
-    built = []
-
+def sweep_cpus(monkeypatch):
+    """Let sweeps see ``cpus`` CPUs in the process's affinity set."""
     def with_cpus(cpus):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                             raising=False)
-        monkeypatch.setattr(entropy, "_pool", None)
-        built.append(entropy._executor())
-        return built[-1]
 
-    yield with_cpus
-    for pool in built:
-        pool.shutdown()
+    return with_cpus
 
 
 def _meet_in_two_threads(series):
@@ -383,8 +375,8 @@ class TestMseSweeps:
             mse_sweeps(series, [1, 5], [counting])
         assert seen == []
 
-    def test_no_series_starts_after_an_exception(self, sweep_pool):
-        sweep_pool(1)
+    def test_no_series_starts_after_an_exception(self, sweep_cpus):
+        sweep_cpus(1)
         seen = []
 
         def boom(series):
@@ -395,45 +387,61 @@ class TestMseSweeps:
             mse_sweeps(self.SERIES, [1, 2], [Metric("boom", boom)])
         assert seen == [600]
 
-    def test_one_cell_runs_in_the_calling_thread(self, sweep_pool):
-        sweep_pool(2)
+    def test_one_cell_runs_in_the_calling_thread(self, sweep_cpus):
+        sweep_cpus(2)
         threads = set()
         where = Metric("where", lambda s: threads.add(threading.get_ident()))
         mse_sweep(self.SERIES[0], [1], [where])
         mse_sweeps(self.SERIES[:1], [1], [where])
         assert threads == {threading.get_ident()}
 
-    def test_series_run_in_parallel(self, sweep_pool):
-        sweep_pool(2)
+    def test_series_run_in_parallel(self, sweep_cpus):
+        sweep_cpus(2)
         _meet_in_two_threads(self.SERIES[0])
 
-    def test_scales_of_one_series_run_in_parallel(self, sweep_pool):
-        sweep_pool(2)
+    def test_scales_of_one_series_run_in_parallel(self, sweep_cpus):
+        sweep_cpus(2)
         # each scale's only cell waits for the other's: one thread alone
         # would break the barrier at its timeout
         barrier = threading.Barrier(2, timeout=10)
         mse_sweep(self.SERIES[0], [1, 2], [Metric("meet", lambda s: barrier.wait())])
 
-    def test_pool_has_a_worker_per_cpu_in_the_affinity_set(self, sweep_pool):
-        assert sweep_pool(1)._max_workers == 1
-        assert sweep_pool(3)._max_workers == 3
+    def test_cpus_counts_the_affinity_set(self, sweep_cpus):
+        sweep_cpus(1)
+        assert entropy._cpus() == 1
+        sweep_cpus(3)
+        assert entropy._cpus() == 3
 
-    def test_without_affinity_the_pool_has_a_worker_per_cpu(self, monkeypatch):
+    def test_without_affinity_cpus_counts_every_cpu(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        monkeypatch.setattr(entropy, "_pool", None)
-        pool = entropy._executor()
-        try:
-            assert pool._max_workers == 3
-        finally:
-            pool.shutdown()
+        assert entropy._cpus() == 3
 
-    def test_cells_do_not_depend_on_the_worker_count(self, sweep_pool):
+    @pytest.mark.parametrize("fail", [False, True], ids=["ok", "raises"])
+    def test_no_thread_outlives_a_sweep(self, sweep_cpus, fail):
+        sweep_cpus(4)
+        before = threading.active_count()
+        metrics = [*self.METRICS, *([Metric("boom", lambda s: 1 / 0)] if fail else [])]
+        with pytest.raises(ZeroDivisionError) if fail else contextlib.nullcontext():
+            mse_sweeps(self.SERIES, [1, 2, 3], metrics)
+        assert threading.active_count() == before
+
+    def test_a_metric_may_call_a_sweep(self, sweep_cpus):
+        # each outer cell sweeps its coarse-grained series again; the inner
+        # sweeps start helpers of their own
+        sweep_cpus(2)
+        inner = build_metrics(AnalysisConfig(metrics=("sampen", "permen")))
+        want = [cells(p) for p in mse_sweeps(self.SERIES, [1, 2], inner)]
+        nested = Metric("nested", lambda s: cells(mse_sweep(s, [1, 2], inner)))
+        got = [p.results[(1, "nested")] for p in mse_sweeps(self.SERIES, [1], [nested])]
+        assert got == want
+
+    def test_cells_do_not_depend_on_the_worker_count(self, sweep_cpus):
         # more workers than cores, switching threads often: a lost or
         # misplaced cell would change the profiles
-        sweep_pool(1)
+        sweep_cpus(1)
         want = [cells(p) for p in mse_sweeps(self.SERIES, [1, 2, 3], self.METRICS)]
-        sweep_pool(4)
+        sweep_cpus(4)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -442,12 +450,12 @@ class TestMseSweeps:
             sys.setswitchinterval(interval)
         assert got == want
 
-    def test_split_cells_do_not_depend_on_the_worker_count(self, sweep_pool):
+    def test_split_cells_do_not_depend_on_the_worker_count(self, sweep_cpus):
         # one series' scales split over the workers, and two series' cells
         batches = [self.SERIES[:1], self.SERIES[2:]]
-        sweep_pool(1)
+        sweep_cpus(1)
         want = [[cells(p) for p in mse_sweeps(b, [1, 2, 3], self.METRICS)] for b in batches]
-        sweep_pool(4)
+        sweep_cpus(4)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -456,8 +464,8 @@ class TestMseSweeps:
             sys.setswitchinterval(interval)
         assert got == want
 
-    def test_lock_holding_sweep_runs_in_the_calling_thread(self, sweep_pool):
-        sweep_pool(2)
+    def test_lock_holding_sweep_runs_in_the_calling_thread(self, sweep_cpus):
+        sweep_cpus(2)
         threads = set()
 
         def where(metric):
@@ -472,10 +480,10 @@ class TestMseSweeps:
         assert threads == {threading.get_ident()}
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-    def test_forked_child_builds_its_own_pool(self, uniform_series, sweep_pool):
-        # the child inherits the pool object but not its threads; a child
-        # that submitted to it would sweep both series in one thread
-        sweep_pool(2)
+    def test_child_forked_after_a_sweep_sweeps_two_series_at_once(self, uniform_series,
+                                                                   sweep_cpus):
+        # a child inherits no thread; its sweeps start their own helpers
+        sweep_cpus(2)
         _meet_in_two_threads(uniform_series)
         metrics = build_metrics(AnalysisConfig(metrics=("permen", "runstest")))
         want = cells(mse_sweep(uniform_series, [1, 2], metrics))
