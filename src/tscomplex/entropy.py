@@ -226,23 +226,14 @@ class PermEnParams:
             raise ValueError(f"tuple size must be in [2, 8], got {self.n}")
 
 
-def _inversion_codes(rows: np.ndarray) -> np.ndarray:
-    """Mixed-radix code whose digit a counts the later b with ``row[b] < row[a]``."""
-    n = rows.shape[1]
-    codes = np.zeros(rows.shape[0], dtype=np.int64)
-    for a in range(n - 1):
-        digit = (rows[:, a + 1] < rows[:, a]).astype(np.int64)
-        for b in range(a + 2, n):
-            digit += rows[:, b] < rows[:, a]
-        codes = codes * (n - a) + digit
-    return codes
-
-
 @lru_cache(maxsize=None)
 def _lehmer_table(n: int) -> np.ndarray:
-    """The definition, run on the permutations of range(n) in lexicographic
-    order: row k has inversion code k, so the table is indexed by it."""
-    table = _inversion_codes(np.argsort(list(permutations(range(n))), axis=1, kind="stable"))
+    """Entry k is the Lehmer code of the argsort of the window whose inversion
+    code is k. That window ranks its samples as the k-th permutation of range(n)
+    in lexicographic order; its argsort is the inverse permutation, whose
+    Lehmer code is the inverse's own lexicographic rank."""
+    perms = np.array(list(permutations(range(n))))
+    table = np.unique(np.argsort(perms, axis=1), axis=0, return_inverse=True)[1].ravel()
     table.flags.writeable = False  # every caller shares it
     return table
 

@@ -13,8 +13,8 @@ Randomness policy (pinned so results re-run bit-exactly in CI):
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Any, Literal
+from dataclasses import dataclass, field, fields
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 from scipy import signal, special
@@ -31,8 +31,6 @@ __all__ = [
     "add_noise",
     "build_series",
 ]
-
-IidDist = Literal["uniform", "normal", "exponential"]
 
 _TWO53 = float(1 << 53)
 
@@ -55,21 +53,21 @@ def derive_rng(seed: int | np.random.SeedSequence, *key: int) -> np.random.Gener
     return np.random.Generator(np.random.PCG64(derive_seed(seed, *key)))
 
 
-def _uniform(rng: np.random.Generator, n: int) -> np.ndarray:
-    return rng.random(n)
-
-
 def _normal(rng: np.random.Generator, n: int) -> np.ndarray:
     u = (rng.integers(0, 1 << 53, size=n) + 0.5) / _TWO53
     return special.ndtri(u)
 
 
-def _exponential(rng: np.random.Generator, n: int, rate: float) -> np.ndarray:
-    return -np.log1p(-rng.random(n)) / rate
+# the n draws of each distribution from ``rng``; only the exponential reads rate
+_DRAWS = {
+    "uniform": lambda rng, n, rate: rng.random(n),
+    "normal": lambda rng, n, rate: _normal(rng, n),
+    "exponential": lambda rng, n, rate: -np.log1p(-rng.random(n)) / rate,
+}
 
 
 def generate_iid(
-    dist: IidDist,
+    dist: str,
     n: int,
     seed: int | np.random.SeedSequence,
     *,
@@ -84,18 +82,9 @@ def generate_iid(
     """
     if n < 1:
         raise DataError(f"length must be >= 1, got {n}")
-    rng = derive_rng(seed)
-    total = n + burn_in
-    if dist == "uniform":
-        x = _uniform(rng, total)
-    elif dist == "normal":
-        x = _normal(rng, total)
-    elif dist == "exponential":
-        if rate <= 0:
-            raise DataError(f"exponential rate must be positive, got {rate}")
-        x = _exponential(rng, total, rate)
-    else:
-        raise ValueError(f"unknown distribution: {dist!r}")
+    if rate <= 0:
+        raise DataError(f"rate must be positive, got {rate}")
+    x = _DRAWS[dist](derive_rng(seed), n + burn_in, rate)
     return Series(x[burn_in:], label or dist)
 
 
@@ -191,16 +180,14 @@ def add_noise(
     return Series(noisy, label or series.label)
 
 
-_KINDS = ("uniform", "normal", "exponential", "logistic_map", "arma", "noise_overlay")
-
-
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Reproducible description of a synthetic series.
 
     Parsed from a JSON object with fields kind, params, length, burn_in,
-    seed (and an optional label). A burn_in of None means
-    "kind default": 500 for arma, 0 otherwise.
+    seed (and an optional label). ``params`` may name only the parameters
+    of the kind's row in ``_KINDS``; a parameter or a burn_in left out
+    takes the generator's default.
     """
 
     kind: str
@@ -211,7 +198,7 @@ class GeneratorSpec:
     label: str | None = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if not isinstance(self.kind, str) or self.kind not in _KINDS:
             raise DataError(f"unknown generator kind: {self.kind!r}")
         if self.length < 1:
             raise DataError(f"length must be >= 1, got {self.length}")
@@ -221,19 +208,23 @@ class GeneratorSpec:
             raise DataError(f"seed must be >= 0, got {self.seed}")
         if not isinstance(self.params, dict):
             raise DataError(f"params must be an object, got {self.params!r}")
+        takes = _KINDS[self.kind].params
+        extra = [name for name in self.params if name not in takes]
+        if extra:
+            raise DataError(f"unknown {self.kind} param {extra[0]!r} "
+                            f"(takes: {', '.join(takes) or 'none'})")
         if self.label is not None and not isinstance(self.label, str):
             raise DataError(f"label must be a string, got {self.label!r}")
-
-    @property
-    def effective_burn_in(self) -> int:
-        if self.burn_in is None:
-            return 500 if self.kind == "arma" else 0
-        return self.burn_in
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "GeneratorSpec":
         if "kind" not in d:
             raise DataError("generator spec missing field 'kind'")
+        known = [f.name for f in fields(cls)]
+        extra = [name for name in d if name not in known]
+        if extra:
+            raise DataError(f"unknown generator spec field {extra[0]!r} "
+                            f"(fields: {', '.join(known)})")
         burn = d.get("burn_in")
         return cls(
             kind=d["kind"],
@@ -255,46 +246,61 @@ class GeneratorSpec:
         return cls.from_dict(data)
 
 
-def _spec_numbers(value: Any, name: str) -> list[float]:
-    if not isinstance(value, list):
-        raise DataError(f"{name} must be a list of numbers, got {value!r}")
-    return [json_number(v, name) for v in value]
+def _given_burn_in(spec: GeneratorSpec) -> dict[str, int]:
+    """The spec's burn_in as a keyword, or none, so that the generator's default holds."""
+    return {} if spec.burn_in is None else {"burn_in": spec.burn_in}
+
+
+def _iid(spec: GeneratorSpec) -> Series:
+    rate = {name: json_number(v, name) for name, v in spec.params.items()}
+    return generate_iid(spec.kind, spec.length, spec.seed, **rate,
+                        **_given_burn_in(spec), label=spec.label)
+
+
+def _logistic_map(spec: GeneratorSpec) -> Series:
+    p = spec.params
+    return logistic_map(json_number(p.get("r", 3.9), "r"), json_number(p.get("x0", 0.3), "x0"),
+                        keep=spec.length, total=spec.length + (spec.burn_in or 0),
+                        label=spec.label)
+
+
+def _arma(spec: GeneratorSpec) -> Series:
+    coefficients = {}
+    for name in ("ar", "ma"):
+        value = spec.params.get(name, [])
+        if not isinstance(value, list):
+            raise DataError(f"{name} must be a list of numbers, got {value!r}")
+        coefficients[name] = [json_number(v, name) for v in value]
+    return arma_simulate(**coefficients, n=spec.length, seed=spec.seed,
+                         **_given_burn_in(spec), label=spec.label)
+
+
+def _noise_overlay(spec: GeneratorSpec) -> Series:
+    p = spec.params
+    base = p.get("base")
+    if not isinstance(base, dict):
+        raise DataError("noise_overlay params need a nested 'base' spec object")
+    base_series = build_series(GeneratorSpec.from_dict(base))
+    sizes = {name: None if p.get(name) is None else json_number(p[name], name)
+             for name in ("sd_multiplier", "sd_absolute")}
+    return add_noise(base_series, spec.seed, **sizes, label=spec.label or base_series.label)
+
+
+class _Kind(NamedTuple):
+    build: Callable[[GeneratorSpec], Series]
+    params: tuple[str, ...]  # the names a spec's params may use
+
+
+_KINDS = {
+    "uniform": _Kind(_iid, ()),
+    "normal": _Kind(_iid, ()),
+    "exponential": _Kind(_iid, ("rate",)),
+    "logistic_map": _Kind(_logistic_map, ("r", "x0")),
+    "arma": _Kind(_arma, ("ar", "ma")),
+    "noise_overlay": _Kind(_noise_overlay, ("base", "sd_multiplier", "sd_absolute")),
+}
 
 
 def build_series(spec: GeneratorSpec) -> Series:
     """Materialize a GeneratorSpec into a Series."""
-    p = spec.params
-    if spec.kind in ("uniform", "normal", "exponential"):
-        return generate_iid(
-            spec.kind, spec.length, spec.seed,
-            rate=json_number(p.get("rate", 1.0), "rate"),
-            burn_in=spec.effective_burn_in,
-            label=spec.label,
-        )
-    if spec.kind == "logistic_map":
-        return logistic_map(
-            r=json_number(p.get("r", 3.9), "r"),
-            x0=json_number(p.get("x0", 0.3), "x0"),
-            keep=spec.length,
-            total=spec.length + spec.effective_burn_in,
-            label=spec.label,
-        )
-    if spec.kind == "arma":
-        return arma_simulate(
-            ar=_spec_numbers(p.get("ar", []), "ar"),
-            ma=_spec_numbers(p.get("ma", []), "ma"),
-            n=spec.length,
-            seed=spec.seed,
-            burn_in=spec.effective_burn_in,
-            label=spec.label,
-        )
-    if spec.kind == "noise_overlay":
-        base = p.get("base")
-        if not isinstance(base, dict):
-            raise DataError("noise_overlay params need a nested 'base' spec object")
-        base_series = build_series(GeneratorSpec.from_dict(base))
-        sizes = {name: None if p.get(name) is None else json_number(p[name], name)
-                 for name in ("sd_multiplier", "sd_absolute")}
-        return add_noise(base_series, spec.seed, **sizes,
-                         label=spec.label or base_series.label)
-    raise DataError(f"unknown generator kind: {spec.kind!r}")
+    return _KINDS[spec.kind].build(spec)

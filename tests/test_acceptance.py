@@ -303,7 +303,10 @@ def test_criterion_10_determinism(tmp_path, capsys):
 # The default-flag entries were recorded before the per-table scoring loops
 # were folded into mse_sweep; the santafe and small-sweep entries before the
 # recipes moved behind one experiment table; the chf_nsr entry when that
-# experiment joined the table.
+# experiment joined the table; the generate entries, one spec per generator
+# kind, before the kinds moved into one table. The exponential entry lists two
+# digests: its draws go through numpy's float64 log1p, whose AVX512_SKX loop
+# and libm fallback differ in the last bit for about 7 % of arguments.
 # Re-record only with a change that is meant to alter printed numbers.
 GOLDEN = json.loads((Path(__file__).parent / "golden_digests.json").read_text())
 
@@ -333,5 +336,6 @@ def test_golden_outputs(table1, table2, tmp_path, capsys):
         else:
             assert main(argv) == 0
             out = capsys.readouterr().out
-        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, command
+        accepted = digest if isinstance(digest, list) else [digest]
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() in accepted, command
     announce(f"golden outputs: PASS, {len(GOLDEN)} commands byte-identical")

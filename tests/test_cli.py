@@ -210,11 +210,28 @@ class TestMalformedJson:
         ({"kind": "normal", "length": "4"}, "length"),
         ({"kind": "normal", "length": 50, "seed": "2"}, "seed"),
         ({"kind": "logistic_map", "params": {"r": "3.7"}}, "r"),
+        ({"kind": "exponential", "params": {"rate": 0}}, "rate"),
     ])
     def test_spec_field_is_a_data_error(self, capsys, spec, field):
         code, out, err = run(capsys, "analyze", "--spec", json.dumps(spec))
         assert code == 2
         assert err.startswith(f"tscomplex: data error: {field} must ") and err.count("\n") == 1
+        assert not out
+
+    @pytest.mark.parametrize("spec, field", [
+        ({"kind": "normal", "lenght": 3}, "field 'lenght'"),
+        ({"kind": "logistic_map", "params": {"R": 3.7}}, "logistic_map param 'R'"),
+        ({"kind": "normal", "params": {"rate": 2}}, "normal param 'rate'"),
+        ({"kind": "noise_overlay", "params": {"base": {"kind": "arma", "params": {"x0": 0.3}},
+                                              "sd_absolute": 0.1}}, "arma param 'x0'"),
+        ({"kind": []}, "generator kind: []"),
+        ({"kind": {}}, "generator kind: {}"),
+    ])
+    def test_unknown_spec_name_is_a_data_error(self, capsys, spec, field):
+        code, out, err = run(capsys, "generate", "--spec", json.dumps(spec))
+        assert code == 2
+        assert err.startswith("tscomplex: data error: unknown ") and err.count("\n") == 1
+        assert field in err
         assert not out
 
     @pytest.mark.parametrize("rows, reason", [
@@ -577,7 +594,7 @@ _NUMBERS = st.integers(-5000, 5000) | st.floats(-5000, 5000)
 _VALUES = (st.none() | st.booleans() | _NUMBERS | st.text(max_size=4)
            | st.lists(_NUMBERS, max_size=3))
 _KINDS = ("uniform", "normal", "exponential", "logistic_map", "arma", "noise_overlay")
-_SPEC_FIELDS = ("params", "length", "burn_in", "seed", "label")
+_SPEC_FIELDS = ("params", "length", "burn_in", "seed", "label", "lenght")
 
 
 def _specs(params):

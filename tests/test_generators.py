@@ -1,5 +1,7 @@
 """Seeded generators: determinism, supports, recipes, spec JSON."""
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,11 @@ from tscomplex import (
     logistic_map,
     sample_sd,
 )
+from tscomplex.generators import _KINDS
+
+_README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+SPEC_SECTION = re.search(r"^A generator spec is a JSON object.*?^```\n.*?^```$", _README,
+                         re.S | re.M).group(0)
 
 
 class TestIid:
@@ -197,12 +204,13 @@ class TestGeneratorSpec:
             GeneratorSpec(kind="brownian")
 
     def test_arma_burn_in_defaults_to_500(self):
-        spec = GeneratorSpec.from_dict({"kind": "arma", "params": {"ar": [0.9], "ma": []},
-                                        "length": 100, "seed": 1})
-        assert spec.effective_burn_in == 500
-        explicit = GeneratorSpec.from_dict({"kind": "arma", "params": {"ar": [0.9], "ma": []},
-                                            "length": 100, "burn_in": 0, "seed": 1})
-        assert explicit.effective_burn_in == 0
+        def build(**burn_in):
+            return build_series(GeneratorSpec.from_dict(
+                {"kind": "arma", "params": {"ar": [0.9], "ma": []}, "length": 100, "seed": 1,
+                 **burn_in})).values
+        default = build()
+        assert default.tobytes() == build(burn_in=500).tobytes()
+        assert default.tobytes() != build(burn_in=0).tobytes()
 
     def test_build_each_kind(self):
         specs = [
@@ -234,6 +242,21 @@ class TestGeneratorSpec:
         clean = logistic_map(3.5, 0.3, keep=1000, total=5000)
         resid = noisy.values - clean.values
         assert 0.08 <= float(np.std(resid, ddof=1)) <= 0.12
+
+    def test_readme_examples_build(self):
+        block = re.search(r"^```\n(.*?)\n```$", SPEC_SECTION, re.S | re.M).group(1)
+        examples = [json.loads(line) for line in block.splitlines()]
+        assert [d["kind"] for d in examples] == ["logistic_map", "arma", "noise_overlay"]
+        for d in examples:
+            assert len(build_series(GeneratorSpec.from_dict(d))) == 1000
+
+    def test_readme_table_lists_each_kinds_params(self):
+        listed = {}
+        for kinds, params in re.findall(r"^\| (`\w+`(?:, `\w+`)*) \| (.*?) \|", SPEC_SECTION,
+                                        re.M):
+            for kind in re.findall(r"`(\w+)`", kinds):
+                listed[kind] = tuple(re.findall(r"`([a-z_]\w*)`", params))
+        assert listed == {kind: row.params for kind, row in _KINDS.items()}
 
     def test_noise_overlay_requires_base(self):
         with pytest.raises(DataError, match="base"):
