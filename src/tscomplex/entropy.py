@@ -6,8 +6,9 @@ counts are exact and sub-quadratic: a kd-tree over the distinct templates,
 each weighted by its multiplicity, counts the neighbour pairs in bulk, or
 lists them at length m+1 when the length-m count finds few matches per
 template, so series of ~100k points (24-hour RR-interval recordings) take
-seconds. The default tolerance is a multiple of the series' sample SD
-(``core.sample_sd``).
+seconds. The tree is scipy's ``cKDTree``, imported where the first tree is
+built, so that importing this module loads no scipy. The default
+tolerance is a multiple of the series' sample SD (``core.sample_sd``).
 Permutation entropy histograms the ordinal patterns of overlapping windows,
 with ties broken toward the earlier index (stable sort), and is always
 normalized: the Shannon entropy is divided by ln(n!), so it lies in [0, 1].
@@ -35,11 +36,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 from math import factorial, log
-from typing import Callable, Literal, Mapping, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Literal, Mapping, Sequence, TypeVar
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.spatial import cKDTree
 
 from .core import (
     DataError,
@@ -50,6 +50,9 @@ from .core import (
     coarse_grain,
     sample_sd,
 )
+
+if TYPE_CHECKING:
+    from scipy.spatial import cKDTree
 
 __all__ = [
     "SampEnParams",
@@ -113,6 +116,8 @@ _LIST_BELOW = 128
 def _template_tree(x: np.ndarray, k: int, nt: int) -> tuple[cKDTree, np.ndarray]:
     """A kd-tree over the distinct length-k templates among the first nt,
     and each one's multiplicity."""
+    from scipy.spatial import cKDTree
+
     # one opaque k*8-byte key per template, so that np.unique sorts bytes
     # rather than k-field records; -0.0 and 0.0 stay apart, which changes
     # no count

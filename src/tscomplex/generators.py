@@ -9,6 +9,11 @@ Randomness policy (pinned so results re-run bit-exactly in CI):
 * normal deviates: inverse normal CDF applied to grid midpoints
   ``(k + 0.5) / 2^53`` so the argument stays strictly inside (0, 1);
 * exponential deviates: inverse CDF ``-log1p(-u) / rate``.
+
+The inverse normal CDF is ``scipy.special.ndtri`` and the ARMA filter
+``scipy.signal.lfilter``; each scipy submodule is imported in the function
+that calls it, so uniform and exponential draws and the logistic map load
+no scipy.
 """
 from __future__ import annotations
 
@@ -17,7 +22,6 @@ from dataclasses import dataclass, field, fields
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
-from scipy import signal, special
 
 from .core import DataError, NumericalError, Series, json_number, sample_sd
 
@@ -54,6 +58,8 @@ def derive_rng(seed: int | np.random.SeedSequence, *key: int) -> np.random.Gener
 
 
 def _normal(rng: np.random.Generator, n: int) -> np.ndarray:
+    from scipy import special
+
     u = (rng.integers(0, 1 << 53, size=n) + 0.5) / _TWO53
     return special.ndtri(u)
 
@@ -136,6 +142,8 @@ def arma_simulate(
     Raises on non-stationary AR coefficients (a root of the AR polynomial
     on or inside the unit circle).
     """
+    from scipy import signal
+
     if n < 1:
         raise DataError(f"length must be >= 1, got {n}")
     ar = [float(c) for c in ar]
@@ -186,13 +194,15 @@ class GeneratorSpec:
 
     Parsed from a JSON object with fields kind, params, length, burn_in,
     seed (and an optional label). ``params`` may name only the parameters
-    of the kind's row in ``_KINDS``; a parameter or a burn_in left out
-    takes the generator's default.
+    of the kind's row in ``_KINDS``; a parameter, a length or a burn_in
+    left out takes the generator's default. A noise_overlay takes its length
+    and burn-in from its base: it refuses a burn_in and a length other than
+    the base's.
     """
 
     kind: str
     params: dict[str, Any] = field(default_factory=dict)
-    length: int = 1000
+    length: int | None = None
     burn_in: int | None = None
     seed: int = 0
     label: str | None = None
@@ -200,7 +210,7 @@ class GeneratorSpec:
     def __post_init__(self):
         if not isinstance(self.kind, str) or self.kind not in _KINDS:
             raise DataError(f"unknown generator kind: {self.kind!r}")
-        if self.length < 1:
+        if self.length is not None and self.length < 1:
             raise DataError(f"length must be >= 1, got {self.length}")
         if self.burn_in is not None and self.burn_in < 0:
             raise DataError(f"burn_in must be >= 0, got {self.burn_in}")
@@ -229,7 +239,7 @@ class GeneratorSpec:
         return cls(
             kind=d["kind"],
             params=d.get("params", {}),
-            length=json_number(d.get("length", 1000), "length", int),
+            length=json_number(d["length"], "length", int) if "length" in d else None,
             burn_in=None if burn is None else json_number(burn, "burn_in", int),
             seed=json_number(d.get("seed", 0), "seed", int),
             label=d.get("label"),
@@ -246,6 +256,11 @@ class GeneratorSpec:
         return cls.from_dict(data)
 
 
+def _length(spec: GeneratorSpec) -> int:
+    """The spec's length, or the default of 1000 points."""
+    return 1000 if spec.length is None else spec.length
+
+
 def _given_burn_in(spec: GeneratorSpec) -> dict[str, int]:
     """The spec's burn_in as a keyword, or none, so that the generator's default holds."""
     return {} if spec.burn_in is None else {"burn_in": spec.burn_in}
@@ -253,14 +268,14 @@ def _given_burn_in(spec: GeneratorSpec) -> dict[str, int]:
 
 def _iid(spec: GeneratorSpec) -> Series:
     rate = {name: json_number(v, name) for name, v in spec.params.items()}
-    return generate_iid(spec.kind, spec.length, spec.seed, **rate,
+    return generate_iid(spec.kind, _length(spec), spec.seed, **rate,
                         **_given_burn_in(spec), label=spec.label)
 
 
 def _logistic_map(spec: GeneratorSpec) -> Series:
     p = spec.params
     return logistic_map(json_number(p.get("r", 3.9), "r"), json_number(p.get("x0", 0.3), "x0"),
-                        keep=spec.length, total=spec.length + (spec.burn_in or 0),
+                        keep=_length(spec), total=_length(spec) + (spec.burn_in or 0),
                         label=spec.label)
 
 
@@ -271,7 +286,7 @@ def _arma(spec: GeneratorSpec) -> Series:
         if not isinstance(value, list):
             raise DataError(f"{name} must be a list of numbers, got {value!r}")
         coefficients[name] = [json_number(v, name) for v in value]
-    return arma_simulate(**coefficients, n=spec.length, seed=spec.seed,
+    return arma_simulate(**coefficients, n=_length(spec), seed=spec.seed,
                          **_given_burn_in(spec), label=spec.label)
 
 
@@ -280,7 +295,12 @@ def _noise_overlay(spec: GeneratorSpec) -> Series:
     base = p.get("base")
     if not isinstance(base, dict):
         raise DataError("noise_overlay params need a nested 'base' spec object")
+    if spec.burn_in is not None:
+        raise DataError(f"burn_in must be left to the base for noise_overlay, got {spec.burn_in}")
     base_series = build_series(GeneratorSpec.from_dict(base))
+    if spec.length not in (None, len(base_series)):
+        raise DataError(f"length must equal the base's ({len(base_series)}) for noise_overlay, "
+                        f"got {spec.length}")
     sizes = {name: None if p.get(name) is None else json_number(p[name], name)
              for name in ("sd_multiplier", "sd_absolute")}
     return add_noise(base_series, spec.seed, **sizes, label=spec.label or base_series.label)

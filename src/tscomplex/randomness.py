@@ -4,7 +4,8 @@ variants, and the tail-probability / two-sample-t machinery they need.
 The permutation test partitions the series into non-overlapping groups of
 t consecutive samples (remainder discarded), maps each group to its
 ordinal pattern, and chi-square-tests the t! pattern counts against the
-uniform expectation G/t!.
+uniform expectation G/t!. The chi-square and t tails come from
+``scipy.special``, imported in the two functions that call it.
 """
 from __future__ import annotations
 
@@ -13,7 +14,6 @@ from math import erfc, factorial, sqrt
 from typing import Literal, Sequence, get_args
 
 import numpy as np
-from scipy import special
 
 from .core import DataError, NumericalError, Series
 from .entropy import _ordinal_counts
@@ -41,6 +41,8 @@ def chi_square_sf(x: float, df: int) -> float:
     Regularized upper incomplete gamma Q(df/2, x/2), evaluated by scipy's
     series / continued-fraction implementation.
     """
+    from scipy import special
+
     if x < 0:
         raise ValueError(f"chi-square statistic must be >= 0, got {x}")
     if df < 1:
@@ -193,6 +195,8 @@ def welch_t_test(a: Sequence[float], b: Sequence[float]) -> TTestResult:
     The tail probability comes from the regularized incomplete beta
     function: P(|T| > t) = I_{df/(df+t^2)}(df/2, 1/2).
     """
+    from scipy import special
+
     xa = np.asarray(a, dtype=np.float64)
     xb = np.asarray(b, dtype=np.float64)
     if xa.size < 2 or xb.size < 2:

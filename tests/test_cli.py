@@ -211,6 +211,10 @@ class TestMalformedJson:
         ({"kind": "normal", "length": 50, "seed": "2"}, "seed"),
         ({"kind": "logistic_map", "params": {"r": "3.7"}}, "r"),
         ({"kind": "exponential", "params": {"rate": 0}}, "rate"),
+        ({"kind": "noise_overlay", "length": 5,
+          "params": {"base": {"kind": "normal"}, "sd_absolute": 0.1}}, "length"),
+        ({"kind": "noise_overlay", "burn_in": 3,
+          "params": {"base": {"kind": "normal"}, "sd_absolute": 0.1}}, "burn_in"),
     ])
     def test_spec_field_is_a_data_error(self, capsys, spec, field):
         code, out, err = run(capsys, "analyze", "--spec", json.dumps(spec))
