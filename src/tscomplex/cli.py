@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -133,8 +134,7 @@ def _cmd_analyze(args) -> int:
             report.add_profile(label, next(profiles))
             continue
         for metric in metrics:
-            report.add_result(label, 1, MetricResult(
-                metric=metric.name, value=float("nan"), warnings=(f"error: {got}",)))
+            report.add_result(label, 1, MetricResult.failed(metric.name, got))
     _emit(render_report(report, args.format), args.out)
     return EXIT_OK if read else EXIT_DATA
 
@@ -145,10 +145,12 @@ def _cmd_mse(args) -> int:
     if len(inputs) != 1:
         raise DataError("mse takes exactly one input")
     series = _as_series(inputs[0])
-    # an absolute tolerance is already fixed across scales, and a zero SD
-    # leaves none to fix: the per-input tolerance then fails those cells
-    if args.fixed_r and config.r_mode == "per_input_sd" and (sd := sample_sd(series)) > 0:
-        config = replace(config, r_factor=config.r_factor * sd, r_mode="absolute")
+    # an absolute tolerance is already fixed across scales, and a zero or
+    # overflowing SD leaves none to fix: the per-input tolerance then fails
+    # those cells
+    if (args.fixed_r and config.r_mode == "per_input_sd"
+            and 0 < (r := config.r_factor * sample_sd(series)) < math.inf):
+        config = replace(config, r_factor=r, r_mode="absolute")
     profile = mse_sweep(series, config.scales, build_metrics(config),
                         partial="mean" if args.partial_blocks else "drop")
     report = ExperimentReport()
@@ -282,6 +284,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_NUMERIC
     except DataError as exc:
         print(f"tscomplex: data error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except MemoryError as exc:  # an input too large to hold, such as a spec's length
+        print(f"tscomplex: data error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_DATA
     # after the two above, which subclass it: an invalid parameter value
     except ValueError as exc:

@@ -69,9 +69,13 @@ def json_number(value: object, name: str, kind: type = float):
 
 
 def sample_sd(series: Series) -> float:
-    """Sample standard deviation (divisor n-1); 0.0 for a single sample."""
+    """Sample standard deviation (divisor n-1); 0.0 for a single sample, and
+    inf or NaN, without a warning, where the squared deviations overflow."""
     x = series.values
-    return float(np.std(x, ddof=1)) if x.size > 1 else 0.0
+    if x.size < 2:
+        return 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.std(x, ddof=1))
 
 
 def coarse_grain(series: Series, scale: int, *, partial: Literal["drop", "mean"] = "drop") -> Series:
@@ -91,7 +95,10 @@ def coarse_grain(series: Series, scale: int, *, partial: Literal["drop", "mean"]
     points). The sum starts as ``column 0 + 0.0``, as the reduction does:
     a block of all -0.0 then sums to +0.0, as its mean does. From scale 8
     numpy sums in unrolled partial sums, whose order the column adds would
-    not match, so ``mean`` is kept there.
+    not match, so ``mean`` is kept there. Where a block sum overflows, the
+    means are those of the halved samples, doubled: halving and doubling
+    change no bit of a normal number, so these are the means the same adds
+    would give without overflow.
     """
     n = len(series)
     scale = int(scale)
@@ -102,16 +109,21 @@ def coarse_grain(series: Series, scale: int, *, partial: Literal["drop", "mean"]
     nblocks = n // scale
     x = series.values
     blocks = x[: nblocks * scale].reshape(nblocks, scale)
-    if scale < 8:
-        out = blocks[:, 0] + 0.0
-        for j in range(1, scale):
-            out += blocks[:, j]
-        out /= scale
-    else:
-        out = blocks.mean(axis=1)
-    rem = n - nblocks * scale
-    if rem and partial == "mean":
-        out = np.append(out, x[nblocks * scale:].mean())
+    # a sum that overflows gives inf, or NaN where infs of both signs meet;
+    # finite samples give neither otherwise, and those means are redone below
+    with np.errstate(over="ignore", invalid="ignore"):
+        if scale < 8:
+            out = blocks[:, 0] + 0.0
+            for j in range(1, scale):
+                out += blocks[:, j]
+            out /= scale
+        else:
+            out = blocks.mean(axis=1)
+        rem = n - nblocks * scale
+        if rem and partial == "mean":
+            out = np.append(out, x[nblocks * scale:].mean())
+    if not np.isfinite(out).all():
+        out = coarse_grain(Series(x * 0.5), scale, partial=partial).values * 2.0
     return Series(out, series.label)
 
 
@@ -125,6 +137,11 @@ class MetricResult:
     df: float | None = None
     p_value: float | None = None
     warnings: tuple[str, ...] = ()
+
+    @classmethod
+    def failed(cls, metric: str, reason: object) -> MetricResult:
+        """The cell of an evaluation that failed: NaN, with the reason as its warning."""
+        return cls(metric, math.nan, warnings=(f"error: {reason}",))
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ in the calling thread.
 """
 from __future__ import annotations
 
+import math
 import os
 import queue
 import threading
@@ -86,6 +87,8 @@ class SampEnParams:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError(f"embedding length must be >= 1, got {self.m}")
+        if not math.isfinite(self.r_factor):
+            raise ValueError(f"tolerance must be finite, got {self.r_factor}")
         if self.r_factor <= 0:
             raise ValueError(f"tolerance must be positive, got {self.r_factor}")
         if self.r_mode not in ("per_input_sd", "absolute"):
@@ -204,7 +207,9 @@ def sample_entropy(series: Series, params: SampEnParams = SampEnParams()) -> Sam
     """Sample entropy: -ln(A/B) over matching template pairs.
 
     Raises NumericalError when the tolerance degenerates to zero (constant
-    series under per-input-SD mode) or when either count is zero.
+    series under per-input-SD mode) or is not finite (an SD that overflows),
+    when the values differ by more than the largest float, which the tree
+    cannot hold, or when either count is zero.
     """
     n = len(series)
     if n < params.m + 2:
@@ -212,6 +217,10 @@ def sample_entropy(series: Series, params: SampEnParams = SampEnParams()) -> Sam
     r = params.tolerance(series)
     if r <= 0:
         raise NumericalError("degenerate tolerance (r = 0)")
+    if not math.isfinite(r):
+        raise NumericalError(f"non-finite tolerance (r = {r})")
+    if math.isinf(float(series.values.max()) - float(series.values.min())):
+        raise NumericalError("values differ by more than the largest float")
     a, b = _pair_counts(series.values, params.m, r)
     if a == 0 or b == 0:
         err = NumericalError(f"insufficient matches (A={a}, B={b})")
@@ -414,8 +423,7 @@ def mse_sweeps(
             try:
                 result = metric(grained)
             except (DataError, NumericalError) as exc:
-                result = MetricResult(metric=metric.name, value=float("nan"),
-                                      warnings=(f"error: {exc}",))
+                result = MetricResult.failed(metric.name, exc)
             results.append(((scale, metric.name), result))
         return results
 

@@ -46,22 +46,17 @@ __all__ = [
 DEFAULT_SEED = 42
 
 
-@dataclass(frozen=True)
-class CellComparison:
-    label: str
-    scale: int
-    metric: str
+@dataclass(frozen=True, kw_only=True)
+class CellComparison(ref.RefCell):
+    """A reference cell and what the run observed for it."""
+
     observed: float
-    reference: float
-    tol: float
-    kind: str            # exact | band | info
     passed: bool | None  # None for info cells
-    note: str = ""
 
     def line(self) -> str:
         status = {True: "ok", False: "FAIL", None: "info"}[self.passed]
         out = (f"{self.label} | scale {self.scale} | {self.metric}: "
-               f"got {self.observed:.6g}, reference {self.reference:.6g}")
+               f"got {self.observed:.6g}, reference {self.value:.6g}")
         if self.kind == "exact":
             out += f" (tol {self.tol:g})"
         elif self.kind == "band":
@@ -119,21 +114,13 @@ def _compare(report: ExperimentReport, cells: Sequence[ref.RefCell]) -> list[Cel
             row = report.get(cell.label, cell.scale, cell.metric)
         except KeyError:
             continue
-        observed = row.value
-        if cell.kind == "info":
-            passed = None
-        elif not math.isfinite(observed):
-            passed = False
-        else:
-            passed = abs(observed - cell.value) <= cell.tol
+        # a NaN or infinite observation fails every cell that is checked
+        passed = None if cell.kind == "info" else abs(row.value - cell.value) <= cell.tol
         note = cell.note
         if cell.kind == "band":  # a replication mean: its warnings count failed ones
             note = "; ".join(filter(None, (note, *row.warnings)))
-        out.append(CellComparison(
-            label=cell.label, scale=cell.scale, metric=cell.metric,
-            observed=observed, reference=cell.value, tol=cell.tol,
-            kind=cell.kind, passed=passed, note=note,
-        ))
+        out.append(CellComparison(**{**vars(cell), "note": note}, observed=row.value,
+                                  passed=passed))
     return out
 
 
@@ -144,8 +131,7 @@ def _mean_result(profiles: Sequence[MseProfile], name: str) -> MetricResult:
     results = [p.results[(1, name)] for p in profiles]
     values = [r.value for r in results if math.isfinite(r.value)]
     if not values:
-        return MetricResult(metric=name, value=float("nan"),
-                            warnings=("error: no successful replication",))
+        return MetricResult.failed(name, "no successful replication")
     mean = float(np.mean(values))
     warn = ()
     failed = len(results) - len(values)
@@ -315,8 +301,7 @@ def _santafe(metrics, scales, seed, replications, data_dir) -> ReproduceResult:
     deep = [s for s in scales if s != 1]
     if deep:
         report.add_profile(ref.SF_CLEAN, mse_sweeps([clean], deep, metrics, partial="mean")[0])
-    comparisons = _compare(report, ref.SANTAFE_SCORES)
-    comparisons += [c for c in _compare(report, ref.SANTAFE_MSE) if c.scale != 1]
+    comparisons = _compare(report, ref.SANTAFE_SCORES + ref.SANTAFE_MSE)
 
     # noise ordering (levels 0, 0.1, 0.2, 1 SD) with fresh derived seeds; the
     # clean series is deterministic, so its one profile starts every ladder
@@ -502,16 +487,17 @@ def _chf_nsr(metrics, scales, seed, replications, data_dir) -> ReproduceResult:
 
 # name -> (recipe, default replications, the metrics its property checks
 # read). Every recipe is called as recipe(metrics, scales, seed, replications,
-# data_dir); santafe and chf_nsr read data_dir. Reference-cell comparisons
-# skip metrics left out of the config; the checks cannot.
+# data_dir); santafe and chf_nsr read data_dir, and a recipe whose default is
+# None does not read replications. Reference-cell comparisons skip metrics
+# left out of the config; the checks cannot.
 EXPERIMENTS = {
     "table1": (_table1, 30, METRIC_NAMES),
     "table2": (_table2, 30, ()),
-    "table3_logistic": (_table3, 30, ()),
+    "table3_logistic": (_table3, None, ()),
     "santafe": (_santafe, 30, METRIC_NAMES),
     "arma_table4": (_arma4, 10, METRIC_NAMES),
     "arma_table5": (_arma5, 10, ("runstest",)),
-    "chf_nsr": (_chf_nsr, 1, METRIC_NAMES),
+    "chf_nsr": (_chf_nsr, None, METRIC_NAMES),
 }
 
 

@@ -43,12 +43,10 @@ def derive_seed(seed: int | np.random.SeedSequence, *key: int) -> np.random.Seed
     """Independent child seed for replicate ``key`` of base ``seed``.
 
     The documented mixing function: SeedSequence(entropy=seed, spawn_key=key).
+    A SeedSequence given without a key is returned as it is.
     """
-    if isinstance(seed, np.random.SeedSequence):
-        if not key:
-            return seed
-        return np.random.SeedSequence(entropy=seed.entropy,
-                                      spawn_key=tuple(seed.spawn_key) + tuple(key))
+    if isinstance(seed, np.random.SeedSequence) and not key:
+        return seed
     return np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(key))
 
 

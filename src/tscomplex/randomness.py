@@ -10,7 +10,7 @@ uniform expectation G/t!. The chi-square and t tails come from
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import erfc, factorial, sqrt
+from math import erfc, factorial, isinf, sqrt
 from typing import Literal, Sequence, get_args
 
 import numpy as np
@@ -144,7 +144,10 @@ def runs_test(series: Series, variant: RunsVariant = "above_below_median") -> Ru
     variant = check_runs_variant(variant)
     x = series.values
     if variant == "above_below_median":
-        med = float(np.median(x))
+        with np.errstate(over="ignore"):
+            med = float(np.median(x))
+        if isinf(med):  # the two middle samples sum past the largest float
+            med = 2.0 * float(np.median(x * 0.5))  # both steps exact for normal numbers
         kept = x[x != med]
         if kept.size == 0:
             raise NumericalError("degenerate series (all values equal the median)")
@@ -158,7 +161,8 @@ def runs_test(series: Series, variant: RunsVariant = "above_below_median") -> Ru
         var = two_n1n2 * (two_n1n2 - n) / (n * n * (n - 1.0)) if n > 1 else 0.0
         n_eff = n
     else:  # up_down
-        diffs = np.diff(x)
+        with np.errstate(over="ignore"):  # a difference past the largest float keeps its sign
+            diffs = np.diff(x)
         diffs = diffs[diffs != 0]
         if diffs.size == 0:
             raise NumericalError("degenerate series (no nonzero differences)")

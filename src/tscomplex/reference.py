@@ -1,13 +1,16 @@
 """Reference score tables for the reproduction harness.
 
-Each entry records the published value of one table cell, the comparison
-tolerance, and how it may be checked:
+Each entry records the published value of one table cell, and how it may
+be checked:
 
-* ``exact``  -- deterministic given the recipe; |observed - ref| <= tol
-* ``band``   -- stochastic; ref is indicative, checked against an interval
+* ``exact``  -- deterministic given the recipe; |observed - ref| <= tol,
+  the metric's tolerance in ``TOL``
+* ``band``   -- stochastic; ref is indicative, checked against the interval
+  ref +/- tol, the cell's own half-width
 * ``info``   -- reported for comparison only, never pass/fail (known to
   come from a pipeline step this package deliberately does not replicate,
-  or from an unseeded random draw)
+  or from an unseeded random draw); an info cell carries no tolerance, so
+  its ``tol`` is NaN
 
 The runs-test cells of the multi-scale tables are ``info``: the source
 pipeline fed the runs test a differently down-sampled series than the
@@ -16,8 +19,9 @@ sweeps cannot and should not match them beyond scale 1.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, Sequence
 
 from .metrics import DEFAULT_SCALES
 
@@ -25,6 +29,7 @@ CheckKind = Literal["exact", "band", "info"]
 
 # shared tolerances by metric (exact cells)
 TOL = {"sampen": 1e-3, "permen": 1e-3, "permtest": 0.5, "runstest": 0.05}
+_DEEP = DEFAULT_SCALES[1:]  # the scales of a row that starts at scale 2
 
 
 @dataclass(frozen=True)
@@ -33,14 +38,15 @@ class RefCell:
     scale: int
     metric: str
     value: float
-    tol: float
+    tol: float = math.nan  # an info cell has none
     kind: CheckKind = "exact"
     note: str = ""
 
 
-def _row(label: str, metric: str, values, kind: CheckKind = "exact", tol=None, note="") -> list[RefCell]:
-    t = TOL[metric] if tol is None else tol
-    return [RefCell(label, s, metric, v, t, kind, note) for s, v in zip(DEFAULT_SCALES, values)]
+def _row(label: str, metric: str, values, kind: CheckKind = "exact", note="",
+         scales: Sequence[int] = DEFAULT_SCALES) -> list[RefCell]:
+    tol = TOL[metric] if kind == "exact" else math.nan
+    return [RefCell(label, s, metric, v, tol, kind, note) for s, v in zip(scales, values)]
 
 
 # ---------------------------------------------------------------------------
@@ -70,8 +76,8 @@ TABLE2: list[RefCell] = [
     # noisy column: unseeded in the source, validated as bands across seeds
     RefCell(L35N, 1, "sampen", 1.4431, 0.25, "band"),
     RefCell(L35N, 1, "permen", 0.6781, 0.08, "band"),
-    RefCell(L35N, 1, "permtest", 936.3438, 936.3438, "info"),
-    RefCell(L35N, 1, "runstest", 28.2849, 28.2849, "info"),
+    RefCell(L35N, 1, "permtest", 936.3438, kind="info"),
+    RefCell(L35N, 1, "runstest", 28.2849, kind="info"),
 ]
 
 # ---------------------------------------------------------------------------
@@ -82,8 +88,8 @@ TABLE3_LOGISTIC: list[RefCell] = (
     + _row(L37, "permen", (0.4978, 0.8134, 0.8494, 0.9134, 0.8667, 0.8239))
     + _row(L37, "permtest", (2781.8331, 262.3685, 181.2398, 127.5694, 133.9598, 123.9256))
     + [RefCell(L37, 1, "runstest", 26.9561, TOL["runstest"])]
-    + _row(L37, "runstest", (26.9561, -17.2798, 11.2888, -9.1257, 6.2382, 0.2010),
-           kind="info", note="source runs-test branch decimated instead of averaging")[1:]
+    + _row(L37, "runstest", (-17.2798, 11.2888, -9.1257, 6.2382, 0.2010), kind="info",
+           note="source runs-test branch decimated instead of averaging", scales=_DEEP)
     + _row(L35N, "sampen", (1.4431, 2.2351, 1.8983, 2.3735, 2.2532, 2.2824), kind="info")
     + _row(L35N, "permen", (0.6781, 0.9561, 0.7941, 0.9449, 0.8389, 0.8578), kind="info")
     + _row(L35N, "permtest", (936.3438, 103.9875, 246.6824, 103.5751, 169.9490, 123.9256),
@@ -125,18 +131,19 @@ SANTAFE_SCORES: list[RefCell] = [
     RefCell(SF_CLEAN, 1, "permen", 0.5809, TOL["permen"]),
     RefCell(SF_CLEAN, 1, "permtest", 1562.7060, TOL["permtest"]),
     RefCell(SF_CLEAN, 1, "runstest", -15.3711, TOL["runstest"]),
-    RefCell(SF_NOISE[0.1], 1, "sampen", 1.0441, 1.0441, "info"),
-    RefCell(SF_NOISE[0.2], 1, "sampen", 1.3147, 1.3147, "info"),
-    RefCell(SF_NOISE[1.0], 1, "sampen", 2.1233, 2.1233, "info"),
+    RefCell(SF_NOISE[0.1], 1, "sampen", 1.0441, kind="info"),
+    RefCell(SF_NOISE[0.2], 1, "sampen", 1.3147, kind="info"),
+    RefCell(SF_NOISE[1.0], 1, "sampen", 2.1233, kind="info"),
 ]
 
+# the clean series from scale 2 on; its scale-1 cells are in SANTAFE_SCORES
 SANTAFE_MSE: list[RefCell] = (
-    _row(SF_CLEAN, "sampen", (0.7570, 0.5752, 0.6507, 0.6111, 0.6406, 1.4328))
-    + _row(SF_CLEAN, "permen", (0.5809, 0.6306, 0.6316, 0.5927, 0.7528, 0.7734))
-    + _row(SF_CLEAN, "permtest", (1562.7060, 622.3253, 610.2527, 540.2703, 181.9454, 183.8897))
-    + [RefCell(SF_CLEAN, 1, "runstest", -15.3711, TOL["runstest"])]
-    + _row(SF_CLEAN, "runstest", (-15.3711, 1.7011, 10.5226, 11.6606, 2.4102, 3.4173),
-           kind="info", note="source runs-test branch decimated instead of averaging")[1:]
+    _row(SF_CLEAN, "sampen", (0.5752, 0.6507, 0.6111, 0.6406, 1.4328), scales=_DEEP)
+    + _row(SF_CLEAN, "permen", (0.6306, 0.6316, 0.5927, 0.7528, 0.7734), scales=_DEEP)
+    + _row(SF_CLEAN, "permtest", (622.3253, 610.2527, 540.2703, 181.9454, 183.8897),
+           scales=_DEEP)
+    + _row(SF_CLEAN, "runstest", (1.7011, 10.5226, 11.6606, 2.4102, 3.4173), kind="info",
+           note="source runs-test branch decimated instead of averaging", scales=_DEEP)
 )
 
 # ---------------------------------------------------------------------------
@@ -151,18 +158,18 @@ ARMA_PROCESSES = (
 )
 
 ARMA_TABLE4: list[RefCell] = [
-    RefCell(ARMA22, 1, "sampen", 2.2286, 2.2286, "info"),
-    RefCell(ARMA22, 1, "permen", 0.9833, 0.9833, "info"),
-    RefCell(ARMA22, 1, "permtest", 126.3924, 126.3924, "info"),
-    RefCell(ARMA22, 1, "runstest", -3.9865, 3.9865, "info"),
-    RefCell(ARMA11, 1, "sampen", 2.0238, 2.0238, "info"),
-    RefCell(ARMA11, 1, "permen", 0.9795, 0.9795, "info"),
-    RefCell(ARMA11, 1, "permtest", 147.9911, 147.9911, "info"),
-    RefCell(ARMA11, 1, "runstest", -10.9470, 10.9470, "info"),
-    RefCell(AR1, 1, "sampen", 1.4650, 1.4650, "info"),
-    RefCell(AR1, 1, "permen", 0.9173, 0.9173, "info"),
-    RefCell(AR1, 1, "permtest", 236.7858, 236.7858, "info"),
-    RefCell(AR1, 1, "runstest", -21.8939, 21.8939, "info"),
+    RefCell(ARMA22, 1, "sampen", 2.2286, kind="info"),
+    RefCell(ARMA22, 1, "permen", 0.9833, kind="info"),
+    RefCell(ARMA22, 1, "permtest", 126.3924, kind="info"),
+    RefCell(ARMA22, 1, "runstest", -3.9865, kind="info"),
+    RefCell(ARMA11, 1, "sampen", 2.0238, kind="info"),
+    RefCell(ARMA11, 1, "permen", 0.9795, kind="info"),
+    RefCell(ARMA11, 1, "permtest", 147.9911, kind="info"),
+    RefCell(ARMA11, 1, "runstest", -10.9470, kind="info"),
+    RefCell(AR1, 1, "sampen", 1.4650, kind="info"),
+    RefCell(AR1, 1, "permen", 0.9173, kind="info"),
+    RefCell(AR1, 1, "permtest", 236.7858, kind="info"),
+    RefCell(AR1, 1, "runstest", -21.8939, kind="info"),
 ]
 
 ARMA_TABLE5: list[RefCell] = (

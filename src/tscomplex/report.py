@@ -96,7 +96,7 @@ def _row_cells(row: ReportRow) -> list[str]:
 
 
 def _csv_quote(cell: str) -> str:
-    if any(ch in cell for ch in ',"\n'):
+    if any(ch in cell for ch in ',"\n\r'):
         return '"' + cell.replace('"', '""') + '"'
     return cell
 

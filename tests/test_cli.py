@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: subcommands, exit codes, determinism."""
 import json
+import math
 import re
 from pathlib import Path
 
@@ -102,6 +103,21 @@ class TestAnalyze:
         assert code == 0
         assert "degenerate tolerance" in out
 
+    @pytest.mark.parametrize("flags", [(), ("--absolute-r", "--r-factor", "1")])
+    def test_overflowing_values_fail_only_the_sampen_cell(self, capsys, tmp_path, flags):
+        # the SD overflows to inf, and with an absolute tolerance the range
+        # 2e308 does: each is a NaN sample-entropy cell that gives its reason
+        p = tmp_path / "huge.txt"
+        p.write_text("1e308\n-1e308\n" + "".join(f"{v}\n" for v in (0.5, -0.25, 0.75) * 20))
+        code, out, err = run(capsys, "analyze", str(p), *flags)
+        assert code == 0 and not err
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert [row[2] for row in rows] == list(METRIC_NAMES)
+        reason = ("non-finite tolerance (r = inf)" if not flags
+                  else "values differ by more than the largest float")
+        assert rows[0][3:] == ["nan", "", "", "", f"error: {reason}"]
+        assert all(row[3] != "nan" for row in rows[1:])
+
     def test_metric_selection_does_not_carry_over(self, capsys):
         def metrics_in(out):
             return {line.split(",")[2] for line in out.strip().splitlines()[1:]}
@@ -118,6 +134,10 @@ class TestParameterErrors:
     @pytest.mark.parametrize("argv", [
         ("analyze", "--m", "0", "--spec", LOGISTIC_SPEC),
         ("analyze", "--r-factor", "-1", "--spec", LOGISTIC_SPEC),
+        # a tolerance that is not finite would count every pair, or none
+        ("analyze", "--spec", '{"kind":"normal","length":200}', "--r-factor", "nan"),
+        ("analyze", "--spec", '{"kind":"normal","length":200}', "--r-factor", "inf"),
+        ("mse", "--spec", LOGISTIC_SPEC, "--absolute-r", "--r-factor=-inf"),
         ("analyze", "--t", "9", "--spec", LOGISTIC_SPEC),
         ("mse", "--scales", "1,a", "--spec", LOGISTIC_SPEC),
         # refused before the missing data could be skipped
@@ -190,6 +210,16 @@ class TestMse:
         assert code_a == code_b == 0
         assert out_a == out_b
         assert "flat,1,sampen,nan,,,,error: degenerate tolerance (r = 0)" in out_a
+
+    def test_fixed_r_on_an_overflowing_sd_keeps_per_input_cells(self, capsys, tmp_path):
+        # r = 0.2 * inf: nothing to fix; each scale's own SD decides its cell
+        p = tmp_path / "huge.txt"
+        p.write_text("1e308\n-1e308\n" + "0.5\n-0.25\n0.75\n" * 20)
+        code_a, out_a, err_a = run(capsys, "mse", str(p), "--scales", "1,2")
+        code_b, out_b, err_b = run(capsys, "mse", str(p), "--scales", "1,2", "--fixed-r")
+        assert code_a == code_b == 0 and not err_a and not err_b
+        assert out_a == out_b
+        assert "huge,1,sampen,nan,,,,error: non-finite tolerance (r = inf)" in out_a
 
 
 class TestMalformedJson:
@@ -337,6 +367,14 @@ class TestGenerate:
         assert code == 3
         assert "orbit escaped" in err
 
+    def test_unallocatable_length_is_a_data_error(self, capsys):
+        # 10^15 float64 samples are 7 PiB: beyond any address space, so the
+        # allocation fails at once
+        spec = json.dumps({"kind": "uniform", "length": 10**15})
+        code, out, err = run(capsys, "generate", "--spec", spec)
+        assert code == 2 and not out
+        assert err.startswith("tscomplex: data error: ") and err.count("\n") == 1
+
     def test_generated_file_analyzes_identically(self, capsys, tmp_path):
         out_path = tmp_path / "series.txt"
         run(capsys, "generate", "--spec", LOGISTIC_SPEC, "--out", str(out_path))
@@ -452,6 +490,20 @@ class TestReproduceCommand:
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         listed = re.search(r"^tscomplex reproduce \{([^}]*)\}", readme, re.M).group(1)
         assert listed.split("|") == list(EXPERIMENTS)
+
+    def test_failed_replication_means_are_failed_cells(self, capsys):
+        # m=30 finds no sample-entropy match in any replication
+        code, out, _ = run(capsys, "reproduce", "table1", "--m", "30", "--replications", "2",
+                           "--scales", "1", "--print-table")
+        assert code == 0
+        failed = [line for line in out.splitlines() if "no successful replication" in line]
+        assert failed == [
+            *(f"{dist} | scale 1 | sampen: got nan, reference {ref} (band +/- 0.15) [FAIL]"
+              "  # error: no successful replication"
+              for dist, ref in (("uniform", 2.23881), ("normal", 2.16856),
+                                ("exponential", 1.66978))),
+            *(f"{dist},1,sampen,nan,,,,error: no successful replication"
+              for dist in ("uniform", "normal", "exponential"))]
 
     def test_report_written(self, capsys, tmp_path):
         out_path = tmp_path / "t2.json"
@@ -619,7 +671,8 @@ _REPORT_ROW = st.fixed_dictionaries({}, optional={
     "warnings": st.lists(st.text(max_size=3), max_size=2) | _VALUES,
 })
 _SERIES_LINES = st.lists(st.sampled_from(("", " ", "1.5", "2", "nan", "inf", "\u22121.25",
-                                          "\u2212", "abc", "1e400", "-0")), max_size=6)
+                                          "\u2212", "abc", "1e400", "-0", "1e308", "-1e308",
+                                          "1e200")), max_size=6)
 
 
 class TestErrorContract:
@@ -670,7 +723,8 @@ class TestErrorContract:
            metrics=st.lists(st.sampled_from(METRIC_NAMES), max_size=4, unique=True),
            absolute_r=st.booleans(), fixed_r=st.booleans(), partial=st.booleans(),
            scales=st.none() | st.lists(st.integers(-1, 50), max_size=4),
-           r_factor=st.none() | st.sampled_from((-1.0, 0.0, 1e-9, 0.2, 1.0, 5.0)),
+           r_factor=st.none() | st.sampled_from((-1.0, 0.0, 1e-9, 0.2, 1.0, 5.0, math.nan,
+                                                 math.inf)),
            bounds=st.dictionaries(st.sampled_from(("--m", "--n", "--t")), st.integers(0, 9),
                                   max_size=3))
     def test_flag_combinations(self, capsys, tmp_path, command, values, metrics, absolute_r,

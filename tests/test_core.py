@@ -49,6 +49,14 @@ class TestSummary:
         assert sample_sd(make_series([5, 5, 5, 5])) == 0.0
         assert sample_sd(make_series([5])) == 0.0
 
+    @pytest.mark.parametrize("values, sd", [
+        ([1e308, -1e308, 0.5], math.inf),
+        ([1e200, 2e200, 3e200], math.inf),  # the true SD, 1e200, squares past the largest float
+    ])
+    def test_overflow_gives_inf_without_a_warning(self, values, sd):
+        # the test settings make a numpy RuntimeWarning an error
+        assert sample_sd(Series(values)) == sd
+
     def test_uniform_sd_band(self):
         # theoretical sd of Uniform(0,1) is 1/sqrt(12) ~ 0.2887
         s = generate_iid("uniform", 1000, seed=7)
@@ -107,6 +115,19 @@ class TestCoarseGrain:
                 out = coarse_grain(Series(x), scale, partial=partial).values
                 assert out.tobytes() == expected.tobytes(), scale
                 assert not np.signbit(out[:1000 // scale]).any()
+
+    @pytest.mark.parametrize("partial", ["drop", "mean"])
+    def test_overflowing_block_sums_give_the_unbounded_means(self, partial):
+        # a block sum past the largest float is redone on halved samples;
+        # scaling by a power of two is exact, so the means are those of the
+        # samples / 16, times 16, whose sums never overflow
+        rng = np.random.Generator(np.random.PCG64(3))
+        x = 1e308 * rng.uniform(0.5, 1.7, 157) * rng.choice([1.0, 1.0, -1.0], 157)
+        for scale in [2, 3, 5, 7, 8, 9, 16, 40]:
+            out = coarse_grain(Series(x), scale, partial=partial).values
+            expected = coarse_grain(Series(x / 16), scale, partial=partial).values * 16
+            assert out.tobytes() == expected.tobytes(), scale
+        assert coarse_grain(Series([1e308] * 4), 2).values.tolist() == [1e308, 1e308]
 
     @given(n=st.integers(1, 400), scale=st.integers(1, 400), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)

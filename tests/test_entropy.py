@@ -104,6 +104,33 @@ class TestSampleEntropy:
             sample_entropy(x, SampEnParams(m=2, r_factor=1e-6, **ABS_R))
         assert exc_info.value.b_count == 0
 
+    @pytest.mark.parametrize("r_factor", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("r_mode", ["per_input_sd", "absolute"])
+    def test_non_finite_r_factor_refused(self, r_factor, r_mode):
+        with pytest.raises(ValueError, match="tolerance must be finite"):
+            SampEnParams(r_factor=r_factor, r_mode=r_mode)
+
+    @pytest.mark.parametrize("values, params, reason", [
+        # squared deviations overflow, so the SD does: r = 0.2 * inf
+        ([1e308, -1e308, *[0.5, -0.25, 0.75] * 10], SampEnParams(), r"r = inf"),
+        # the SD, about 1.5e200, is finite, but np.std squares 1e200
+        ([1e200 * (1 + 0.01 * i) for i in range(50)], SampEnParams(), r"r = inf"),
+        # finite tolerances whose product with a finite SD overflows
+        ([1e307, -1e307, *[0.5, -0.25, 0.75] * 10], SampEnParams(r_factor=1e3), r"r = inf"),
+        # a range of 2e308 is more than the kd-tree can hold
+        ([1e308, -1e308, *[0.5, -0.25, 0.75] * 10], SampEnParams(r_factor=1, **ABS_R),
+         "more than the largest float"),
+    ])
+    def test_overflow_is_a_numerical_error(self, values, params, reason):
+        with pytest.raises(NumericalError, match=reason):
+            sample_entropy(Series(values), params)
+
+    def test_range_below_the_largest_float_is_counted(self):
+        # the extremes differ by 1.78e308 < 1.797e308: the tree holds them
+        x = [8.9e307, -8.9e307, *[0.5, -0.25, 0.75, 0.5] * 5]
+        res = sample_entropy(Series(x), SampEnParams(r_factor=0.3, **ABS_R))
+        assert (res.a_count, res.b_count) == sampen_pairs_direct(x, m=2, r=0.3)
+
     def test_a_zero_is_an_error_not_infinity(self):
         # m-matches exist but no (m+1)-match survives
         x = make_series([0.0, 0.1, 5.0, 0.0, 0.1, -5.0, 0.0, 0.1, 9.0])

@@ -1,10 +1,15 @@
 """Reproduction harness and group comparison."""
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 from tscomplex import (
     DataError,
+    ExperimentReport,
     Metric,
+    MetricResult,
     NumericalError,
     SampEnParams,
     Series,
@@ -15,8 +20,10 @@ from tscomplex import (
     mse_sweeps,
     sample_entropy,
 )
-from tscomplex.reference import L35N
+from tscomplex.reference import L35N, RefCell
 from tscomplex.experiments import (
+    CellComparison,
+    _compare,
     _mean_result,
     compare_groups,
     find_santafe_file,
@@ -162,6 +169,54 @@ class TestMeanResult:
                 mean = _mean_result([profile], metric.name)
                 assert ([repr(getattr(mean, f)) for f in fields]
                         == [repr(getattr(cell, f)) for f in fields]), metric.name
+
+    def test_no_successful_replication_is_a_failed_cell(self):
+        # m=30 leaves no matching pair of length 31 in 1000 uniform samples
+        draws = [generate_iid("uniform", 1000, seed) for seed in (1, 2)]
+        profiles = mse_sweeps(draws, (1,), build_metrics(AnalysisConfig(m=30)))
+        assert all(math.isnan(p.results[(1, "sampen")].value) for p in profiles)
+        mean = _mean_result(profiles, "sampen")
+        assert math.isnan(mean.value)
+        assert (mean.metric, mean.statistic, mean.df, mean.p_value, mean.warnings) == (
+            "sampen", None, None, None, ("error: no successful replication",))
+
+
+class TestCompare:
+    CELLS = [RefCell("e", 1, "sampen", 1.0, 1e-3, note="exact note"),
+             RefCell("b", 1, "sampen", 1.0, 0.25, "band", note="band note"),
+             RefCell("i", 1, "sampen", 1.0, kind="info", note="info note")]
+
+    @staticmethod
+    def _report(value, warnings=()):
+        report = ExperimentReport()
+        for label in "ebi":
+            report.add_result(label, 1, MetricResult("sampen", value, warnings=warnings))
+        return report
+
+    @pytest.mark.parametrize("observed", (math.nan, math.inf, -math.inf))
+    def test_non_finite_observation_fails_every_checked_cell(self, observed):
+        compared = _compare(self._report(observed), self.CELLS)
+        assert [c.passed for c in compared] == [False, False, None]
+        assert [c.line().split("[")[1][:4] for c in compared] == ["FAIL", "FAIL", "info"]
+
+    def test_comparison_is_its_cell_plus_the_observation(self):
+        compared = _compare(self._report(1.1, ("1 replication(s) failed",)), self.CELLS)
+        assert [c.passed for c in compared] == [False, True, None]
+        for cell, c in zip(self.CELLS, compared):
+            assert isinstance(c, CellComparison) and isinstance(c, RefCell)
+            assert c.observed == 1.1
+            kept = {f.name: getattr(c, f.name) for f in dataclasses.fields(RefCell)}
+            # a band cell is a replication mean, whose warnings join its note
+            note = cell.note + ("; 1 replication(s) failed" if cell.kind == "band" else "")
+            assert repr(kept) == repr({**vars(cell), "note": note})
+        info = compared[2]
+        assert math.isnan(info.tol)
+        assert info.line() == "i | scale 1 | sampen: got 1.1, reference 1 [info]  # info note"
+        assert "(tol 0.001)" in compared[0].line()
+        assert "(band +/- 0.25)" in compared[1].line()
+
+    def test_missing_row_is_skipped(self):
+        assert _compare(ExperimentReport(), self.CELLS) == []
 
 
 class TestCompareGroups:

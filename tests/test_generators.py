@@ -76,6 +76,10 @@ class TestDeriveSeed:
         ss = derive_seed(11, 2)
         assert np.array_equal(derive_rng(ss).random(4), derive_rng(11, 2).random(4))
 
+    def test_seed_sequence_takes_no_key(self):
+        with pytest.raises(TypeError):
+            derive_seed(derive_seed(11, 2), 3)
+
 
 class TestLogisticMap:
     def test_fixed_point_of_r_two(self):

@@ -1,5 +1,7 @@
 """Series-file ingestion and report serialization."""
+import csv
 import dataclasses
+import io
 import math
 
 import numpy as np
@@ -95,6 +97,14 @@ class TestReport:
         report.add(ReportRow("a,b", 1, "sampen", 1.0))
         assert '"a,b"' in render_report(report, "csv")
 
+    @pytest.mark.parametrize("label", ["a\rb", "a\nb", "a\r\nb", 'a"b'])
+    def test_csv_quoted_label_reads_back_as_one_record(self, label):
+        report = ExperimentReport()
+        report.add(ReportRow(label, 1, "permen", 0.5))
+        text = render_report(report, "csv")
+        records = list(csv.reader(io.StringIO(text, newline="")))
+        assert records[1] == [label, "1", "permen", "0.5", "", "", "", ""]
+
     def test_json_round_trip(self, tmp_path):
         p = tmp_path / "r.json"
         p.write_text(render_report(_report(), "json"), encoding="utf-8")
@@ -123,9 +133,10 @@ class TestReport:
     def test_row_is_a_result_behind_label_and_scale(self):
         # add_result passes every result field through by name, and the JSON
         # writer emits every row field: one field list serves both paths
-        row_fields = [f.name for f in dataclasses.fields(ReportRow)]
-        result_fields = [f.name for f in dataclasses.fields(MetricResult)]
-        assert row_fields == ["label", "scale"] + result_fields
+        row_fields = [(f.name, f.type, f.default) for f in dataclasses.fields(ReportRow)]
+        result_fields = [(f.name, f.type, f.default) for f in dataclasses.fields(MetricResult)]
+        assert [name for name, _, _ in row_fields[:2]] == ["label", "scale"]
+        assert row_fields[2:] == result_fields
 
     def test_six_significant_digits(self):
         report = ExperimentReport()

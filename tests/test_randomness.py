@@ -132,6 +132,16 @@ class TestRunsTest:
         assert res.runs == runs
         assert res.z == pytest.approx((runs - mu) / sqrt(var))
 
+    def test_overflowing_median_and_differences_keep_their_signs(self):
+        # the two middle samples of each series sum past the largest float,
+        # and neighbours differ by more than it; the signs, so the z, are
+        # those of the same series halved
+        rng = np.random.Generator(np.random.PCG64(5))
+        x = np.concatenate([rng.uniform(1.0, 1.7, 30) * 1e308, -rng.uniform(1, 9, 10)])
+        rng.shuffle(x)
+        for variant in ("above_below_median", "up_down"):
+            assert runs_test(Series(x), variant) == runs_test(Series(x * 0.5), variant)
+
     def test_up_down_too_small(self):
         with pytest.raises(NumericalError, match="sample too small"):
             runs_test(make_series([1, 1, 2]), "up_down")
