@@ -6,20 +6,29 @@ Run from the repository root; the suite lives outside the tier-1
     python -m pytest benchmarks/test_exactness.py -q
 
 The tier-1 oracle tests check ``entropy._pair_counts`` at a few hundred
-points. Here it is compared, at 8k-16k points, with a blocked numpy brute
-force over every template pair (m=2), on tie-heavy series whose pair
+points. Here it is compared, at 1k-16k points, with a blocked numpy brute
+force over every template pair (m=2): on tie-heavy series whose pair
 distances often equal r exactly, where an off-by-one-ulp tolerance or an
-unsound box bound would change a count, and on the dense noisy period-4
-orbit. ``switch-below-8k`` and ``switch-above-8k`` are N(0,1) series whose
-tolerances put the length-m matches just under and just over
+unsound box bound would change a count; on the dense noisy period-4
+orbit; and on the tie-free 1000-point series of the reproduction tables
+(N(0,1), uniform and exponential at r = 0.2 SD, N(0,1) coarse-grained at
+scales 2-5, and a permutation of the 1/128 grid whose distances often
+equal r). ``switch-below-8k`` and ``switch-above-8k`` are N(0,1) series
+whose tolerances put the length-m matches just under and just over
 ``entropy._LIST_BELOW`` per template (127 and 131), so the length-(m+1)
-count is checked on both sides of the switch between listing the pairs
-and counting them in bulk. At 64k, where the brute force is too slow, the
-counts are compared with one weighted ``count_neighbors`` of a
-median-split tree over the distinct templates, built from
-``np.unique(axis=0)`` rather than the kernel's byte keys and
-sliding-midpoint tree. The kernel reads no CPU count, so each comparison
-runs once. The brute force takes a few seconds per series.
+count of the ``trees`` strategy is checked on both sides of the switch
+between listing the pairs and counting them in bulk. ``rule-below-2k``
+and ``rule-above-2k`` put the first-coordinate matches that
+``entropy._strategy`` reads just under and just over the same bound (127
+and 130 per template), so the choice between ``extended`` and ``trees``
+is checked on both sides. Each strategy in ``entropy._STRATEGIES`` is
+also compared on every case it is fit for: ``trees`` on all of them,
+``extended`` on the tie-free ones whose list stays within twice the bound.
+At 64k, where the brute force is too slow, the counts are compared with
+one weighted ``count_neighbors`` of a median-split tree over the distinct
+templates, built from ``np.unique(axis=0)`` rather than the kernel's byte
+keys and sliding-midpoint tree. The kernel reads no CPU count, so each
+comparison runs once. The brute force takes a few seconds per series.
 """
 from functools import lru_cache
 
@@ -28,7 +37,7 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.spatial import cKDTree
 
-from tscomplex import add_noise, arma_simulate, logistic_map
+from tscomplex import Series, add_noise, arma_simulate, coarse_grain, logistic_map
 from tscomplex import entropy
 
 BLOCK = 128  # brute-force rows per step: a few MB of temporaries
@@ -51,7 +60,17 @@ def _periodic(n: int) -> tuple[np.ndarray, float]:
     return x, 0.2 * float(np.std(x, ddof=1))
 
 
-# name -> (series, tolerance); the brute force checks the 8k-16k ones
+def _sd_tolerance(x: np.ndarray) -> tuple[np.ndarray, float]:
+    return x, 0.2 * float(np.std(x, ddof=1))
+
+
+def _grained(scale: int) -> tuple[np.ndarray, float]:
+    """1000 N(0,1) points coarse-grained at ``scale``: block means off any
+    grid, with r = 0.2 SD of the means."""
+    return _sd_tolerance(coarse_grain(Series(_rng(1000).normal(size=1000)), scale).values)
+
+
+# name -> (series, tolerance); the brute force checks every one
 CASES = {
     "grid128-16k": lambda: (np.round(_rng(16384).normal(size=16384) * 128) / 128, 3 / 128),
     "integers-8k": lambda: (_rng(8192).integers(0, 20, size=8192).astype(float), 2.0),
@@ -61,6 +80,13 @@ CASES = {
     "periodic-8k": lambda: _periodic(8192),
     "switch-below-8k": lambda: (_rng(8194).normal(size=8192), 0.315),
     "switch-above-8k": lambda: (_rng(8194).normal(size=8192), 0.32),
+    "normal-1k": lambda: _sd_tolerance(_rng(1000).normal(size=1000)),
+    "uniform-1k": lambda: _sd_tolerance(_rng(1001).uniform(size=1000)),
+    "exponential-1k": lambda: _sd_tolerance(_rng(1002).exponential(size=1000)),
+    **{f"normal-1k-scale{s}": (lambda s=s: _grained(s)) for s in range(2, 6)},
+    "permutation128-1k": lambda: (_rng(1003).permutation(1000) / 128, 40 / 128),
+    "rule-below-2k": lambda: (_rng(2200).normal(size=2200), 0.2),
+    "rule-above-2k": lambda: (_rng(2200).normal(size=2200), 0.205),
 }
 
 # the same at 64k, checked against one tree over the distinct templates
@@ -124,6 +150,33 @@ def test_switch_cases_straddle_the_rule(name, listed):
     x, _ = _series(name)
     _, b = _brute_force(name)
     assert (b <= entropy._LIST_BELOW * (x.size - 2)) == listed
+
+
+@pytest.mark.parametrize("name, strategy", [("rule-below-2k", "extended"),
+                                            ("rule-above-2k", "trees")])
+def test_rule_cases_straddle_the_rule(name, strategy):
+    x, r = _series(name)
+    assert entropy._strategy(x, 2, r) == strategy
+
+
+def _fits(strategy: str, name: str) -> bool:
+    """``extended`` lists every length-m pair of a raw-template tree, which
+    splits well only without ties; the list is kept within twice the bound."""
+    if strategy != "extended":
+        return True
+    x, _ = _series(name)
+    head = np.sort(x[:x.size - 2])
+    return bool(np.all(head[1:] != head[:-1])) and \
+        _brute_force(name)[1] <= 2 * entropy._LIST_BELOW * head.size
+
+
+@pytest.mark.parametrize("name", list(CASES))
+@pytest.mark.parametrize("strategy", list(entropy._STRATEGIES))
+def test_every_fit_strategy_equals_the_brute_force(strategy, name):
+    if not _fits(strategy, name):
+        pytest.skip(f"{strategy} is not fit for {name}")
+    x, r = _series(name)
+    assert entropy._STRATEGIES[strategy](x, 2, r) == _brute_force(name)
 
 
 @pytest.mark.parametrize("name", list(LONG))

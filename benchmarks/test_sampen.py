@@ -9,11 +9,15 @@ Run from the repository root; the suite lives outside the tier-1
 the 1/128 grid and the binary series are tie-heavy, the input on which a
 spatial index over the raw templates cannot split identical points. The
 noisy period-4 orbit (logistic r=3.5 plus noise of 0.05 SD) has dense
-matches. Matches per template at length m decide how the length-(m+1)
-pairs are counted (``entropy._LIST_BELOW`` = 128): N(0,1) and the grid
-find 6-104 up to 16k and list them, and about 410 at 64k, counted in
-bulk; binary and periodic find about 127 at 1k, just under the switch,
-and 510-8200 from 4k on, counted in bulk.
+matches. ``entropy._strategy`` sends only ``normal-1k`` to the
+``extended`` strategy (tie-free, 57 first-coordinate matches per
+template, under ``entropy._LIST_BELOW`` = 128); N(0,1) from 4k on (230-3700)
+and the periodic orbit (146-9500) have too many, and the grid and binary
+series have ties, so they take the ``trees``. There, matches per template
+at length m decide how the length-(m+1) pairs are counted: N(0,1) and
+the grid find 6-104 up to 16k and list them, and about 410 at 64k,
+counted in bulk; binary and periodic find about 127 at 1k, just under
+the switch, and 510-8200 from 4k on, counted in bulk.
 """
 import numpy as np
 import pytest

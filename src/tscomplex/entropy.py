@@ -2,13 +2,17 @@
 
 Sample entropy counts template pairs under the Chebyshev (max-coordinate)
 distance with non-strict matching (distance <= r) and no self-matches. The
-counts are exact and sub-quadratic: a kd-tree over the distinct templates,
-each weighted by its multiplicity, counts the neighbour pairs in bulk, or
-lists them at length m+1 when the length-m count finds few matches per
-template, so series of ~100k points (24-hour RR-interval recordings) take
-seconds. The tree is scipy's ``cKDTree``, imported where the first tree is
-built, so that importing this module loads no scipy. The default
-tolerance is a multiple of the series' sample SD (``core.sample_sd``).
+counts are exact and sub-quadratic, by one of two kd-tree strategies
+(``_strategy``): on tie-free cells with few matches in the first
+coordinate, one tree over the raw length-m templates lists B's pairs and
+A counts those whose extra coordinate matches too; elsewhere a tree per
+length over the distinct templates, each weighted by its multiplicity,
+counts the pairs in bulk, or lists them at length m+1 when the length-m
+count finds few matches per template. Series of ~100k points (24-hour
+RR-interval recordings) take seconds. The tree is scipy's ``cKDTree``,
+imported where the first tree is built, so that importing this module
+loads no scipy. The default tolerance is a multiple of the series' sample
+SD (``core.sample_sd``).
 Permutation entropy histograms the ordinal patterns of overlapping windows,
 with ties broken toward the earlier index (stable sort), and is always
 normalized: the Shannon entropy is divided by ln(n!), so it lies in [0, 1].
@@ -23,9 +27,8 @@ behind both permutation entropy and the permutation test.
 one-series form. Threads go only where the sample-entropy kernel releases
 the interpreter lock: a sweep starts a helper thread per extra CPU, shares
 its (series, scale) cells out over them and the calling thread, each cell
-whole in one thread, counts each cell's pairs in one tree, and joins the
-helpers before it returns. A sweep made only of lock-holding metrics runs
-in the calling thread.
+whole in one thread, and joins the helpers before it returns. A sweep made
+only of lock-holding metrics runs in the calling thread.
 """
 from __future__ import annotations
 
@@ -111,8 +114,8 @@ class SampEnResult:
     r: float
 
 
-# The pairs at length m+1 are listed, not counted in bulk, when the
-# length-m count finds at most this many matching pairs per template.
+# Pairs are listed, not counted in bulk, only where at most this many
+# per template are known to match at length m.
 _LIST_BELOW = 128
 
 
@@ -153,49 +156,9 @@ def _listed_pairs(tree: cKDTree, weights: np.ndarray, r: float) -> int:
     return int(w @ (w - 1)) // 2 + int(w[pairs[:, 0]] @ w[pairs[:, 1]])
 
 
-def _pair_counts(x: np.ndarray, m: int, r: float) -> tuple[int, int]:
-    """Count template pairs (i < j) matching at lengths m and m+1.
-
-    Both lengths draw their templates from start indices 0 .. N-m-1, so
-    every length-m template has a length-(m+1) extension and A <= B holds
-    structurally.
-
-    For each length, identical templates are collapsed into one point
-    weighted by its multiplicity, and a kd-tree over the distinct points
-    finds the pairs within Chebyshev distance r. Collapsing keeps the tree
-    splittable on tie-heavy input (quantized or binary series), where a
-    tree over the raw templates cannot separate identical points and
-    degenerates to quadratic time.
-
-    There are two ways to count. ``count_neighbors`` counts the weighted
-    pairs in bulk: it adds up whole node pairs that lie within r, but it
-    visits every node pair in both orders. ``query_pairs`` lists each
-    distinct-template pair once, so it does about half the work where
-    matches are sparse, and falls far behind where they are dense (2x
-    slower on the noisy period-4 orbit at 8k points). B is always counted
-    in bulk, and it tells which way suits A, since A <= B: when B/nt, the
-    matching pairs per template at length m, is at most ``_LIST_BELOW``
-    (128), A's pairs are listed. Listing wins by 2-3x on sparse matches.
-    On N(0,1) it stays ahead beyond 700 pairs per template (8k points);
-    on the noisy period-4 orbit up to about 300 at 4k-8k points, but only
-    to about 100 at 1k, where whole clusters match and the bulk count adds
-    them up at once. The inputs measured mostly lie far from the switch:
-    B/nt is 15-73 for 8k-point RR-like series at scales 1-3 and 6-42 for
-    the reproduction battery's 1000-point series (124 for the period-4
-    logistic orbit, whose templates take 4 distinct values), while every
-    cell of an ``mse --fixed-r`` sweep of the 8k-point noisy period-4
-    orbit has 400-1600.
-
-    The counts are exact. Both calls decide a point pair by comparing the
-    same rounded coordinate differences with r that the definition does,
-    so distances exactly equal to r still match, and they count or prune
-    a whole node pair only on bounding-box distances, which bound every
-    point distance inside also after rounding. The bulk count sums the
-    weights as floats; every partial sum is an integer below nt**2 < 2**53,
-    so the total is exact. The listed count multiplies and sums integer
-    weights in int64, where every sum stays below nt**2. Memory is O(N)
-    for fixed m: the list holds at most A <= B <= 128*nt pairs of 16 bytes.
-    """
+def _tree_counts(x: np.ndarray, m: int, r: float) -> tuple[int, int]:
+    """(A, B) from a tree per length over the distinct templates: B counted
+    in bulk, then A's pairs listed if B <= ``_LIST_BELOW``*nt, else counted."""
     nt = x.size - m
     b = _counted_pairs(*_template_tree(x, m, nt), r)
     count = _listed_pairs if b <= _LIST_BELOW * nt else _counted_pairs
@@ -203,13 +166,89 @@ def _pair_counts(x: np.ndarray, m: int, r: float) -> tuple[int, int]:
     return a, b
 
 
+def _extended_pairs(x: np.ndarray, m: int, r: float) -> tuple[int, int]:
+    """(A, B) from one list of the length-m pairs of a tree over the raw
+    templates: B is its length, A the pairs whose extra coordinates
+    ``x[i+m]``, ``x[j+m]`` also lie within r."""
+    from scipy.spatial import cKDTree
+
+    tree = cKDTree(sliding_window_view(x, m)[:x.size - m], balanced_tree=False)
+    pairs = tree.query_pairs(r, p=np.inf, output_type="ndarray")
+    extra = x[m:]
+    gap = extra[pairs[:, 0]]
+    gap -= extra[pairs[:, 1]]
+    return int(np.count_nonzero(np.abs(gap, out=gap) <= r)), len(pairs)
+
+
+_STRATEGIES = {"extended": _extended_pairs, "trees": _tree_counts}
+
+
+def _strategy(x: np.ndarray, m: int, r: float) -> str:
+    """The name of the ``_STRATEGIES`` entry that counts this cell.
+
+    ``extended`` when the first template coordinates ``x[:nt]`` are all
+    distinct, so the raw templates split well, and at most ``_LIST_BELOW``
+    pairs per template match in that coordinate, which bounds B (short of
+    differences that round down to r). ``trees`` otherwise, also when
+    ``s + r`` passes the largest float. On one CPU (m=2, r=0.2 SD) the
+    trees take 4.3 ms for 1000 N(0,1) points against 1.1 ms, 10.5 against
+    3.6 ms at 2200 points, and 23 against 7.9 ms at 4000, which already
+    match 230 per template in the first coordinate. The battery's tie-free
+    1000-point series match 6-42 at length m; RR-like series have ties at
+    every scale, and the noisy period-4 orbit of an ``mse --fixed-r``
+    sweep matches 400-1200 per template in the first coordinate.
+    """
+    nt = x.size - m
+    s = np.sort(x[:nt])
+    with np.errstate(over="ignore"):
+        reach = s + r
+    if (s[1:] == s[:-1]).any() or math.isinf(reach[-1]):
+        return "trees"
+    matches = int(np.searchsorted(s, reach, "right").sum()) - nt * (nt + 1) // 2
+    return "extended" if matches <= _LIST_BELOW * nt else "trees"
+
+
+def _pair_counts(x: np.ndarray, m: int, r: float) -> tuple[int, int]:
+    """Count template pairs (i < j) matching at lengths m and m+1.
+
+    Both lengths draw their templates from start indices 0 .. N-m-1, so
+    every length-m template has a length-(m+1) extension and A <= B holds
+    structurally. ``_strategy`` names the way to count: ``extended`` for
+    sparse tie-free cells, else ``trees``, which collapses identical
+    templates into weighted points and so stays splittable on tie-heavy
+    input (quantized or binary series), where a raw-template tree
+    degenerates to quadratic time.
+
+    ``count_neighbors`` counts pairs in bulk: it adds up whole node pairs
+    that lie within r, but visits every node pair in both orders.
+    ``query_pairs`` lists each pair once, so it does about half the work
+    where matches are sparse and falls far behind where they are dense
+    (2x slower on the noisy period-4 orbit at 8k points); both strategies
+    list only up to ``_LIST_BELOW`` pairs per template. Listing A on the
+    trees stays ahead beyond 700 per template on N(0,1) at 8k points, but
+    on the noisy period-4 orbit only to about 300 at 4k-8k and 100 at 1k.
+
+    The counts are exact. The trees and the extra coordinate decide a
+    point pair by comparing the same rounded coordinate differences with
+    r that the definition does, so distances exactly equal to r still
+    match, and a tree counts or prunes a whole node pair only on
+    bounding-box distances, which bound every point distance inside also
+    after rounding. The bulk count sums the weights as floats; every
+    partial sum is an integer below nt**2 < 2**53, so the total is exact.
+    Listed counts are int64. Memory is O(N) for fixed m: a list holds at
+    most about 128*nt pairs of 16 bytes.
+    """
+    return _STRATEGIES[_strategy(x, m, r)](x, m, r)
+
+
 def sample_entropy(series: Series, params: SampEnParams = SampEnParams()) -> SampEnResult:
     """Sample entropy: -ln(A/B) over matching template pairs.
 
     Raises NumericalError when the tolerance degenerates to zero (constant
     series under per-input-SD mode) or is not finite (an SD that overflows),
-    when the values differ by more than the largest float, which the tree
-    cannot hold, or when either count is zero.
+    when the values of one template coordinate ``x[k:k+N-m]``, k = 0..m,
+    differ by more than the largest float, which the tree cannot hold, or
+    when either count is zero.
     """
     n = len(series)
     if n < params.m + 2:
@@ -219,9 +258,11 @@ def sample_entropy(series: Series, params: SampEnParams = SampEnParams()) -> Sam
         raise NumericalError("degenerate tolerance (r = 0)")
     if not math.isfinite(r):
         raise NumericalError(f"non-finite tolerance (r = {r})")
-    if math.isinf(float(series.values.max()) - float(series.values.min())):
+    x, nt = series.values, n - params.m
+    if any(math.isinf(float(c.max()) - float(c.min()))
+           for c in (x[k:k + nt] for k in range(params.m + 1))):
         raise NumericalError("values differ by more than the largest float")
-    a, b = _pair_counts(series.values, params.m, r)
+    a, b = _pair_counts(x, params.m, r)
     if a == 0 or b == 0:
         err = NumericalError(f"insufficient matches (A={a}, B={b})")
         err.a_count = a

@@ -57,6 +57,20 @@ def _periodic(n):
     return x, 0.2 * float(np.std(x, ddof=1))
 
 
+def _within_trees(count):
+    """(A, B) from one of the trees' two ways to count one length's pairs."""
+    def counts(x, m, r):
+        nt = x.size - m
+        return (count(*entropy._template_tree(x, m + 1, nt), r),
+                count(*entropy._template_tree(x, m, nt), r))
+    return counts
+
+
+_COUNTING_WAYS = {"listed": _within_trees(entropy._listed_pairs),
+                  "counted": _within_trees(entropy._counted_pairs),
+                  **entropy._STRATEGIES}
+
+
 def sampen_counts(series, params=SampEnParams()):
     """(A, B) behind a sample entropy, also when a zero count makes it raise."""
     try:
@@ -125,6 +139,25 @@ class TestSampleEntropy:
         with pytest.raises(NumericalError, match=reason):
             sample_entropy(Series(values), params)
 
+    def test_extremes_that_share_no_coordinate_are_counted(self):
+        # 1.7e308 is only ever a first coordinate and -1.7e308 a last one,
+        # so no difference either strategy takes overflows
+        x = [1.7e308, *[0.5, -0.25, 0.75, 0.5] * 5, -1.7e308]
+        want = sampen_pairs_direct(x, m=2, r=0.3)
+        res = sample_entropy(Series(x), SampEnParams(r_factor=0.3, **ABS_R))
+        assert (res.a_count, res.b_count) == want
+        for count in entropy._STRATEGIES.values():
+            assert count(np.array(x), 2, 0.3) == want
+
+    def test_tolerance_past_the_largest_value_takes_the_trees(self):
+        # the rule's s + r overflows: no warning, and the trees count
+        # every pair
+        x = np.random.Generator(np.random.PCG64(13)).permutation(40) * 2.5e306
+        params = SampEnParams(r_factor=1.5e308, **ABS_R)
+        assert entropy._strategy(x, 2, params.r_factor) == "trees"
+        res = sample_entropy(Series(x), params)
+        assert (res.a_count, res.b_count) == (comb(38, 2),) * 2
+
     def test_range_below_the_largest_float_is_counted(self):
         # the extremes differ by 1.78e308 < 1.797e308: the tree holds them
         x = [8.9e307, -8.9e307, *[0.5, -0.25, 0.75, 0.5] * 5]
@@ -183,35 +216,34 @@ class TestSampleEntropy:
         assert got == [want] * cpus
 
     @pytest.mark.parametrize("m", [1, 2])
-    @pytest.mark.parametrize("count", [entropy._listed_pairs, entropy._counted_pairs],
-                             ids=["listed", "counted"])
+    @pytest.mark.parametrize("way", [*_COUNTING_WAYS])
     @pytest.mark.parametrize("x, r", [
         # sparse matches; on the 1/128 grid many distances equal r exactly
         pytest.param(_normal(300, 6), 0.2, id="normal"),
         pytest.param(np.round(_normal(300, 7) * 128) / 128, 2 / 128, id="grid128"),
+        # tie-free, and every difference a multiple of 1/128: many equal r
+        pytest.param(np.random.Generator(np.random.PCG64(10)).permutation(300) / 128, 12 / 128,
+                     id="permutation128"),
         # dense matches, with few distinct templates or clustered ones
         pytest.param(np.random.Generator(np.random.PCG64(8)).integers(0, 2, 300).astype(float),
                      0.5, id="binary"),
         pytest.param(*_periodic(300), id="periodic"),
     ])
-    def test_both_ways_of_counting_match_bruteforce_oracle(self, x, r, count, m):
-        nt = x.size - m
-        a, b = sampen_pairs_direct(x, m, r)
-        assert count(*entropy._template_tree(x, m + 1, nt), r) == a
-        assert count(*entropy._template_tree(x, m, nt), r) == b
+    def test_both_ways_of_counting_match_bruteforce_oracle(self, x, r, way, m):
+        # each strategy, and each of the trees' two ways to count one
+        # length, on every case: the choice between them is tested apart
+        assert _COUNTING_WAYS[way](x, m, r) == sampen_pairs_direct(x, m, r)
 
-    @pytest.mark.parametrize("x, r, listed", [
-        pytest.param(_normal(2048, 9), 0.2, True, id="sparse"),
-        pytest.param(*_periodic(2048), False, id="dense"),
+    @pytest.mark.parametrize("x, r, name", [
+        pytest.param(_normal(1000, 11), 0.2, "extended", id="sparse-1k"),
+        # 114 pairs per template match in the first coordinate, under 128
+        pytest.param(_normal(2048, 9), 0.2, "extended", id="sparse"),
+        pytest.param(*_periodic(2048), "trees", id="dense"),
+        pytest.param(np.round(_normal(2048, 12) * 128) / 128, 2 / 128, "trees", id="quantized"),
     ])
-    def test_pairs_are_listed_only_when_matches_are_sparse(self, monkeypatch, x, r, listed):
-        listed_pairs, calls = entropy._listed_pairs, []
-        monkeypatch.setattr(entropy, "_listed_pairs",
-                            lambda *args: calls.append(args) or listed_pairs(*args))
-        a, b = entropy._pair_counts(x, 2, r)
-        assert (a, b) == sampen_pairs_rowwise(x, 2, r)
-        assert (b <= entropy._LIST_BELOW * (x.size - 2)) == listed
-        assert len(calls) == listed
+    def test_pairs_are_listed_only_when_matches_are_sparse(self, x, r, name):
+        assert entropy._strategy(x, 2, r) == name
+        assert entropy._pair_counts(x, 2, r) == sampen_pairs_rowwise(x, 2, r)
 
     @given(seed=st.integers(0, 2**32 - 1),
            a=st.floats(-50, 50).filter(lambda v: abs(v) > 1e-3),
