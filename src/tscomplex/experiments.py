@@ -428,30 +428,34 @@ def compare_groups(
     """Score every series in both groups with ``metrics`` and Welch-t-test
     each metric between them.
 
-    Returns the per-series report (rows labeled ``group:series``, ready for
-    a box_by_group plot), the t-test of each metric that has one, and the
+    Both groups are scored in one sweep, group A's series first; a score
+    belongs to the group its series' position puts it in. Returns the
+    per-series report (rows labeled ``group:series``, ready for a
+    box_by_group plot), the t-test of each metric that has one, and the
     reason each other metric has none: fewer than two finite scores in a
-    group, or scores that are equal within each group. Two series with the
-    same label are refused before any cell is scored.
+    group, or scores that are equal within each group. Equal group names,
+    a group name holding ``:`` (the plot reads a row's group up to its
+    first ``:``) and two series with the same label are refused before any
+    cell is scored.
     """
     if len(group_a) < 2 or len(group_b) < 2:
         raise DataError("each group needs at least 2 series")
-    labels = [[f"{gname}:{series.label}" for series in group]
-              for gname, group in zip(group_names, (group_a, group_b))]
-    refuse_duplicate_labels([label for group in labels for label in group], metrics)
+    name_a, name_b = group_names
+    if name_a == name_b or ":" in name_a + name_b:
+        raise ValueError(f"group names must differ and hold no ':', got {name_a!r} "
+                         f"and {name_b!r}")
+    labels = [f"{gname}:{series.label}" for gname, group in zip(group_names, (group_a, group_b))
+              for series in group]
+    refuse_duplicate_labels(labels, metrics)
+    profiles = mse_sweeps([*group_a, *group_b], (1,), metrics)
     report = ExperimentReport()
-    values: dict[tuple[str, str], list[float]] = {}
-    for gname, group, group_labels in zip(group_names, (group_a, group_b), labels):
-        for label, profile in zip(group_labels, mse_sweeps(group, (1,), metrics)):
-            report.add_profile(label, profile)
-            for res in profile.results.values():
-                if math.isfinite(res.value):
-                    values.setdefault((gname, res.metric), []).append(res.value)
+    for label, profile in zip(labels, profiles):
+        report.add_profile(label, profile)
     tests: dict[str, TTestResult] = {}
     untested: dict[str, str] = {}
     for metric in metrics:
-        a = values.get((group_names[0], metric.name), [])
-        b = values.get((group_names[1], metric.name), [])
+        a, b = ([v for p in group for v in p.values(metric.name) if math.isfinite(v)]
+                for group in (profiles[:len(group_a)], profiles[len(group_a):]))
         if len(a) < 2 or len(b) < 2:
             untested[metric.name] = "fewer than 2 finite scores in a group"
             continue

@@ -88,6 +88,8 @@ def generate_iid(
         raise DataError(f"length must be >= 1, got {n}")
     if rate <= 0:
         raise DataError(f"rate must be positive, got {rate}")
+    if dist not in _DRAWS:
+        raise DataError(f"unknown distribution {dist!r}; choose from {', '.join(_DRAWS)}")
     x = _DRAWS[dist](derive_rng(seed), n + burn_in, rate)
     return Series(x[burn_in:], label or dist)
 
@@ -249,6 +251,8 @@ class GeneratorSpec:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise DataError(f"invalid generator spec JSON: {exc}") from exc
+        except RecursionError:
+            raise DataError("generator spec JSON nested too deeply") from None
         if not isinstance(data, dict):
             raise DataError("generator spec JSON must be an object")
         return cls.from_dict(data)
@@ -321,4 +325,7 @@ _KINDS = {
 
 def build_series(spec: GeneratorSpec) -> Series:
     """Materialize a GeneratorSpec into a Series."""
-    return _KINDS[spec.kind].build(spec)
+    try:
+        return _KINDS[spec.kind].build(spec)
+    except RecursionError:  # a noise_overlay chain deeper than the stack
+        raise DataError("generator spec nested too deeply") from None

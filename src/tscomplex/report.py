@@ -123,6 +123,8 @@ def read_report_json(path: str | Path) -> ExperimentReport:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid report JSON: {exc}") from exc
+    except RecursionError:
+        raise DataError(f"{path}: report JSON nested too deeply") from None
     except UnicodeDecodeError:
         raise DataError(f"{path}: not UTF-8 text") from None
     except OSError as exc:

@@ -564,6 +564,21 @@ class TestCompareGroupsCommand:
         assert out == "".join(f"{name}: no t-test (degenerate variance in both groups)\n"
                               for name in METRIC_NAMES)
 
+    @pytest.mark.parametrize("names", [("G", "G"), ("x:1", "x:2")])
+    def test_ambiguous_group_names_are_a_usage_error(self, capsys, tmp_path, names):
+        files = []
+        for s in range(4):
+            p = tmp_path / f"g{s}.txt"
+            write_series(generate_iid("uniform", 300, seed=s), p)
+            files.append(str(p))
+        code, out, err = run(capsys, "compare-groups", "--a", *files[:2], "--b", *files[2:],
+                             "--name-a", names[0], "--name-b", names[1],
+                             "--out", str(tmp_path / "r.csv"))
+        assert code == 1 and not out
+        assert err == (f"tscomplex: usage error: group names must differ and hold no ':', "
+                       f"got {names[0]!r} and {names[1]!r}\n")
+        assert not (tmp_path / "r.csv").exists()
+
     def test_non_finite_value_names_the_file(self, capsys, tmp_path):
         files = []
         for name, text in (("ok1", "1.0\n3.0\n2.0\n"), ("bad", "1.0\nnan\n2.0\n"),
@@ -692,6 +707,32 @@ class TestErrorContract:
         err = capsys.readouterr().err
         assert code in (0, 1, 2, 3)
         assert err.count("\n") <= 1, err
+
+    @pytest.mark.parametrize("command, depth, message", [
+        ("plot", 100_000, "report JSON nested too deeply"),
+        ("generate", 600, "generator spec JSON nested too deeply"),
+        # parses; building it recursed too deep in a fresh process, where the
+        # innermost draw also imports scipy.special, and may fit a warm one
+        # (test_generators builds a chain that no stack holds)
+        ("generate", 450, "nested too deeply"),
+    ])
+    def test_deep_nesting_is_a_data_error(self, capsys, tmp_path, command, depth, message):
+        path = tmp_path / "in.json"
+        if command == "plot":
+            path.write_text("[" * depth)
+            argv = ["plot", str(path), "--kind", "box_by_group", "--out", str(tmp_path / "x.svg")]
+        else:
+            overlay = '{"kind": "noise_overlay", "params": {"sd_absolute": 0.1, "base": '
+            path.write_text(overlay * depth + '{"kind": "uniform", "length": 10}' + "}}" * depth)
+            argv = ["generate", "--spec", str(path), "--out", str(tmp_path / "s.txt")]
+        code, out, err = run(capsys, *argv)
+        assert not out
+        if depth == 450 and code == 0:
+            assert not err and (tmp_path / "s.txt").read_text().count("\n") == 10
+            return
+        assert code == 2
+        assert err.startswith("tscomplex: data error: ") and err.count("\n") == 1
+        assert message in err
 
     @fuzz
     @given(spec=_specs(_PARAMS | _NESTED_PARAMS | _VALUES) | _VALUES)

@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import sys
 import threading
+import time
 from math import comb, factorial, log
 
 import numpy as np
@@ -445,6 +446,24 @@ class TestMseSweeps:
         with pytest.raises(RuntimeError, match="boom"):
             mse_sweeps(self.SERIES, [1, 2], [Metric("boom", boom)])
         assert seen == [600]
+
+    def test_no_cell_starts_after_an_exception_on_two_workers(self, sweep_cpus):
+        sweep_cpus(2)
+        started = []
+        second = threading.Event()
+
+        def first_raises(series):
+            # cell 0 raises once cell 1 has started; cell 1 ends 0.2 s later
+            started.append(len(series))
+            if len(series) == 600:
+                assert second.wait(10)
+                raise RuntimeError("boom")
+            second.set()
+            time.sleep(0.2)
+
+        with pytest.raises(RuntimeError, match="boom"):
+            mse_sweeps(self.SERIES, [1], [Metric("first_raises", first_raises)])
+        assert sorted(started) == [300, 600]
 
     def test_one_cell_runs_in_the_calling_thread(self, sweep_cpus):
         sweep_cpus(2)

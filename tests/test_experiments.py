@@ -30,7 +30,7 @@ from tscomplex.experiments import (
     logistic_recipe,
     reproduce,
 )
-from tscomplex.metrics import AnalysisConfig, build_metrics
+from tscomplex.metrics import METRIC_NAMES, AnalysisConfig, build_metrics
 
 
 @pytest.fixture(scope="module")
@@ -244,6 +244,28 @@ class TestCompareGroups:
         with pytest.raises(DataError, match=r"duplicate report key: \('B:u0', 1, 'count'\)"):
             compare_groups(group, [*group[:1], *group], [counting])
         assert seen == []
+
+    @pytest.mark.parametrize("names", [("G", "G"), ("x:1", "x:2"), ("A", "B:")])
+    def test_ambiguous_group_names_refused_before_any_cell(self, names):
+        seen = []
+        counting = Metric("count", lambda s: seen.append(len(s)))
+        group = [generate_iid("uniform", 100, seed=s, label=f"u{s}") for s in range(4)]
+        with pytest.raises(ValueError, match="group names must differ and hold no ':'"):
+            compare_groups(group[:2], group[2:], [counting], group_names=names)
+        assert seen == []
+
+    def test_swapping_the_groups_flips_every_t(self):
+        a = [arma_simulate([0.5], [], 400, seed=s, label=f"ar{s}") for s in range(3)]
+        b = [generate_iid("normal", 400, seed=10 + s, label=f"n{s}") for s in range(4)]
+        metrics = build_metrics(AnalysisConfig())
+        _, forward, _ = compare_groups(a, b, metrics)
+        _, backward, _ = compare_groups(b, a, metrics)
+        assert set(forward) == set(backward) == set(METRIC_NAMES)
+        for name, res in forward.items():
+            assert res.t_statistic != 0.0
+            assert backward[name].t_statistic == -res.t_statistic
+            assert backward[name].p_value == res.p_value
+            assert (backward[name].mean_a, backward[name].mean_b) == (res.mean_b, res.mean_a)
 
     def test_group_size_checked(self):
         s = generate_iid("uniform", 100, seed=1)

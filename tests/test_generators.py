@@ -1,6 +1,7 @@
 """Seeded generators: determinism, supports, recipes, spec JSON."""
 import json
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +60,11 @@ class TestIid:
     def test_invalid_length(self):
         with pytest.raises(DataError):
             generate_iid("uniform", 0, seed=1)
+
+    def test_unknown_distribution_names_the_known_ones(self):
+        with pytest.raises(DataError, match="unknown distribution 'bogus'; choose from "
+                                            "uniform, normal, exponential"):
+            generate_iid("bogus", 10, 0)
 
 
 class TestDeriveSeed:
@@ -206,6 +212,14 @@ class TestGeneratorSpec:
     def test_unknown_kind(self):
         with pytest.raises(DataError, match="unknown generator kind"):
             GeneratorSpec(kind="brownian")
+
+    def test_overlay_chain_deeper_than_the_stack_is_a_data_error(self):
+        # from_dict parses one level; each overlay parses and builds its base
+        spec = {"kind": "uniform", "length": 10}
+        for _ in range(sys.getrecursionlimit()):
+            spec = {"kind": "noise_overlay", "params": {"base": spec, "sd_absolute": 0.1}}
+        with pytest.raises(DataError, match="generator spec nested too deeply"):
+            build_series(GeneratorSpec.from_dict(spec))
 
     def test_arma_burn_in_defaults_to_500(self):
         def build(**burn_in):
