@@ -141,10 +141,9 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_mse(args) -> int:
     config = _config_from(args)
-    inputs = _gather_inputs(args)
-    if len(inputs) != 1:
+    if len(args.inputs or ()) + len(args.specs or ()) > 1:  # refused before any spec is built
         raise DataError("mse takes exactly one input")
-    series = _as_series(inputs[0])
+    series = _as_series(_gather_inputs(args)[0])
     # an absolute tolerance is already fixed across scales, and a zero or
     # overflowing SD leaves none to fix: the per-input tolerance then fails
     # those cells

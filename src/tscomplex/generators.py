@@ -90,7 +90,8 @@ def generate_iid(
         raise DataError(f"rate must be positive, got {rate}")
     if dist not in _DRAWS:
         raise DataError(f"unknown distribution {dist!r}; choose from {', '.join(_DRAWS)}")
-    x = _DRAWS[dist](derive_rng(seed), n + burn_in, rate)
+    with np.errstate(over="ignore"):  # Series refuses the non-finite draw
+        x = _DRAWS[dist](derive_rng(seed), n + burn_in, rate)
     return Series(x[burn_in:], label or dist)
 
 
@@ -161,6 +162,15 @@ def arma_simulate(
     return Series(x[burn_in:], label or f"arma({len(ar)},{len(ma)})")
 
 
+def _check_noise_sizes(sd_multiplier: float | None, sd_absolute: float | None) -> None:
+    if (sd_multiplier is None) == (sd_absolute is None):
+        raise DataError("specify exactly one of sd_multiplier / sd_absolute")
+    if sd_multiplier is not None and sd_multiplier < 0:
+        raise DataError(f"sd multiplier must be >= 0, got {sd_multiplier}")
+    if sd_absolute is not None and sd_absolute < 0:
+        raise DataError(f"noise sd must be >= 0, got {sd_absolute}")
+
+
 def add_noise(
     series: Series,
     seed: int | np.random.SeedSequence,
@@ -171,20 +181,13 @@ def add_noise(
 ) -> Series:
     """Add iid Gaussian noise, sized either relative to the input's sample
     SD (``sd_multiplier``) or as an absolute SD (``sd_absolute``)."""
-    if (sd_multiplier is None) == (sd_absolute is None):
-        raise DataError("specify exactly one of sd_multiplier / sd_absolute")
-    if sd_multiplier is not None:
-        if sd_multiplier < 0:
-            raise DataError(f"sd multiplier must be >= 0, got {sd_multiplier}")
-        sigma = sd_multiplier * sample_sd(series)
-    else:
-        if sd_absolute < 0:
-            raise DataError(f"noise sd must be >= 0, got {sd_absolute}")
-        sigma = float(sd_absolute)
+    _check_noise_sizes(sd_multiplier, sd_absolute)
+    sigma = float(sd_absolute) if sd_multiplier is None else sd_multiplier * sample_sd(series)
     if sigma == 0.0:
         return Series(series.values, label or series.label)
     rng = derive_rng(seed)
-    noisy = series.values + sigma * _normal(rng, len(series))
+    with np.errstate(over="ignore"):  # Series refuses the non-finite sum
+        noisy = series.values + sigma * _normal(rng, len(series))
     return Series(noisy, label or series.label)
 
 
@@ -292,24 +295,8 @@ def _arma(spec: GeneratorSpec) -> Series:
                          **_given_burn_in(spec), label=spec.label)
 
 
-def _noise_overlay(spec: GeneratorSpec) -> Series:
-    p = spec.params
-    base = p.get("base")
-    if not isinstance(base, dict):
-        raise DataError("noise_overlay params need a nested 'base' spec object")
-    if spec.burn_in is not None:
-        raise DataError(f"burn_in must be left to the base for noise_overlay, got {spec.burn_in}")
-    base_series = build_series(GeneratorSpec.from_dict(base))
-    if spec.length not in (None, len(base_series)):
-        raise DataError(f"length must equal the base's ({len(base_series)}) for noise_overlay, "
-                        f"got {spec.length}")
-    sizes = {name: None if p.get(name) is None else json_number(p[name], name)
-             for name in ("sd_multiplier", "sd_absolute")}
-    return add_noise(base_series, spec.seed, **sizes, label=spec.label or base_series.label)
-
-
 class _Kind(NamedTuple):
-    build: Callable[[GeneratorSpec], Series]
+    build: Callable[[GeneratorSpec], Series] | None  # None: build_series adds the overlay
     params: tuple[str, ...]  # the names a spec's params may use
 
 
@@ -319,13 +306,31 @@ _KINDS = {
     "exponential": _Kind(_iid, ("rate",)),
     "logistic_map": _Kind(_logistic_map, ("r", "x0")),
     "arma": _Kind(_arma, ("ar", "ma")),
-    "noise_overlay": _Kind(_noise_overlay, ("base", "sd_multiplier", "sd_absolute")),
+    "noise_overlay": _Kind(None, ("base", "sd_multiplier", "sd_absolute")),
 }
 
 
 def build_series(spec: GeneratorSpec) -> Series:
-    """Materialize a GeneratorSpec into a Series."""
-    try:
-        return _KINDS[spec.kind].build(spec)
-    except RecursionError:  # a noise_overlay chain deeper than the stack
-        raise DataError("generator spec nested too deeply") from None
+    """Materialize a GeneratorSpec into a Series, walking a noise_overlay chain
+    in a loop and checking every link before the first draw."""
+    links = []  # each noise_overlay and its noise sizes, outermost first
+    while spec.kind == "noise_overlay":
+        p = spec.params
+        if not isinstance(p.get("base"), dict):
+            raise DataError("noise_overlay params need a nested 'base' spec object")
+        if spec.burn_in is not None:
+            raise DataError(f"burn_in must be left to the base for noise_overlay, "
+                            f"got {spec.burn_in}")
+        sizes = {name: None if p.get(name) is None else json_number(p[name], name)
+                 for name in ("sd_multiplier", "sd_absolute")}
+        _check_noise_sizes(**sizes)
+        links.append((spec, sizes))
+        spec = GeneratorSpec.from_dict(p["base"])
+    for link, _ in reversed(links):
+        if link.length not in (None, _length(spec)):
+            raise DataError(f"length must equal the base's ({_length(spec)}) for noise_overlay, "
+                            f"got {link.length}")
+    series = _KINDS[spec.kind].build(spec)
+    for link, sizes in reversed(links):
+        series = add_noise(series, link.seed, **sizes, label=link.label or series.label)
+    return series

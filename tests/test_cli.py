@@ -178,6 +178,14 @@ class TestMse:
         code, _, err = run(capsys, "mse", "--spec", LOGISTIC_SPEC, "--spec", LOGISTIC_SPEC)
         assert code == 2
 
+    def test_second_input_refused_before_any_spec_is_built(self, capsys, monkeypatch):
+        # the second spec asks for 10^15 points, which no machine allocates
+        monkeypatch.setattr(cli, "build_series", lambda spec: pytest.fail("built"))
+        code, out, err = run(capsys, "mse", "--spec", '{"kind":"uniform","length":50}',
+                             "--spec", '{"kind":"uniform","length":1000000000000000}')
+        assert code == 2 and not out
+        assert err == "tscomplex: data error: mse takes exactly one input\n"
+
     def test_fixed_r_flag_changes_deep_scales(self, capsys):
         spec = json.dumps({"kind": "arma", "params": {"ar": [0.9], "ma": []},
                            "length": 1000, "seed": 4, "label": "ar1"})
@@ -690,6 +698,12 @@ _SERIES_LINES = st.lists(st.sampled_from(("", " ", "1.5", "2", "nan", "inf", "\u
                                           "1e200")), max_size=6)
 
 
+def _overlay_chain(depth: int) -> str:
+    """A ten-point uniform series under ``depth`` nested noise_overlay links."""
+    overlay = '{"kind": "noise_overlay", "params": {"sd_absolute": 0.1, "base": '
+    return overlay * depth + '{"kind": "uniform", "length": 10}' + "}}" * depth
+
+
 class TestErrorContract:
     """Whatever JSON or series text comes in, the CLI exits 0-3 with at most
     one line on stderr and no traceback."""
@@ -711,10 +725,6 @@ class TestErrorContract:
     @pytest.mark.parametrize("command, depth, message", [
         ("plot", 100_000, "report JSON nested too deeply"),
         ("generate", 600, "generator spec JSON nested too deeply"),
-        # parses; building it recursed too deep in a fresh process, where the
-        # innermost draw also imports scipy.special, and may fit a warm one
-        # (test_generators builds a chain that no stack holds)
-        ("generate", 450, "nested too deeply"),
     ])
     def test_deep_nesting_is_a_data_error(self, capsys, tmp_path, command, depth, message):
         path = tmp_path / "in.json"
@@ -722,17 +732,33 @@ class TestErrorContract:
             path.write_text("[" * depth)
             argv = ["plot", str(path), "--kind", "box_by_group", "--out", str(tmp_path / "x.svg")]
         else:
-            overlay = '{"kind": "noise_overlay", "params": {"sd_absolute": 0.1, "base": '
-            path.write_text(overlay * depth + '{"kind": "uniform", "length": 10}' + "}}" * depth)
+            path.write_text(_overlay_chain(depth))
             argv = ["generate", "--spec", str(path), "--out", str(tmp_path / "s.txt")]
         code, out, err = run(capsys, *argv)
         assert not out
-        if depth == 450 and code == 0:
-            assert not err and (tmp_path / "s.txt").read_text().count("\n") == 10
-            return
         assert code == 2
         assert err.startswith("tscomplex: data error: ") and err.count("\n") == 1
         assert message in err
+
+    def test_deep_overlay_chain_that_parses_builds(self, capsys, tmp_path):
+        # 450 links parse: the parser refuses about 494 and more
+        path = tmp_path / "in.json"
+        path.write_text(_overlay_chain(450))
+        code, out, err = run(capsys, "generate", "--spec", str(path),
+                             "--out", str(tmp_path / "s.txt"))
+        assert code == 0 and not out and not err
+        assert (tmp_path / "s.txt").read_text().count("\n") == 10
+
+    @pytest.mark.parametrize("spec", [
+        '{"kind":"exponential","params":{"rate":1e-320},"length":3}',
+        '{"kind":"noise_overlay","params":{"base":{"kind":"uniform","length":5},'
+        '"sd_absolute":1e308}}',
+    ], ids=["draw", "overlay"])
+    def test_overflowing_draw_is_one_data_error(self, capsys, spec):
+        code, out, err = run(capsys, "generate", "--spec", spec)
+        assert code == 2 and not out
+        assert err.startswith("tscomplex: data error: non-finite sample at index ")
+        assert err.count("\n") == 1
 
     @fuzz
     @given(spec=_specs(_PARAMS | _NESTED_PARAMS | _VALUES) | _VALUES)

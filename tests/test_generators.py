@@ -20,6 +20,7 @@ from tscomplex import (
     logistic_map,
     sample_sd,
 )
+from tscomplex import generators
 from tscomplex.generators import _KINDS
 
 _README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -213,12 +214,31 @@ class TestGeneratorSpec:
         with pytest.raises(DataError, match="unknown generator kind"):
             GeneratorSpec(kind="brownian")
 
-    def test_overlay_chain_deeper_than_the_stack_is_a_data_error(self):
-        # from_dict parses one level; each overlay parses and builds its base
+    def test_overlay_chain_deeper_than_the_stack_builds(self):
+        # each link adds its own seeded noise to the series its base builds
         spec = {"kind": "uniform", "length": 10}
-        for _ in range(sys.getrecursionlimit()):
-            spec = {"kind": "noise_overlay", "params": {"base": spec, "sd_absolute": 0.1}}
-        with pytest.raises(DataError, match="generator spec nested too deeply"):
+        expected = generate_iid("uniform", 10, 0)
+        for seed in range(sys.getrecursionlimit()):
+            spec = {"kind": "noise_overlay", "params": {"base": spec, "sd_absolute": 0.1},
+                    "seed": seed}
+            expected = add_noise(expected, seed, sd_absolute=0.1)
+        built = build_series(GeneratorSpec.from_dict(spec))
+        assert built.label == expected.label == "uniform"
+        assert built.values.tobytes() == expected.values.tobytes()
+
+    @pytest.mark.parametrize("link, message", [
+        ({"params": {"sd_absolute": "x"}}, "sd_absolute must be a finite number, got 'x'"),
+        ({"params": {"sd_absolute": -1}}, "noise sd must be >= 0"),
+        ({"params": {"sd_absolute": 1, "sd_multiplier": 1}}, "exactly one of"),
+        ({"params": {"sd_absolute": 1}, "length": 7}, r"length must equal the base's \(10\)"),
+        ({"params": {"sd_absolute": 1}, "burn_in": 0}, "burn_in must be left to the base"),
+    ], ids=["string", "negative", "both", "length", "burn_in"])
+    def test_malformed_link_is_refused_before_any_draw(self, monkeypatch, link, message):
+        monkeypatch.setattr(generators, "generate_iid", lambda *a, **k: pytest.fail("drew"))
+        inner = {"kind": "noise_overlay", "params": {"base": {"kind": "uniform", "length": 10},
+                                                     "sd_multiplier": 0.5}}
+        spec = {"kind": "noise_overlay", **link, "params": {**link["params"], "base": inner}}
+        with pytest.raises(DataError, match=message):
             build_series(GeneratorSpec.from_dict(spec))
 
     def test_arma_burn_in_defaults_to_500(self):
