@@ -14,11 +14,11 @@ from dataclasses import replace
 from pathlib import Path
 from typing import get_args
 
-from .core import DataError, MetricResult, NumericalError, Series, sample_sd
+from .core import DataError, MetricResult, NumericalError, Series
 from .entropy import mse_sweep, mse_sweeps
 from .experiments import DEFAULT_SEED, EXPERIMENTS, compare_groups, reproduce
 from .generators import GeneratorSpec, build_series
-from .metrics import DEFAULT_SCALES, METRIC_NAMES, AnalysisConfig, build_metrics
+from .metrics import DEFAULT_SCALES, METRIC_NAMES, AnalysisConfig, build_metrics, row_of
 from .report import ExperimentReport, refuse_duplicate_labels, render_report, read_report_json
 from .plots import PlotKind, render_plot
 from .randomness import RunsVariant
@@ -144,11 +144,10 @@ def _cmd_mse(args) -> int:
     if len(args.inputs or ()) + len(args.specs or ()) > 1:  # refused before any spec is built
         raise DataError("mse takes exactly one input")
     series = _as_series(_gather_inputs(args)[0])
-    # an absolute tolerance is already fixed across scales, and a zero or
-    # overflowing SD leaves none to fix: the per-input tolerance then fails
-    # those cells
-    if (args.fixed_r and config.r_mode == "per_input_sd"
-            and 0 < (r := config.r_factor * sample_sd(series)) < math.inf):
+    # hold the original series' sample-entropy tolerance at every scale (an
+    # absolute one holds already); a zero or overflowing SD leaves none to
+    # hold, and the per-input tolerance then fails those cells
+    if args.fixed_r and 0 < (r := row_of("sampen").params_of(config).tolerance(series)) < math.inf:
         config = replace(config, r_factor=r, r_mode="absolute")
     profile = mse_sweep(series, config.scales, build_metrics(config),
                         partial="mean" if args.partial_blocks else "drop")

@@ -78,6 +78,13 @@ def sample_sd(series: Series) -> float:
         return float(np.std(x, ddof=1))
 
 
+def check_partial(partial: str) -> str:
+    """The remainder mode of coarse-graining; ValueError unless it is "drop" or "mean"."""
+    if partial not in ("drop", "mean"):
+        raise ValueError(f"partial must be 'drop' or 'mean', got {partial!r}")
+    return partial
+
+
 def coarse_grain(series: Series, scale: int, *, partial: Literal["drop", "mean"] = "drop") -> Series:
     """Down-sample by replacing each disjoint block of ``scale`` consecutive
     samples with its arithmetic mean.
@@ -85,7 +92,8 @@ def coarse_grain(series: Series, scale: int, *, partial: Literal["drop", "mean"]
     ``partial="drop"`` (default) discards the trailing remainder, giving
     exactly ``floor(N/scale)`` output samples. ``partial="mean"`` keeps the
     remainder as one short final block; the reproduction harness uses this
-    mode because the reference result tables were produced that way.
+    mode because the reference result tables were produced that way. Any
+    other ``partial`` is a ValueError.
 
     The means are bit-identical to ``blocks.mean(axis=1)`` on the
     ``(N // scale, scale)`` blocks. For rows of fewer than 8 numbers numpy's
@@ -100,6 +108,7 @@ def coarse_grain(series: Series, scale: int, *, partial: Literal["drop", "mean"]
     change no bit of a normal number, so these are the means the same adds
     would give without overflow.
     """
+    check_partial(partial)
     n = len(series)
     scale = int(scale)
     if scale < 1 or scale > n:

@@ -51,6 +51,7 @@ from .core import (
     MetricResult,
     NumericalError,
     Series,
+    check_partial,
     coarse_grain,
     sample_sd,
 )
@@ -429,7 +430,8 @@ def mse_sweeps(
     error message attached; the sweep continues. Any other exception
     propagates, and no cell starts after it.
 
-    The scales and every series' length are checked before any cell runs.
+    The scales, every series' length, ``partial`` and the metric names
+    (none twice) are checked before any cell runs.
     The (series, scale) cells are independent, so they are shared out in
     series-major order between the calling thread and helper threads that
     the sweep starts and joins, one per further CPU in the process's
@@ -452,6 +454,11 @@ def mse_sweeps(
         for s in (ordered[0], ordered[-1]):
             if s < 1 or s > len(series):
                 raise DataError(f"invalid scale {s} for series of length {len(series)}")
+    check_partial(partial)
+    names = tuple(metric.name for metric in metrics)
+    repeated = [name for i, name in enumerate(names) if name in names[:i]]
+    if repeated:
+        raise DataError(f"metric named more than once: {repeated[0]}")
     workers = 1 if all(metric.holds_lock for metric in metrics) else _cpus()
 
     def score(cell: tuple[Series, int]) -> list[tuple[tuple[int, str], MetricResult]]:
@@ -470,7 +477,6 @@ def mse_sweeps(
 
     cells = [(series, scale) for series in series_list for scale in ordered]
     scored = _map_in_order(score, cells, workers)
-    names = tuple(metric.name for metric in metrics)
     per_series = len(ordered)
     return [MseProfile(scales=tuple(ordered), metrics=names,
                        results=dict(pair for cell in scored[i:i + per_series] for pair in cell))

@@ -62,6 +62,14 @@ def _normal(rng: np.random.Generator, n: int) -> np.ndarray:
     return special.ndtri(u)
 
 
+def _check_size(length: int | None, burn_in: int | None) -> None:
+    """DataError unless a given length is >= 1 and a given burn_in >= 0."""
+    if length is not None and length < 1:
+        raise DataError(f"length must be >= 1, got {length}")
+    if burn_in is not None and burn_in < 0:
+        raise DataError(f"burn_in must be >= 0, got {burn_in}")
+
+
 # the n draws of each distribution from ``rng``; only the exponential reads rate
 _DRAWS = {
     "uniform": lambda rng, n, rate: rng.random(n),
@@ -84,8 +92,7 @@ def generate_iid(
     Deterministic in (dist, n, seed): the same inputs always give the
     bit-identical series.
     """
-    if n < 1:
-        raise DataError(f"length must be >= 1, got {n}")
+    _check_size(n, burn_in)
     if rate <= 0:
         raise DataError(f"rate must be positive, got {rate}")
     if dist not in _DRAWS:
@@ -145,8 +152,7 @@ def arma_simulate(
     """
     from scipy import signal
 
-    if n < 1:
-        raise DataError(f"length must be >= 1, got {n}")
+    _check_size(n, burn_in)
     ar = [float(c) for c in ar]
     ma = [float(c) for c in ma]
     if ar:
@@ -213,10 +219,7 @@ class GeneratorSpec:
     def __post_init__(self):
         if not isinstance(self.kind, str) or self.kind not in _KINDS:
             raise DataError(f"unknown generator kind: {self.kind!r}")
-        if self.length is not None and self.length < 1:
-            raise DataError(f"length must be >= 1, got {self.length}")
-        if self.burn_in is not None and self.burn_in < 0:
-            raise DataError(f"burn_in must be >= 0, got {self.burn_in}")
+        _check_size(self.length, self.burn_in)
         if self.seed < 0:
             raise DataError(f"seed must be >= 0, got {self.seed}")
         if not isinstance(self.params, dict):

@@ -23,7 +23,7 @@ import numpy as np
 from .core import DataError, Metric, MetricResult, Series
 from .entropy import PermEnParams, SampEnParams, permutation_entropy, sample_entropy
 from .randomness import (RunsVariant, check_group_size, check_runs_variant, chi_square_sf,
-                         normal_sf, permutation_test, runs_test)
+                         permutation_test, runs_p_value, runs_test)
 
 __all__ = [
     "AnalysisConfig",
@@ -77,10 +77,10 @@ _METRICS = {
                         lambda x, params: MetricResult("sampen", sample_entropy(x, params).value)),
     "permen": MetricRow(lambda c: PermEnParams(n=c.n), lambda x, params: MetricResult(
         "permen", permutation_entropy(x, params)), True),
-    "permtest": MetricRow(lambda c: check_group_size(c.t), _permtest, True,
-                          lambda s, df: chi_square_sf(s, int(df)), _inv_ln),
+    "permtest": MetricRow(lambda c: check_group_size(c.t), _permtest, True, chi_square_sf,
+                          _inv_ln),
     "runstest": MetricRow(lambda c: check_runs_variant(c.runs_variant), _runstest, True,
-                          lambda s, df: 2.0 * normal_sf(abs(s)), _inv_abs),
+                          runs_p_value, _inv_abs),
 }
 
 METRIC_NAMES = tuple(_METRICS)
@@ -98,8 +98,9 @@ class AnalysisConfig:
     """Metric selection and parameters; defaults are the experiment battery's
     conventions (m=2, r=0.2*SD, n=5, t=5, median runs test, scales 1..10).
 
-    Construction checks every parameter, selected metric or not, and the
-    scale list, raising ValueError: a config that exists is valid.
+    Construction checks every parameter, selected metric or not, the
+    metric names (each known, none twice) and the scale list, raising
+    ValueError: a config that exists is valid.
     """
 
     metrics: tuple[str, ...] = METRIC_NAMES
@@ -115,6 +116,9 @@ class AnalysisConfig:
         unknown = [m for m in self.metrics if m not in METRIC_NAMES]
         if unknown:
             raise ValueError(f"unknown metric(s): {', '.join(unknown)}")
+        repeated = [m for i, m in enumerate(self.metrics) if m in self.metrics[:i]]
+        if repeated:
+            raise ValueError(f"metric named more than once: {repeated[0]}")
         for row in _METRICS.values():
             row.params_of(self)
         if not self.scales:

@@ -17,7 +17,7 @@ generated ids, fixed float formatting.
 from __future__ import annotations
 
 import math
-from typing import Literal
+from typing import Callable, Literal
 
 import numpy as np
 
@@ -81,7 +81,9 @@ class _Svg:
         return "\n".join(self.parts + ["</svg>"]) + "\n"
 
 
-def _y_range(values: list[float]) -> tuple[float, float]:
+def _frame(values: list[float]) -> tuple[_Svg, Callable[[float], float]]:
+    """A canvas with the y axis over the finite ``values``, padded by 5 %,
+    and the x axis line, and the map from a value to its y."""
     finite = [v for v in values if math.isfinite(v)]
     if not finite:
         raise DataError("no finite values to plot")
@@ -89,19 +91,19 @@ def _y_range(values: list[float]) -> tuple[float, float]:
     if lo == hi:
         lo, hi = lo - 1.0, hi + 1.0
     pad = 0.05 * (hi - lo)
-    return lo - pad, hi + pad
+    lo, hi = lo - pad, hi + pad
 
-
-def _y_axis(svg: _Svg, lo: float, hi: float):
     def to_y(v):
         return _MT + _PH * (1.0 - (v - lo) / (hi - lo))
 
+    svg = _Svg(_W, _H)
     svg.line(_ML, _MT, _ML, _MT + _PH, "#333333")
     for tick in np.linspace(lo, hi, 5):
         y = to_y(tick)
         svg.line(_ML - 4, y, _ML, y, "#333333")
         svg.text(_ML - 8, y + 3.5, f"{tick:.4g}", size=10, anchor="end")
-    return to_y
+    svg.line(_ML, _MT + _PH, _ML + _PW, _MT + _PH, "#333333")
+    return svg, to_y
 
 
 def _swatch_legend(svg: _Svg, names: list[str], colors: tuple[str, ...]) -> None:
@@ -149,9 +151,7 @@ def _render_lines(report: ExperimentReport) -> str:
     scales = sorted({r.scale for r in report.rows})
     if len(scales) < 2:
         raise DataError("line_by_scale needs rows at two or more scales")
-    svg = _Svg(_W, _H)
-    lo, hi = _y_range([r.value for r in report.rows])
-    to_y = _y_axis(svg, lo, hi)
+    svg, to_y = _frame([r.value for r in report.rows])
     # x axis positioned by scale value, not index
     smin, smax = scales[0], scales[-1]
     span = (smax - smin) or 1
@@ -159,7 +159,6 @@ def _render_lines(report: ExperimentReport) -> str:
     def to_x(s):
         return _ML + _PW * (s - smin) / span
 
-    svg.line(_ML, _MT + _PH, _ML + _PW, _MT + _PH, "#333333")
     for s in scales:
         x = to_x(s)
         svg.line(x, _MT + _PH, x, _MT + _PH + 4, "#333333")
@@ -193,11 +192,7 @@ def _render_bars(report: ExperimentReport, rescale: bool) -> str:
         values, y_label = [r.value for r in report.rows], "value"
     # one bar per (label, metric): the report's keys are unique at one scale
     heights = {(row.label, row.metric): float(v) for row, v in zip(report.rows, values)}
-    svg = _Svg(_W, _H)
-    vals = [v for v in heights.values() if math.isfinite(v)]
-    lo, hi = _y_range(vals + [0.0])
-    to_y = _y_axis(svg, lo, hi)
-    svg.line(_ML, _MT + _PH, _ML + _PW, _MT + _PH, "#333333")
+    svg, to_y = _frame([*heights.values(), 0.0])
     group_w = _PW / len(labels)
     bar_w = group_w * 0.8 / max(len(metrics), 1)
     y0 = to_y(0.0)
@@ -226,14 +221,9 @@ def _render_boxes(report: ExperimentReport) -> str:
     for r in report.rows:
         if math.isfinite(r.value):
             groups.setdefault((_group_of(r.label), r.metric), []).append(r.value)
-    if not groups:
-        raise DataError("no finite values to plot")
     group_names = list(dict.fromkeys(g for g, _ in groups))
     metric_names = list(dict.fromkeys(m for _, m in groups))
-    svg = _Svg(_W, _H)
-    lo, hi = _y_range([v for vals in groups.values() for v in vals])
-    to_y = _y_axis(svg, lo, hi)
-    svg.line(_ML, _MT + _PH, _ML + _PW, _MT + _PH, "#333333")
+    svg, to_y = _frame([v for vals in groups.values() for v in vals])
     slots = [(m, g) for m in metric_names for g in group_names if (g, m) in groups]
     slot_w = _PW / len(slots)
     for si, (metric, group) in enumerate(slots):

@@ -4,8 +4,10 @@ variants, and the tail-probability / two-sample-t machinery they need.
 The permutation test partitions the series into non-overlapping groups of
 t consecutive samples (remainder discarded), maps each group to its
 ordinal pattern, and chi-square-tests the t! pattern counts against the
-uniform expectation G/t!. The chi-square and t tails come from
-``scipy.special``, imported in the two functions that call it.
+uniform expectation G/t!. Each test's p-value comes from one function:
+``chi_square_sf``, ``runs_p_value`` and ``welch_t_test``; the metric table
+reads a replication mean's through the first two. The chi-square and t
+tails come from ``scipy.special``, imported where they are called.
 """
 from __future__ import annotations
 
@@ -24,6 +26,7 @@ __all__ = [
     "TTestResult",
     "permutation_test",
     "runs_test",
+    "runs_p_value",
     "chi_square_sf",
     "normal_sf",
     "welch_t_test",
@@ -35,7 +38,7 @@ RunsVariant = Literal["above_below_median", "up_down"]
 _LOW_EXPECTED = 5.0
 
 
-def chi_square_sf(x: float, df: int) -> float:
+def chi_square_sf(x: float, df: float) -> float:
     """Upper-tail probability of the chi-square distribution.
 
     Regularized upper incomplete gamma Q(df/2, x/2), evaluated by scipy's
@@ -54,6 +57,12 @@ def normal_sf(z: float) -> float:
     """Standard normal upper tail 1 - Phi(z), via the complementary error
     function."""
     return 0.5 * erfc(z / sqrt(2.0))
+
+
+def runs_p_value(z: float, df: float | None = None) -> float:
+    """Two-sided p-value 2 * P(Z > |z|) of a runs-test z; ``df``, which a z
+    lacks, lets the metric table call it as it calls ``chi_square_sf``."""
+    return 2.0 * normal_sf(abs(z))
 
 
 @dataclass(frozen=True)
@@ -177,7 +186,7 @@ def runs_test(series: Series, variant: RunsVariant = "above_below_median") -> Ru
     z = (runs - mu) / sqrt(var)
     return RunsTestResult(
         z=float(z),
-        p_value=2.0 * normal_sf(abs(z)),
+        p_value=runs_p_value(z),
         runs=runs,
         n_effective=n_eff,
         variant=variant,
@@ -197,7 +206,7 @@ def welch_t_test(a: Sequence[float], b: Sequence[float]) -> TTestResult:
     """Two-sample Welch t-test (unequal variances), two-sided p-value.
 
     The tail probability comes from the regularized incomplete beta
-    function: P(|T| > t) = I_{df/(df+t^2)}(df/2, 1/2).
+    function: P(|T| > t) = I_{df/(df+t^2)}(df/2, 1/2), exactly 1 at t = 0.
     """
     from scipy import special
 
@@ -218,9 +227,6 @@ def welch_t_test(a: Sequence[float], b: Sequence[float]) -> TTestResult:
     df = (sa + sb) ** 2 / (
         sa * sa / (xa.size - 1) + sb * sb / (xb.size - 1)
     )
-    if t_stat == 0.0:
-        p = 1.0
-    else:
-        p = float(special.betainc(df / 2.0, 0.5, df / (df + t_stat * t_stat)))
+    p = float(special.betainc(df / 2.0, 0.5, df / (df + t_stat * t_stat)))
     return TTestResult(t_statistic=float(t_stat), df=float(df), p_value=p,
                        mean_a=mean_a, mean_b=mean_b)

@@ -317,6 +317,7 @@ def _reproduce_stdout(result) -> str:
     return lines + render_report(result.report, "json")
 
 
+@pytest.mark.simd
 def test_golden_outputs(table1, table2, tmp_path, capsys):
     # the two slowest tables come from the module fixtures above, which run
     # them with the command's defaults (seed 42, 30 replications)

@@ -253,6 +253,11 @@ class TestMalformedJson:
           "params": {"base": {"kind": "normal"}, "sd_absolute": 0.1}}, "length"),
         ({"kind": "noise_overlay", "burn_in": 3,
           "params": {"base": {"kind": "normal"}, "sd_absolute": 0.1}}, "burn_in"),
+        ({"kind": "normal", "length": 0}, "length"),
+        ({"kind": "normal", "burn_in": -1}, "burn_in"),
+        ({"kind": "normal", "params": []}, "params"),
+        # a JSON integer too large for a float
+        ({"kind": "normal", "length": 50, "seed": 10 ** 400}, "seed"),
     ])
     def test_spec_field_is_a_data_error(self, capsys, spec, field):
         code, out, err = run(capsys, "analyze", "--spec", json.dumps(spec))
@@ -298,6 +303,15 @@ class TestMalformedJson:
                            "--out", str(tmp_path / "x.svg"))
         assert code == 2
         assert err.startswith(f"tscomplex: data error: {report_path}: {reason}")
+        assert err.count("\n") == 1
+
+    def test_report_that_is_not_json_is_a_data_error(self, capsys, tmp_path):
+        report_path = tmp_path / "r.json"
+        report_path.write_text('[{"label": "a",')
+        code, out, err = run(capsys, "plot", str(report_path), "--kind", "line_by_scale",
+                             "--out", str(tmp_path / "x.svg"))
+        assert code == 2 and not out
+        assert err.startswith(f"tscomplex: data error: {report_path}: invalid report JSON: ")
         assert err.count("\n") == 1
 
 
@@ -644,6 +658,17 @@ class TestPlotCommand:
         assert not svg_path.exists()
 
     @pytest.mark.parametrize("kind", ["line_by_scale", "box_by_group"])
+    def test_report_of_failed_cells_only_is_a_data_error(self, capsys, tmp_path, kind):
+        report_path, svg_path = tmp_path / "r.json", tmp_path / "x.svg"
+        report_path.write_text(json.dumps([{"label": "g:a", "scale": s, "metric": "sampen",
+                                            "value": None} for s in (1, 2)]))
+        code, out, err = run(capsys, "plot", str(report_path), "--kind", kind,
+                             "--out", str(svg_path))
+        assert code == 2 and not out
+        assert err == "tscomplex: data error: no finite values to plot\n"
+        assert not svg_path.exists()
+
+    @pytest.mark.parametrize("kind", ["line_by_scale", "box_by_group"])
     def test_rescale_is_for_grouped_bars_only(self, capsys, tmp_path, kind):
         report_path = tmp_path / "r.json"
         run(capsys, "mse", "--spec", LOGISTIC_SPEC, "--metric", "permen",
@@ -759,6 +784,18 @@ class TestErrorContract:
         assert code == 2 and not out
         assert err.startswith("tscomplex: data error: non-finite sample at index ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("analyze", "--spec", '{"kind":"normal","length":300}'),
+        ("reproduce", "table2"),
+    ], ids=["analyze", "reproduce"])
+    def test_repeated_metric_is_a_usage_error_before_any_cell(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(cli, "mse_sweeps", lambda *a, **k: pytest.fail("scored"))
+        monkeypatch.setattr(experiments, "mse_sweeps", lambda *a, **k: pytest.fail("scored"))
+        code, out, err = run(capsys, *argv, "--metric", "permen", "--metric", "sampen",
+                             "--metric", "permen")
+        assert code == 1 and not out
+        assert err == "tscomplex: usage error: metric named more than once: permen\n"
 
     @fuzz
     @given(spec=_specs(_PARAMS | _NESTED_PARAMS | _VALUES) | _VALUES)

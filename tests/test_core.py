@@ -39,6 +39,10 @@ class TestSeries:
     def test_length_one_allowed(self):
         assert len(Series([4.2])) == 1
 
+    def test_rejects_two_dimensional(self):
+        with pytest.raises(DataError, match=r"must be 1-d, got shape \(2, 2\)"):
+            Series([[1.0, 2.0], [3.0, 4.0]])
+
 
 class TestSummary:
     def test_symmetric_three_points(self):
@@ -83,6 +87,12 @@ class TestCoarseGrain:
         assert out.values.tolist() == [1.5, 3.5, 5.0]
         assert len(coarse_grain(s, 2)) == 2
 
+    @pytest.mark.parametrize("scale", [1, 3])
+    @pytest.mark.parametrize("partial", ["means", "Mean", None])
+    def test_unknown_partial_mode_is_refused(self, partial, scale):
+        with pytest.raises(ValueError, match=f"partial must be 'drop' or 'mean', got {partial!r}"):
+            coarse_grain(Series(range(10)), scale, partial=partial)
+
     @pytest.mark.parametrize("scale", [0, -1, 7])
     def test_invalid_scale(self, scale):
         with pytest.raises(DataError, match="invalid scale"):
@@ -100,6 +110,7 @@ class TestCoarseGrain:
         return [np.concatenate([np.full(1000, -0.0), tail])
                 for tail in (wide, cancelling, rng.normal(size=1500))]
 
+    @pytest.mark.simd
     @pytest.mark.parametrize("partial", ["drop", "mean"])
     def test_block_means_are_bit_identical_to_numpy_mean(self, partial):
         # the -0.0 prefix makes every scale up to 1000 average a block of

@@ -88,6 +88,7 @@ class TestSampleEntropy:
         assert res.a_count == res.b_count == comb(98, 2)
         assert res.value == 0.0
 
+    @pytest.mark.simd
     def test_derived_golden_small_series(self):
         # brute-force oracle over all template pairs, frozen: A = B = 3
         x = [1, 2, 3, 2, 1, 2, 3, 2, 1]
@@ -216,6 +217,7 @@ class TestSampleEntropy:
         got = entropy._map_in_order(lambda _: entropy._pair_counts(x, 2, r), range(cpus), cpus)
         assert got == [want] * cpus
 
+    @pytest.mark.simd
     @pytest.mark.parametrize("m", [1, 2])
     @pytest.mark.parametrize("way", [*_COUNTING_WAYS])
     @pytest.mark.parametrize("x, r", [
@@ -320,6 +322,7 @@ class TestOrdinalPatternCodes:
 class TestOrdinalPatternCounts:
     """The histogram read off the lagged comparisons, per pattern code."""
 
+    @pytest.mark.simd
     @pytest.mark.parametrize("kind", TIE_KINDS)
     @pytest.mark.parametrize("n", range(2, 9))
     def test_counts_per_code_match_the_argsort_definition(self, n, kind):
@@ -434,6 +437,20 @@ class TestMseSweeps:
         with pytest.raises(DataError, match="invalid scale 5 for series of length 3"):
             mse_sweeps(series, [1, 5], [counting])
         assert seen == []
+
+    def test_metric_named_twice_refused_before_any_cell(self):
+        seen = []
+        counting = Metric("count", lambda s: seen.append(len(s)))
+        with pytest.raises(DataError, match="^metric named more than once: count$"):
+            mse_sweeps(self.SERIES, [1, 2], [counting, Metric("other", len), Metric("count", len)])
+        assert seen == []
+
+    def test_unknown_partial_mode_refused_before_any_cell(self, monkeypatch):
+        grained = []
+        monkeypatch.setattr(entropy, "coarse_grain", lambda *a, **k: grained.append(a))
+        with pytest.raises(ValueError, match="partial must be 'drop' or 'mean', got 'Mean'"):
+            mse_sweeps(self.SERIES, [1, 2], self.METRICS, partial="Mean")
+        assert grained == []
 
     def test_no_series_starts_after_an_exception(self, sweep_cpus):
         sweep_cpus(1)

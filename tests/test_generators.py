@@ -62,6 +62,10 @@ class TestIid:
         with pytest.raises(DataError):
             generate_iid("uniform", 0, seed=1)
 
+    def test_negative_burn_in_is_refused(self):
+        with pytest.raises(DataError, match=r"^burn_in must be >= 0, got -3$"):
+            generate_iid("uniform", 10, 0, burn_in=-3)
+
     def test_unknown_distribution_names_the_known_ones(self):
         with pytest.raises(DataError, match="unknown distribution 'bogus'; choose from "
                                             "uniform, normal, exponential"):
@@ -152,6 +156,10 @@ class TestArma:
         with pytest.raises(DataError, match="unstable process"):
             arma_simulate([0.5, 0.6], [], 100, seed=1)
 
+    def test_negative_burn_in_is_refused(self):
+        with pytest.raises(DataError, match=r"^burn_in must be >= 0, got -4$"):
+            arma_simulate([0.5], [], 10, 0, burn_in=-4)
+
     def test_burn_in_discards_prefix(self):
         long = arma_simulate([0.7], [-0.2], 300, seed=2, burn_in=0)
         trimmed = arma_simulate([0.7], [-0.2], 200, seed=2, burn_in=100)
@@ -213,6 +221,10 @@ class TestGeneratorSpec:
     def test_unknown_kind(self):
         with pytest.raises(DataError, match="unknown generator kind"):
             GeneratorSpec(kind="brownian")
+
+    def test_missing_kind(self):
+        with pytest.raises(DataError, match="^generator spec missing field 'kind'$"):
+            GeneratorSpec.from_json('{"length": 5}')
 
     def test_overlay_chain_deeper_than_the_stack_builds(self):
         # each link adds its own seeded noise to the series its base builds

@@ -26,6 +26,10 @@ class TestAnalysisConfig:
         with pytest.raises(ValueError, match="unknown metric"):
             AnalysisConfig(metrics=("sampen", "apen"))
 
+    def test_repeated_metric_rejected(self):
+        with pytest.raises(ValueError, match="^metric named more than once: sampen$"):
+            AnalysisConfig(metrics=("sampen", "permen", "sampen"))
+
     def test_build_metrics_order_follows_config(self):
         config = AnalysisConfig(metrics=("runstest", "sampen"))
         assert [m.name for m in build_metrics(config)] == ["runstest", "sampen"]

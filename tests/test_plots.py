@@ -106,6 +106,15 @@ class TestBoxByGroup:
         svg = render_plot(_box_report(), "box_by_group")
         assert ">a</text>" in svg and ">b</text>" in svg
 
+    def test_outlier_is_a_circle(self):
+        report = ExperimentReport()
+        for i, v in enumerate([*range(1, 20), 100]):
+            report.add(ReportRow(f"a:{i}", 1, "sampen", float(v)))
+        svg = render_plot(report, "box_by_group")
+        (cy,) = re.findall(r'<circle cx="[0-9.]+" cy="([0-9.]+)" r="2.00"', svg)
+        # 100 tops the padded range [1 - 4.95, 100 + 4.95] at y = 28 + 360 * 4.95 / 108.9
+        assert cy == "44.36"
+
     def test_empty_values_rejected(self):
         report = ExperimentReport()
         report.add(ReportRow("a:1", 1, "sampen", float("nan")))

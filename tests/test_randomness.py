@@ -69,6 +69,7 @@ class TestPermutationTest:
         with pytest.raises(ValueError):
             permutation_test(make_series(range(100)), 9)
 
+    @pytest.mark.simd
     @pytest.mark.parametrize("kind", TIE_KINDS)
     @pytest.mark.parametrize("t", range(2, 9))
     def test_counts_per_code_match_the_argsort_definition(self, t, kind):
@@ -105,6 +106,10 @@ class TestRunsTest:
     def test_constant_series_degenerate(self):
         with pytest.raises(NumericalError, match="degenerate series"):
             runs_test(Series([3.0] * 40))
+
+    def test_constant_series_degenerate_up_down(self):
+        with pytest.raises(NumericalError, match=r"degenerate series \(no nonzero differences\)"):
+            runs_test(Series([3.0] * 40), "up_down")
 
     def test_logistic_battery_value_median_variant(self):
         res = runs_test(logistic_recipe(3.5), "above_below_median")
@@ -179,6 +184,10 @@ class TestChiSquareSf:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             chi_square_sf(-0.1, 3)
+
+    def test_rejects_df_below_one(self):
+        with pytest.raises(ValueError, match="degrees of freedom must be >= 1, got 0"):
+            chi_square_sf(1.0, 0)
 
     @given(st.lists(st.floats(0, 500, allow_nan=False), min_size=2, max_size=8),
            st.integers(1, 150))
