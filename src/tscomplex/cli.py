@@ -14,7 +14,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import get_args
 
-from .core import DataError, MetricResult, NumericalError, Series
+from .core import DataError, MetricResult, NumericalError, Series, read_lines
 from .entropy import mse_sweep, mse_sweeps
 from .experiments import DEFAULT_SEED, EXPERIMENTS, compare_groups, reproduce
 from .generators import GeneratorSpec, build_series
@@ -82,8 +82,8 @@ def _load_spec(text: str) -> GeneratorSpec:
     stripped = text.strip()
     if not stripped.startswith("{"):
         try:
-            stripped = Path(stripped).read_text(encoding="utf-8")
-        except (OSError, ValueError):  # ValueError: a NUL byte or bad UTF-8
+            stripped = "".join(read_lines(Path(stripped)))
+        except ValueError:  # the reader's DataError, or a NUL byte in the path
             raise DataError(f"spec is neither inline JSON nor a readable file: "
                             f"{text!r}") from None
     return GeneratorSpec.from_json(stripped)
@@ -123,8 +123,7 @@ def _cmd_analyze(args) -> int:
         except DataError as exc:
             # only a file can fail here: a --spec is built by _gather_inputs
             loaded.append(exc)
-    labels = [(got.label or "series") if isinstance(got, Series) else Path(item).stem
-              for item, got in zip(inputs, loaded)]
+    labels = [item.label if isinstance(item, Series) else Path(item).stem for item in inputs]
     refuse_duplicate_labels(labels, metrics)
     read = [s for s in loaded if isinstance(s, Series)]
     profiles = iter(mse_sweeps(read, (1,), metrics))
@@ -152,7 +151,7 @@ def _cmd_mse(args) -> int:
     profile = mse_sweep(series, config.scales, build_metrics(config),
                         partial="mean" if args.partial_blocks else "drop")
     report = ExperimentReport()
-    report.add_profile(series.label or "series", profile)
+    report.add_profile(series.label, profile)
     _emit(render_report(report, args.format), args.out)
     return EXIT_OK
 

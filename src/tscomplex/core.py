@@ -1,15 +1,17 @@
 """Core value types shared by every other module: the series container,
 its sample standard deviation, coarse-graining and metric results, plus
-the number check that the spec and report readers apply to JSON fields.
+``read_lines``, the one reader of user files (series, report JSON, specs),
+and the number check that the spec and report readers apply to JSON fields.
 
-Everything here is a pure function over immutable values; instances are
-safe to share between threads.
+Everything here but ``read_lines`` is a pure function over immutable
+values; instances are safe to share between threads.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Literal
+from pathlib import Path
+from typing import Callable, Iterator, Literal
 
 import numpy as np
 
@@ -51,6 +53,18 @@ class Series:
 
     def with_label(self, label: str) -> "Series":
         return Series(self.values, label)
+
+
+def read_lines(file: str | Path) -> Iterator[str]:
+    """Yield a user file's UTF-8 lines as they are consumed; a decoding or
+    OS failure is a one-line DataError that names the file."""
+    try:
+        with open(file, encoding="utf-8") as fh:
+            yield from fh
+    except UnicodeDecodeError:
+        raise DataError(f"{file}: not UTF-8 text") from None
+    except OSError as exc:
+        raise DataError(f"cannot read {file}: {exc.strerror}") from None
 
 
 def json_number(value: object, name: str, kind: type = float):

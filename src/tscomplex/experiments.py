@@ -163,12 +163,12 @@ def _ordered_counts(ladders: Iterable[Sequence[MseProfile]]) -> dict[str, int]:
 # ---------------------------------------------------------------------------
 
 def _table2(metrics, scales, seed, replications, data_dir) -> ReproduceResult:
-    base = logistic_recipe(3.5, label=ref.L35N)
-    noisy = [add_noise(base, derive_seed(seed, 3, rep), sd_absolute=0.1)
+    clean = [logistic_recipe(r) for r in (3.5, 3.7, 3.9)]
+    noisy = [add_noise(clean[0], derive_seed(seed, 3, rep), sd_absolute=0.1, label=ref.L35N)
              for rep in range(replications)]
     # noise replication 0 is also the report row, so it is scored with every
     # metric; the others only with the metrics of the band cells
-    rows = [logistic_recipe(r) for r in (3.5, 3.7, 3.9)] + noisy[:1]
+    rows = clean + noisy[:1]
     report = ExperimentReport()
     profiles = mse_sweeps(rows, (1,), metrics)
     for series, profile in zip(rows, profiles):
@@ -208,7 +208,7 @@ def _table3(metrics, scales, seed, replications, data_dir) -> ReproduceResult:
 # table1: iid uniform/normal/exponential battery
 # ---------------------------------------------------------------------------
 
-_TABLE1_DISTS = ("uniform", "normal", "exponential")
+_TABLE1_DISTS = (ref.UNIFORM, ref.NORMAL, ref.EXPONENTIAL)
 
 
 def _table1(metrics, scales, seed, replications, data_dir) -> ReproduceResult:
@@ -229,7 +229,7 @@ def _table1(metrics, scales, seed, replications, data_dir) -> ReproduceResult:
         # deeper scales: single seeded draw, as in the source table
         if deep:
             report.add_profile(dist, mse_sweeps(draws[:1], deep, metrics, partial="mean")[0])
-        if dist == "uniform":  # this ladder drops the remainder, unlike the rows
+        if dist == ref.UNIFORM:  # this ladder drops the remainder, unlike the rows
             for profile in mse_sweeps(draws, scales, permen):
                 pes = profile.values("permen")
                 monotone_reps += all(pes[i + 1] <= pes[i] for i in range(len(pes) - 1))

@@ -12,7 +12,7 @@ tails come from ``scipy.special``, imported where they are called.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import erfc, factorial, isinf, sqrt
+from math import erfc, factorial, frexp, isinf, ldexp, sqrt
 from typing import Literal, Sequence, get_args
 
 import numpy as np
@@ -214,6 +214,11 @@ def welch_t_test(a: Sequence[float], b: Sequence[float]) -> TTestResult:
     xb = np.asarray(b, dtype=np.float64)
     if xa.size < 2 or xb.size < 2:
         raise DataError("each group needs at least 2 observations")
+    # t and df do not depend on the unit: scale both groups by the power of two
+    # that brings the largest |value| into [0.5, 1), so that no variance over-
+    # or underflows; a power of two changes no bit of a normal number
+    _, exp = frexp(max(np.abs(xa).max(), np.abs(xb).max()))
+    xa, xb = np.ldexp(xa, -exp), np.ldexp(xb, -exp)
     va = float(np.var(xa, ddof=1))
     vb = float(np.var(xb, ddof=1))
     if va == 0.0 and vb == 0.0:
@@ -229,4 +234,4 @@ def welch_t_test(a: Sequence[float], b: Sequence[float]) -> TTestResult:
     )
     p = float(special.betainc(df / 2.0, 0.5, df / (df + t_stat * t_stat)))
     return TTestResult(t_statistic=float(t_stat), df=float(df), p_value=p,
-                       mean_a=mean_a, mean_b=mean_b)
+                       mean_a=ldexp(mean_a, exp), mean_b=ldexp(mean_b, exp))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Literal, Sequence
 
-from .core import DataError, Metric, MetricResult, json_number
+from .core import DataError, Metric, MetricResult, json_number, read_lines
 from .entropy import MseProfile
 
 __all__ = ["ReportRow", "ExperimentReport", "render_report", "read_report_json"]
@@ -69,11 +69,10 @@ class ExperimentReport:
 def refuse_duplicate_labels(labels: Iterable[str], metrics: Sequence[Metric]) -> None:
     """Raise the DataError that ``ExperimentReport.add`` would raise on the
     first scale-1 row of a label given twice, before any cell is scored."""
-    seen: set[str] = set()
-    for label in labels:
-        if metrics and label in seen:
-            raise DataError(f"duplicate report key: {(label, 1, metrics[0].name)}")
-        seen.add(label)
+    if metrics:
+        probe = ExperimentReport()
+        for label in labels:
+            probe.add(ReportRow(label, 1, metrics[0].name, math.nan))
 
 
 def _fmt(value: float | None) -> str:
@@ -120,15 +119,11 @@ def render_report(report: ExperimentReport, format: Literal["csv", "json"]) -> s
 
 def read_report_json(path: str | Path) -> ExperimentReport:
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads("".join(read_lines(path)))
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid report JSON: {exc}") from exc
     except RecursionError:
         raise DataError(f"{path}: report JSON nested too deeply") from None
-    except UnicodeDecodeError:
-        raise DataError(f"{path}: not UTF-8 text") from None
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc.strerror}") from None
     if not isinstance(data, list):
         raise DataError(f"{path}: report JSON must be an array of row objects")
     report = ExperimentReport()

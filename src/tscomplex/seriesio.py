@@ -1,7 +1,7 @@
 """Reading user-supplied series files and writing generated ones.
 
 A series file is UTF-8 text with one finite decimal real per line: blank
-lines are skipped, LF and CRLF both end a line, and a typographic minus
+lines are skipped, LF, CRLF and CR each end a line, and a typographic minus
 sign reads as '-'. Files are written at 17 significant digits, which
 round-trips every float64 exactly.
 """
@@ -10,7 +10,7 @@ from __future__ import annotations
 from math import isfinite
 from pathlib import Path
 
-from .core import DataError, Series
+from .core import DataError, Series, read_lines
 
 __all__ = ["read_series", "render_series", "write_series"]
 
@@ -32,17 +32,8 @@ def read_series(file: str | Path) -> Series:
     path = Path(file)
     if not path.is_file():
         raise DataError(f"missing file: {path}")
-    values = []
-    try:
-        with path.open("r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                values.append(_parse_real(line, path, line_no))
-    except UnicodeDecodeError:
-        raise DataError(f"{path}: not UTF-8 text") from None
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc.strerror}") from None
+    values = [_parse_real(line, path, line_no)
+              for line_no, line in enumerate(read_lines(path), start=1) if line.strip()]
     if not values:
         raise DataError(f"{path}: no values")
     return Series(values, label=path.stem)

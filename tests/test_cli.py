@@ -258,6 +258,9 @@ class TestMalformedJson:
         ({"kind": "normal", "params": []}, "params"),
         # a JSON integer too large for a float
         ({"kind": "normal", "length": 50, "seed": 10 ** 400}, "seed"),
+        ({"kind": "noise_overlay",
+          "params": {"base": {"kind": "normal", "length": 50}, "sd_multiplier": -1}},
+         "sd multiplier"),
     ])
     def test_spec_field_is_a_data_error(self, capsys, spec, field):
         code, out, err = run(capsys, "analyze", "--spec", json.dumps(spec))
@@ -295,6 +298,10 @@ class TestMalformedJson:
          "row 0: value must be a finite number"),
         ([{"label": "a", "scale": 1, "metric": "permen", "value": 0.5, "warnings": "x"}],
          "row 0: warnings must be a list of strings"),
+        ([{"label": 3, "scale": 1, "metric": "permen", "value": 0.5}],
+         "row 0: label must be a string, got 3"),
+        ([{"label": "a", "scale": 1, "metric": None, "value": 0.5}],
+         "row 0: metric must be a string, got None"),
     ])
     def test_report_row_is_a_data_error(self, capsys, tmp_path, rows, reason):
         report_path = tmp_path / "r.json"
@@ -351,6 +358,14 @@ class TestFileErrors:
         rows = out.strip().splitlines()[1:]
         assert rows[0] == f"a,1,permen,nan,,,,error: {tmp_path / 'a.txt'}: not UTF-8 text"
         assert rows[1].startswith("b,1,permen,0.")
+
+    @pytest.mark.parametrize("name", ["missing.json", "nul\0.json", "latin1.json"],
+                             ids=["missing", "nul", "not-utf8"])
+    def test_unreadable_spec_file(self, capsys, tmp_path, name):
+        (tmp_path / "latin1.json").write_bytes(b'{"kind": "uniform", "label": "\xff"}')
+        spec = str(tmp_path / name)
+        self.check(capsys, f"spec is neither inline JSON nor a readable file: {spec!r}\n",
+                   "generate", "--spec", spec)
 
     @pytest.mark.parametrize("command", ["generate", "analyze", "compare-groups"])
     def test_unwritable_output(self, capsys, tmp_path, command):
@@ -814,7 +829,7 @@ class TestErrorContract:
                    *(["--rescale"] if rescale else []), "--out", str(tmp_path / "x.svg"))
 
     @fuzz
-    @given(lines=_SERIES_LINES, newline=st.sampled_from(("\n", "\r\n")),
+    @given(lines=_SERIES_LINES, newline=st.sampled_from(("\n", "\r\n", "\r")),
            command=st.sampled_from(("analyze", "mse")))
     def test_series_file(self, capsys, tmp_path, lines, newline, command):
         path = tmp_path / "s.txt"

@@ -131,10 +131,12 @@ class TestLogisticMap:
         assert str(exc_info.value) == f"orbit escaped (0,1) at step {step}: 1.0"
 
     @pytest.mark.parametrize("kwargs", [dict(r=4.5, x0=0.3), dict(r=3.5, x0=0.0),
-                                        dict(r=3.5, x0=1.0), dict(r=0.0, x0=0.3)])
+                                        dict(r=3.5, x0=1.0), dict(r=0.0, x0=0.3),
+                                        dict(r=3.5, x0=0.3, keep=0),
+                                        dict(r=3.5, x0=0.3, keep=11)])
     def test_parameter_validation(self, kwargs):
         with pytest.raises(DataError):
-            logistic_map(keep=10, total=10, **kwargs)
+            logistic_map(**{"keep": 10, "total": 10, **kwargs})
 
 
 class TestArma:
@@ -189,6 +191,10 @@ class TestAddNoise:
         out = add_noise(base, seed=6, sd_absolute=0.1)
         noise_sd = float(np.std(out.values - base.values, ddof=1))
         assert 0.095 <= noise_sd <= 0.105
+
+    def test_negative_multiplier_is_refused(self):
+        with pytest.raises(DataError, match="sd multiplier must be >= 0, got -1.0"):
+            add_noise(generate_iid("uniform", 10, seed=1), seed=1, sd_multiplier=-1.0)
 
     def test_exactly_one_mode_required(self):
         base = generate_iid("uniform", 10, seed=1)

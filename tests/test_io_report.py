@@ -35,6 +35,11 @@ class TestReadSeries:
         p.write_bytes(b"1.5\r\n\r\n2.5\r\n")
         assert read_series(p).values.tolist() == [1.5, 2.5]
 
+    def test_lone_cr_ends_a_line(self, tmp_path):
+        p = tmp_path / "x.txt"
+        p.write_bytes(b"1.5\r\r2.5\r-3")
+        assert read_series(p).values.tolist() == [1.5, 2.5, -3.0]
+
     def test_typographic_minus(self, tmp_path):
         p = tmp_path / "m.txt"
         p.write_text("1.0\n−3\n", encoding="utf-8")
@@ -125,6 +130,10 @@ class TestReport:
         report = _report()
         with pytest.raises(DataError, match="duplicate"):
             report.add(ReportRow("uniform", 1, "sampen", 9.9))
+
+    def test_unknown_format_is_a_value_error(self):
+        with pytest.raises(ValueError, match="unknown report format: 'tsv'"):
+            render_report(_report(), "tsv")
 
     def test_empty_report_rejected(self):
         with pytest.raises(DataError, match="empty report"):

@@ -32,6 +32,11 @@ def _box_report():
     return report
 
 
+def test_unknown_kind_is_a_value_error():
+    with pytest.raises(ValueError, match="unknown plot kind: 'pie'"):
+        render_plot(_scale_report(), "pie")
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("maker,kind", [
         (_scale_report, "line_by_scale"),
@@ -51,6 +56,17 @@ class TestLineByScale:
         x1, x5, x10 = labels["1"], labels["5"], labels["10"]
         # scale 5 sits at 4/9 of the span, not at 4/5 (index position)
         assert (x5 - x1) / (x10 - x1) == pytest.approx(4 / 9, abs=1e-3)
+
+    def test_equal_values_sit_mid_axis(self):
+        report = ExperimentReport()
+        for scale in (1, 2, 3):
+            report.add(ReportRow("flat", scale, "sampen", 2.0))
+        svg = render_plot(report, "line_by_scale")
+        # the axis spans the value +- 1, padded by 5 %: [0.9, 3.1]
+        ticks = re.findall(r'text-anchor="end"[^>]*>([^<]+)</text>', svg)
+        assert ticks == ["0.9", "1.45", "2", "2.55", "3.1"]
+        (points,) = re.findall(r'<polyline points="([^"]+)"', svg)
+        assert {p.split(",")[1] for p in points.split()} == {"208.00"}
 
     def test_needs_multiple_scales(self):
         report = ExperimentReport()

@@ -236,6 +236,28 @@ class TestWelch:
         assert res.df == pytest.approx(df_o, rel=1e-10)
         assert res.p_value == pytest.approx(p_o, abs=1e-6)
 
+    @pytest.mark.parametrize("a, b, t, df, p", [
+        # each variance underflows to 0 unless the groups are rescaled
+        ([1e-170, 2e-170], [1e-170, 3e-170], -0.4472, 1.4706, 0.7117),
+        # the squared deviations overflow unless the groups are rescaled
+        ([1e200, -1e200, 3e199], [1.0, 2.0], 0.1707, 2.0, 0.8802),
+    ], ids=["underflow", "overflow"])
+    def test_extreme_magnitudes(self, a, b, t, df, p):
+        res = welch_t_test(a, b)  # a numpy warning would fail the test
+        assert (res.t_statistic, res.df, res.p_value) == pytest.approx((t, df, p), abs=1e-4)
+        assert (res.mean_a, res.mean_b) == pytest.approx((np.mean(a), np.mean(b)), rel=1e-12)
+
+    @pytest.mark.parametrize("k", [600, -600])
+    def test_power_of_two_unit_changes_no_bit(self, k):
+        a = generate_iid("normal", 20, seed=23).values
+        b = generate_iid("normal", 30, seed=24).values + 0.5
+        res = welch_t_test(a, b)
+        scaled = welch_t_test(np.ldexp(a, k), np.ldexp(b, k))
+        assert (scaled.t_statistic, scaled.df, scaled.p_value) == (
+            res.t_statistic, res.df, res.p_value)
+        assert (scaled.mean_a, scaled.mean_b) == (np.ldexp(res.mean_a, k),
+                                                  np.ldexp(res.mean_b, k))
+
     def test_degenerate_variance(self):
         with pytest.raises(NumericalError, match="degenerate variance"):
             welch_t_test([2.0, 2.0, 2.0], [5.0, 5.0])
