@@ -13,17 +13,25 @@ unsound box bound would change a count; on the dense noisy period-4
 orbit; and on the tie-free 1000-point series of the reproduction tables
 (N(0,1), uniform and exponential at r = 0.2 SD, N(0,1) coarse-grained at
 scales 2-5, and a permutation of the 1/128 grid whose distances often
-equal r). ``switch-below-8k`` and ``switch-above-8k`` are N(0,1) series
-whose tolerances put the length-m matches just under and just over
-``entropy._LIST_BELOW`` per template (127 and 131), so the length-(m+1)
-count of the ``trees`` strategy is checked on both sides of the switch
-between listing the pairs and counting them in bulk. ``rule-below-2k``
+equal r); and on a quantized RR-like series coarse-grained at scale 3,
+whose block means are off the 1/128 grid. ``switch-below-8k`` and
+``switch-above-8k`` are N(0,1) series whose tolerances put the length-m
+matches just under and just over ``entropy._LIST_BELOW`` per template
+(127 and 131), so the length-(m+1) count of the ``trees`` strategy is
+checked on both sides of the switch between listing the pairs and
+counting them in bulk. ``rule-below-2k``
 and ``rule-above-2k`` put the first-coordinate matches that
 ``entropy._strategy`` reads just under and just over the same bound (127
 and 130 per template), so the choice between ``extended`` and ``trees``
-is checked on both sides. Each strategy in ``entropy._STRATEGIES`` is
-also compared on every case it is fit for: ``trees`` on all of them,
-``extended`` on the tie-free ones whose list stays within twice the bound.
+is checked on both sides. ``rule-grid-below-8k`` and ``rule-grid-above-8k``
+hold 125 and 126 distinct integers, so (D + m)^(m+1) lies just under and
+just over ``entropy._GRID_CELLS`` cells per template (2 048 383 and
+2 097 152 against 2 096 640), and the choice of ``grid`` is checked on
+both sides; every case takes ``grid`` exactly when it meets that rule.
+Each strategy in ``entropy._STRATEGIES`` is also compared on every case
+it is fit for: ``trees`` on all of them, ``extended`` on the tie-free
+ones whose list stays within twice the bound, and ``grid`` on those whose
+rank table stays within twice its bound.
 At 64k, where the brute force is too slow, the counts are compared with
 one weighted ``count_neighbors`` of a median-split tree over the distinct
 templates, built from ``np.unique(axis=0)`` rather than the kernel's byte
@@ -87,6 +95,9 @@ CASES = {
     "permutation128-1k": lambda: (_rng(1003).permutation(1000) / 128, 40 / 128),
     "rule-below-2k": lambda: (_rng(2200).normal(size=2200), 0.2),
     "rule-above-2k": lambda: (_rng(2200).normal(size=2200), 0.205),
+    "rr128-16k-scale3": lambda: _sd_tolerance(coarse_grain(Series(_rr_like(16384)), 3).values),
+    "rule-grid-below-8k": lambda: (_rng(8195).integers(0, 125, size=8192).astype(float), 2.0),
+    "rule-grid-above-8k": lambda: (_rng(8195).integers(0, 126, size=8192).astype(float), 2.0),
 }
 
 # the same at 64k, checked against one tree over the distinct templates
@@ -94,6 +105,7 @@ LONG = {
     "normal-64k": lambda: (_rng(65536).normal(size=65536), 0.2),
     "grid128-64k": lambda: (np.round(_rng(65537).normal(size=65536) * 128) / 128, 3 / 128),
     "periodic-64k": lambda: _periodic(65536),
+    "rr128-64k": lambda: (_rr_like(65536), 1 / 128),
 }
 
 
@@ -153,21 +165,37 @@ def test_switch_cases_straddle_the_rule(name, listed):
 
 
 @pytest.mark.parametrize("name, strategy", [("rule-below-2k", "extended"),
-                                            ("rule-above-2k", "trees")])
+                                            ("rule-above-2k", "trees"),
+                                            ("rule-grid-below-8k", "grid"),
+                                            ("rule-grid-above-8k", "trees")])
 def test_rule_cases_straddle_the_rule(name, strategy):
     x, r = _series(name)
     assert entropy._strategy(x, 2, r) == strategy
 
 
+@pytest.mark.parametrize("name", list(CASES))
+def test_grid_is_chosen_exactly_where_the_rule_holds(name):
+    x, r = _series(name)
+    nt = x.size - 2
+    distinct = np.unique(x[:nt]).size
+    assert (entropy._strategy(x, 2, r) == "grid") == \
+        ((distinct + 2) ** 3 <= entropy._GRID_CELLS * nt)
+
+
 def _fits(strategy: str, name: str) -> bool:
     """``extended`` lists every length-m pair of a raw-template tree, which
-    splits well only without ties; the list is kept within twice the bound."""
+    splits well only without ties; the list is kept within twice the bound.
+    ``grid`` fills a table of (K+1)^(m+1) cells over the K distinct values,
+    kept within twice its bound."""
+    x, _ = _series(name)
+    nt = x.size - 2
+    if strategy == "grid":
+        return (np.unique(x).size + 1) ** 3 <= 2 * entropy._GRID_CELLS * nt
     if strategy != "extended":
         return True
-    x, _ = _series(name)
-    head = np.sort(x[:x.size - 2])
+    head = np.sort(x[:nt])
     return bool(np.all(head[1:] != head[:-1])) and \
-        _brute_force(name)[1] <= 2 * entropy._LIST_BELOW * head.size
+        _brute_force(name)[1] <= 2 * entropy._LIST_BELOW * nt
 
 
 @pytest.mark.parametrize("name", list(CASES))

@@ -84,12 +84,23 @@ def json_number(value: object, name: str, kind: type = float):
 
 def sample_sd(series: Series) -> float:
     """Sample standard deviation (divisor n-1); 0.0 for a single sample, and
-    inf or NaN, without a warning, where the squared deviations overflow."""
+    inf, without a warning, only where the SD itself passes the largest
+    float.
+
+    It does not depend on the unit: the values are scaled by the power of
+    two that brings the largest |value| into [0.5, 1), so that no squared
+    deviation over- or underflows, and the SD is scaled back. A power of
+    two changes no bit of a normal number, so every SD that is finite and
+    normal unscaled comes out bit for bit the same."""
     x = series.values
     if x.size < 2:
         return 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.std(x, ddof=1))
+    _, exp = math.frexp(float(np.abs(x).max()))
+    sd = float(np.std(np.ldexp(x, -exp), ddof=1))
+    try:
+        return math.ldexp(sd, exp)
+    except OverflowError:
+        return math.inf
 
 
 def check_partial(partial: str) -> str:

@@ -2,16 +2,19 @@
 
 Sample entropy counts template pairs under the Chebyshev (max-coordinate)
 distance with non-strict matching (distance <= r) and no self-matches. The
-counts are exact and sub-quadratic, by one of two kd-tree strategies
-(``_strategy``): on tie-free cells with few matches in the first
-coordinate, one tree over the raw length-m templates lists B's pairs and
-A counts those whose extra coordinate matches too; elsewhere a tree per
-length over the distinct templates, each weighted by its multiplicity,
-counts the pairs in bulk, or lists them at length m+1 when the length-m
-count finds few matches per template. Series of ~100k points (24-hour
-RR-interval recordings) take seconds. The tree is scipy's ``cKDTree``,
-imported where the first tree is built, so that importing this module
-loads no scipy. The default tolerance is a multiple of the series' sample
+counts are exact and sub-quadratic, by one of three strategies
+(``_strategy``): on cells with few distinct values, such as quantized
+RR intervals, a summed-area table over the value ranks counts each
+distinct template's matches as one box; on tie-free cells with few
+matches in the first coordinate, one kd-tree over the raw length-m
+templates lists B's pairs and A counts those whose extra coordinate
+matches too; elsewhere a kd-tree per length over the distinct templates,
+each weighted by its multiplicity, counts the pairs in bulk, or lists
+them at length m+1 when the length-m count finds few matches per
+template. Series of ~100k points (24-hour RR-interval recordings) take
+milliseconds when quantized and seconds when not. The tree is scipy's
+``cKDTree``, imported where the first tree is built, so that importing
+this module loads no scipy. The default tolerance is a multiple of the series' sample
 SD (``core.sample_sd``).
 Permutation entropy histograms the ordinal patterns of overlapping windows,
 with ties broken toward the earlier index (stable sort), and is always
@@ -181,29 +184,113 @@ def _extended_pairs(x: np.ndarray, m: int, r: float) -> tuple[int, int]:
     return int(np.count_nonzero(np.abs(gap, out=gap) <= r)), len(pairs)
 
 
-_STRATEGIES = {"extended": _extended_pairs, "trees": _tree_counts}
+def _match_ranks(v: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """For each of the sorted distinct values ``v[i]``, the ranks [lo, hi)
+    of the values ``v[j]`` with ``abs(v[j] - v[i]) <= r``.
+
+    Rounding is monotone, so the rounded difference ``v[j] - v[i]`` is too,
+    and the ranks that match form one interval. hi is a binary search on
+    that same comparison; a difference that overflows is inf, which
+    correctly does not match. ``v[i] - v[j]`` rounds to ``-(v[j] - v[i])``,
+    so j < i matches i exactly when i < hi[j], and lo follows from hi.
+    """
+    ranks = np.arange(v.size)
+    beyond = np.append(v, np.inf)  # rank v.size never matches
+    lo, hi = ranks + 1, np.full_like(ranks, v.size)
+    with np.errstate(over="ignore"):
+        while (lo < hi).any():
+            mid = (lo + hi) // 2
+            out = beyond[mid] - v > r
+            lo, hi = np.where(out, lo, mid + 1), np.where(out, mid, hi)
+    return np.searchsorted(hi, ranks, "right"), hi
+
+
+def _grid_pairs(ranks: np.ndarray, lo: np.ndarray, hi: np.ndarray, k: int, nt: int) -> int:
+    """Template pairs i < j within r at length k, from a summed-area table
+    over the rank grid.
+
+    The first nt length-k templates of ``ranks`` are counted into an int32
+    table of side K+1 per axis at rank+1, so that index 0 of every axis is
+    empty, and the table is prefix-summed in place along each axis. Template
+    u matches the templates whose rank on each axis d lies in
+    [lo[u_d], hi[u_d]): a box, whose count is the inclusion-exclusion sum
+    over its 2^k corners. Each occupied cell's box count, times the cell's
+    weight, is summed in int64; the corners are visited in Gray-code order,
+    so that each step moves one axis between its two bounds.
+    """
+    side = lo.size + 1
+    strides = [side ** (k - 1 - d) for d in range(k)]
+    cells = sum((ranks[d:d + nt] + 1) * strides[d] for d in range(k))
+    table = np.zeros(side ** k, np.int32)
+    np.add.at(table, cells, np.int32(1))
+    occupied = np.flatnonzero(table)
+    weights = table[occupied].astype(np.int64)
+    grid = table.reshape((side,) * k)
+    for axis in range(k):
+        np.cumsum(grid, axis=axis, out=grid)
+    coords = [c - 1 for c in np.unravel_index(occupied, grid.shape)]
+    at = sum(lo[c] * s for c, s in zip(coords, strides))  # every axis at its lower bound
+    steps = [(hi[c] - lo[c]) * s for c, s in zip(coords, strides)]
+    sign = (-1) ** k
+    ordered = sign * int(weights @ table[at])
+    for i in range(1, 2 ** k):
+        d = (i & -i).bit_length() - 1  # the axis that moves
+        rising = (i ^ i >> 1) >> d & 1
+        (np.add if rising else np.subtract)(at, steps[d], out=at)
+        sign = -sign
+        ordered += sign * int(weights @ table[at])
+    return (ordered - nt) // 2
+
+
+def _grid_counts(x: np.ndarray, m: int, r: float) -> tuple[int, int]:
+    """(A, B) from summed-area tables over the ranks of the distinct
+    values, one per length."""
+    nt = x.size - m
+    v, ranks = np.unique(x, return_inverse=True)
+    lo, hi = _match_ranks(v, r)
+    return _grid_pairs(ranks, lo, hi, m + 1, nt), _grid_pairs(ranks, lo, hi, m, nt)
+
+
+_STRATEGIES = {"extended": _extended_pairs, "trees": _tree_counts, "grid": _grid_counts}
+
+# A cell is counted on the rank grid when its length-(m+1) table would hold
+# at most this many cells per template.
+_GRID_CELLS = 256
 
 
 def _strategy(x: np.ndarray, m: int, r: float) -> str:
     """The name of the ``_STRATEGIES`` entry that counts this cell.
 
-    ``extended`` when the first template coordinates ``x[:nt]`` are all
-    distinct, so the raw templates split well, and at most ``_LIST_BELOW``
-    pairs per template match in that coordinate, which bounds B (short of
-    differences that round down to r). ``trees`` otherwise, also when
-    ``s + r`` passes the largest float. On one CPU (m=2, r=0.2 SD) the
-    trees take 4.3 ms for 1000 N(0,1) points against 1.1 ms, 10.5 against
-    3.6 ms at 2200 points, and 23 against 7.9 ms at 4000, which already
-    match 230 per template in the first coordinate. The battery's tie-free
-    1000-point series match 6-42 at length m; RR-like series have ties at
-    every scale, and the noisy period-4 orbit of an ``mse --fixed-r``
-    sweep matches 400-1200 per template in the first coordinate.
+    All three rules read one sort of the first template coordinates
+    ``x[:nt]``, which holds D distinct values, so the whole series holds at
+    most K = D + m. ``grid`` when (D + m)^(m+1) <= ``_GRID_CELLS``*nt,
+    which bounds the length-(m+1) table and, through 2^(m+1) <= (D+m)^(m+1),
+    its corner sums; the power is taken in Python integers, and only once
+    2^(m+1) is under the bound, since m has no upper limit. ``extended``
+    when the D values are all distinct, so the raw templates split well,
+    and at most ``_LIST_BELOW`` pairs per template match in that
+    coordinate, which bounds B (short of differences that round down to
+    r). ``trees`` otherwise, also when ``s + r`` passes the largest float.
+    On one CPU (m=2, r=0.2 SD) the trees take 4.3 ms for 1000 N(0,1)
+    points against 1.1 ms, 10.5 against 3.6 ms at 2200 points, and 23
+    against 7.9 ms at 4000, which already match 230 per template in the
+    first coordinate. The battery's tie-free 1000-point series match 6-42
+    at length m. RR-like series quantized to 1/128 s hold 48-124 distinct
+    values at scales 1-10 of an 8192-point file; the grid takes scales 1-3
+    (K^3 up to about 180*nt), where it is 1.6-10 times faster, and the
+    trees the rest, where it is slower (8.2 against 6.5 ms at scale 4).
+    The noisy period-4 orbit of an ``mse --fixed-r`` sweep is tie-free and
+    matches 400-1200 per template in the first coordinate.
     """
     nt = x.size - m
     s = np.sort(x[:nt])
+    distinct = nt - int(np.count_nonzero(s[1:] == s[:-1]))
+    cells = _GRID_CELLS * nt
+    if m + 1 < cells.bit_length() and (distinct + m) ** (m + 1) <= cells:
+        return "grid"
     with np.errstate(over="ignore"):
         reach = s + r
-    if (s[1:] == s[:-1]).any() or math.isinf(reach[-1]):
+    if distinct < nt or math.isinf(reach[-1]):
         return "trees"
     matches = int(np.searchsorted(s, reach, "right").sum()) - nt * (nt + 1) // 2
     return "extended" if matches <= _LIST_BELOW * nt else "trees"
@@ -214,11 +301,18 @@ def _pair_counts(x: np.ndarray, m: int, r: float) -> tuple[int, int]:
 
     Both lengths draw their templates from start indices 0 .. N-m-1, so
     every length-m template has a length-(m+1) extension and A <= B holds
-    structurally. ``_strategy`` names the way to count: ``extended`` for
-    sparse tie-free cells, else ``trees``, which collapses identical
-    templates into weighted points and so stays splittable on tie-heavy
-    input (quantized or binary series), where a raw-template tree
-    degenerates to quadratic time.
+    structurally. ``_strategy`` names the way to count: ``grid`` for cells
+    with few distinct values, ``extended`` for sparse tie-free cells, else
+    ``trees``, which collapses identical templates into weighted points and
+    so stays splittable on tie-heavy input (quantized or binary series),
+    where a raw-template tree degenerates to quadratic time.
+
+    ``grid`` is box-assisted counting (Theiler 1987) on the ranks of the K
+    distinct values rather than on cells of side r, so no cell edge is
+    rounded. For each value the values within r form one interval of
+    ranks, since the rounded difference is monotone, and two templates
+    match exactly when each one's rank on every axis lies in the other's
+    interval: a box of the K^k rank grid, counted on a summed-area table.
 
     ``count_neighbors`` counts pairs in bulk: it adds up whole node pairs
     that lie within r, but visits every node pair in both orders.
@@ -229,15 +323,18 @@ def _pair_counts(x: np.ndarray, m: int, r: float) -> tuple[int, int]:
     trees stays ahead beyond 700 per template on N(0,1) at 8k points, but
     on the noisy period-4 orbit only to about 300 at 4k-8k and 100 at 1k.
 
-    The counts are exact. The trees and the extra coordinate decide a
-    point pair by comparing the same rounded coordinate differences with
-    r that the definition does, so distances exactly equal to r still
-    match, and a tree counts or prunes a whole node pair only on
+    The counts are exact. The trees, the extra coordinate and the grid's
+    rank intervals decide a point pair by comparing the same rounded
+    coordinate differences with r that the definition does, so distances
+    exactly equal to r still match, and a difference that overflows is
+    inf and does not. A tree counts or prunes a whole node pair only on
     bounding-box distances, which bound every point distance inside also
     after rounding. The bulk count sums the weights as floats; every
     partial sum is an integer below nt**2 < 2**53, so the total is exact.
-    Listed counts are int64. Memory is O(N) for fixed m: a list holds at
-    most about 128*nt pairs of 16 bytes.
+    Listed and grid counts are int64, and a grid table holds counts up to
+    nt in int32. Memory is O(N) for fixed m: a list holds at most about
+    128*nt pairs of 16 bytes, and a grid table about 256*nt cells of 4
+    bytes.
     """
     return _STRATEGIES[_strategy(x, m, r)](x, m, r)
 

@@ -105,16 +105,16 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("flags", [(), ("--absolute-r", "--r-factor", "1")])
     def test_overflowing_values_fail_only_the_sampen_cell(self, capsys, tmp_path, flags):
-        # the SD overflows to inf, and with an absolute tolerance the range
-        # 2e308 does: each is a NaN sample-entropy cell that gives its reason
+        # the SD, about 2.5e307, is finite, but the first coordinate's
+        # range, 2e308, is not: with either tolerance the sample-entropy
+        # cell is NaN and gives that reason
         p = tmp_path / "huge.txt"
         p.write_text("1e308\n-1e308\n" + "".join(f"{v}\n" for v in (0.5, -0.25, 0.75) * 20))
         code, out, err = run(capsys, "analyze", str(p), *flags)
         assert code == 0 and not err
         rows = [line.split(",") for line in out.strip().splitlines()[1:]]
         assert [row[2] for row in rows] == list(METRIC_NAMES)
-        reason = ("non-finite tolerance (r = inf)" if not flags
-                  else "values differ by more than the largest float")
+        reason = "values differ by more than the largest float"
         assert rows[0][3:] == ["nan", "", "", "", f"error: {reason}"]
         assert all(row[3] != "nan" for row in rows[1:])
 
@@ -220,9 +220,10 @@ class TestMse:
         assert "flat,1,sampen,nan,,,,error: degenerate tolerance (r = 0)" in out_a
 
     def test_fixed_r_on_an_overflowing_sd_keeps_per_input_cells(self, capsys, tmp_path):
+        # the SD, 1.79e308 * sqrt(40/39), passes the largest float, so
         # r = 0.2 * inf: nothing to fix; each scale's own SD decides its cell
         p = tmp_path / "huge.txt"
-        p.write_text("1e308\n-1e308\n" + "0.5\n-0.25\n0.75\n" * 20)
+        p.write_text("1.79e308\n-1.79e308\n" * 20)
         code_a, out_a, err_a = run(capsys, "mse", str(p), "--scales", "1,2")
         code_b, out_b, err_b = run(capsys, "mse", str(p), "--scales", "1,2", "--fixed-r")
         assert code_a == code_b == 0 and not err_a and not err_b

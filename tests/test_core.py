@@ -54,10 +54,13 @@ class TestSummary:
         assert sample_sd(make_series([5])) == 0.0
 
     @pytest.mark.parametrize("values, sd", [
-        ([1e308, -1e308, 0.5], math.inf),
-        ([1e200, 2e200, 3e200], math.inf),  # the true SD, 1e200, squares past the largest float
+        # each SD squares past the largest float, but is itself finite
+        ([1e308, -1e308, 0.5], 1e308),
+        ([1e200, 2e200, 3e200], 1e200),
+        # 1.79e308 * sqrt(20/19) passes the largest float, about 1.797e308
+        ([1.79e308, -1.79e308] * 10, math.inf),
     ])
-    def test_overflow_gives_inf_without_a_warning(self, values, sd):
+    def test_overflow_only_where_the_sd_passes_the_largest_float(self, values, sd):
         # the test settings make a numpy RuntimeWarning an error
         assert sample_sd(Series(values)) == sd
 

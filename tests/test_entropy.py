@@ -127,10 +127,11 @@ class TestSampleEntropy:
             SampEnParams(r_factor=r_factor, r_mode=r_mode)
 
     @pytest.mark.parametrize("values, params, reason", [
-        # squared deviations overflow, so the SD does: r = 0.2 * inf
-        ([1e308, -1e308, *[0.5, -0.25, 0.75] * 10], SampEnParams(), r"r = inf"),
-        # the SD, about 1.5e200, is finite, but np.std squares 1e200
-        ([1e200 * (1 + 0.01 * i) for i in range(50)], SampEnParams(), r"r = inf"),
+        # the SD, 1.79e308 * sqrt(40/39), passes the largest float: r = 0.2 * inf
+        ([1.79e308, -1.79e308] * 20, SampEnParams(), r"r = inf"),
+        # the SD, about 2.5e307, is finite, but the first coordinate's range is not
+        ([1e308, -1e308, *[0.5, -0.25, 0.75] * 10], SampEnParams(),
+         "more than the largest float"),
         # finite tolerances whose product with a finite SD overflows
         ([1e307, -1e307, *[0.5, -0.25, 0.75] * 10], SampEnParams(r_factor=1e3), r"r = inf"),
         # a range of 2e308 is more than the kd-tree can hold
@@ -141,9 +142,26 @@ class TestSampleEntropy:
         with pytest.raises(NumericalError, match=reason):
             sample_entropy(Series(values), params)
 
+    def test_an_sd_that_squares_past_the_largest_float_is_counted(self):
+        # the SD, about 1.5e200, is finite although its square is not; on
+        # a ramp every length-m match extends
+        x = [1e200 * (1 + 0.01 * i) for i in range(50)]
+        res = sample_entropy(Series(x))
+        assert (res.a_count, res.b_count) == sampen_pairs_direct(x, m=2, r=res.r)
+        assert res.value == 0.0
+
+    def test_unit_free_under_powers_of_two(self):
+        # a power of two changes no bit of a normal number, so the counts,
+        # the value and the scaled tolerance are the same bit for bit
+        x = 1.0 + np.random.Generator(np.random.PCG64(14)).uniform(size=100)
+        base = sample_entropy(Series(x))
+        for k in range(-1000, 1001):
+            res = sample_entropy(Series(np.ldexp(x, k)))
+            assert res == dataclasses.replace(base, r=math.ldexp(base.r, k))
+
     def test_extremes_that_share_no_coordinate_are_counted(self):
         # 1.7e308 is only ever a first coordinate and -1.7e308 a last one,
-        # so no difference either strategy takes overflows
+        # so no difference a kd-tree strategy takes overflows
         x = [1.7e308, *[0.5, -0.25, 0.75, 0.5] * 5, -1.7e308]
         want = sampen_pairs_direct(x, m=2, r=0.3)
         res = sample_entropy(Series(x), SampEnParams(r_factor=0.3, **ABS_R))
@@ -247,6 +265,33 @@ class TestSampleEntropy:
     def test_pairs_are_listed_only_when_matches_are_sparse(self, x, r, name):
         assert entropy._strategy(x, 2, r) == name
         assert entropy._pair_counts(x, 2, r) == sampen_pairs_rowwise(x, 2, r)
+
+    @pytest.mark.parametrize("values, r", [
+        # -0.0 and 0.0 are one value, of one rank
+        pytest.param([0.0, -0.0, 1.0, 0.5], 0.25, id="signed-zeros"),
+        # 0.9 - 0.2 rounds to 0.7, so they match, although 0.2 + 0.7 < 0.9
+        pytest.param([0.2, 0.9, 1.6], 0.7, id="gap-equal-to-r"),
+        # 0.4 - 0.3 rounds above 0.1, so they do not, although 0.3 + 0.1 == 0.4
+        pytest.param([0.3, 0.4, 0.5], 0.1, id="gap-rounding-above-r"),
+    ])
+    def test_grid_matches_by_the_rounded_difference(self, values, r):
+        x = np.random.Generator(np.random.PCG64(16)).choice(values, 200)
+        assert entropy._strategy(x, 2, r) == "grid"
+        assert entropy._pair_counts(x, 2, r) == sampen_pairs_direct(x, 2, r)
+
+    def test_grid_ranks_extremes_whose_difference_overflows(self):
+        # the rank search compares 1.7e308 with -1.7e308: the difference
+        # overflows to inf, which does not match, and warns of nothing
+        x = np.array([1.7e308, *[0.5] * 20, -1.7e308])
+        assert entropy._strategy(x, 2, 0.3) == "grid"
+        assert entropy._pair_counts(x, 2, 0.3) == sampen_pairs_direct(x, 2, 0.3)
+
+    def test_long_templates_on_few_values_stay_off_the_grid(self):
+        # (2 + 20)^21 cells, and 2^21 corners per occupied cell, pass the
+        # bound at once
+        x = np.random.Generator(np.random.PCG64(15)).integers(0, 2, 300).astype(float)
+        assert entropy._strategy(x, 20, 0.5) == "trees"
+        assert entropy._pair_counts(x, 20, 0.5) == sampen_pairs_rowwise(x, 20, 0.5)
 
     @given(seed=st.integers(0, 2**32 - 1),
            a=st.floats(-50, 50).filter(lambda v: abs(v) > 1e-3),
