@@ -14,24 +14,25 @@ orbit; and on the tie-free 1000-point series of the reproduction tables
 (N(0,1), uniform and exponential at r = 0.2 SD, N(0,1) coarse-grained at
 scales 2-5, and a permutation of the 1/128 grid whose distances often
 equal r); and on a quantized RR-like series coarse-grained at scale 3,
-whose block means are off the 1/128 grid. ``switch-below-8k`` and
-``switch-above-8k`` are N(0,1) series whose tolerances put the length-m
-matches just under and just over ``entropy._LIST_BELOW`` per template
-(127 and 131), so the length-(m+1) count of the ``trees`` strategy is
-checked on both sides of the switch between listing the pairs and
-counting them in bulk. ``rule-below-2k``
-and ``rule-above-2k`` put the first-coordinate matches that
-``entropy._strategy`` reads just under and just over the same bound (127
-and 130 per template), so the choice between ``extended`` and ``trees``
-is checked on both sides. ``rule-grid-below-8k`` and ``rule-grid-above-8k``
-hold 125 and 126 distinct integers, so (D + m)^(m+1) lies just under and
-just over ``entropy._GRID_CELLS`` cells per template (2 048 383 and
-2 097 152 against 2 096 640), and the choice of ``grid`` is checked on
-both sides; every case takes ``grid`` exactly when it meets that rule.
-Each strategy in ``entropy._STRATEGIES`` is also compared on every case
-it is fit for: ``trees`` on all of them, ``extended`` on the tie-free
-ones whose list stays within twice the bound, and ``grid`` on those whose
-rank table stays within twice its bound.
+whose block means are off the 1/128 grid. ``normal-8k-b127`` and
+``normal-8k-b131`` are N(0,1) series with 127 and 131 length-m matches per
+template, counted on the ``trees``. ``rule-below-4k`` and ``rule-above-4k``
+put ``entropy._grid_bound``, which ``entropy._strategy`` reads once the
+first coordinate alone matches too many pairs, just under and just over
+``entropy._LIST_BELOW`` pairs per template (255.5 and 256.7), so the choice
+between ``extended`` and ``trees`` is checked on both sides. The 1/128 grid
+at 16k has ties and few matches, and takes ``extended``; ``ar95-8k``, a
+tie-free AR(1) path with coefficient 0.95, matches 155 pairs per template
+but bounds them at 322, and takes the ``trees``. ``rule-grid-below-8k`` and
+``rule-grid-above-8k`` hold 126 and 127 distinct integers, the last of them
+only in the final sample, so (K + 1)^(m+1) lies just under and just over
+``entropy._GRID_CELLS`` cells per template (2 048 383 and 2 097 152 against
+2 096 640), and the choice of ``grid`` is checked on both sides; every case
+takes ``grid`` exactly when it meets that rule, and every case's grid bound
+is at least its B. Each strategy in ``entropy._STRATEGIES`` is also compared
+on every case it is fit for: ``trees`` on all of them, ``extended`` on those
+whose list stays within twice the bound, and ``grid`` on those whose rank
+table stays within twice its bound.
 At 64k, where the brute force is too slow, the counts are compared with
 one weighted ``count_neighbors`` of a median-split tree over the distinct
 templates, built from ``np.unique(axis=0)`` rather than the kernel's byte
@@ -72,6 +73,11 @@ def _sd_tolerance(x: np.ndarray) -> tuple[np.ndarray, float]:
     return x, 0.2 * float(np.std(x, ddof=1))
 
 
+def _integers(k: int) -> np.ndarray:
+    """8192 draws of the integers 0 .. k-1."""
+    return _rng(8195).integers(0, k, size=8192).astype(float)
+
+
 def _grained(scale: int) -> tuple[np.ndarray, float]:
     """1000 N(0,1) points coarse-grained at ``scale``: block means off any
     grid, with r = 0.2 SD of the means."""
@@ -86,18 +92,19 @@ CASES = {
     "binary-16k": lambda: (_rng(16385).integers(0, 2, size=16384).astype(float), 1.0),
     "rr128-16k": lambda: (_rr_like(16384), 1 / 128),
     "periodic-8k": lambda: _periodic(8192),
-    "switch-below-8k": lambda: (_rng(8194).normal(size=8192), 0.315),
-    "switch-above-8k": lambda: (_rng(8194).normal(size=8192), 0.32),
+    "normal-8k-b127": lambda: (_rng(8194).normal(size=8192), 0.315),
+    "normal-8k-b131": lambda: (_rng(8194).normal(size=8192), 0.32),
     "normal-1k": lambda: _sd_tolerance(_rng(1000).normal(size=1000)),
     "uniform-1k": lambda: _sd_tolerance(_rng(1001).uniform(size=1000)),
     "exponential-1k": lambda: _sd_tolerance(_rng(1002).exponential(size=1000)),
     **{f"normal-1k-scale{s}": (lambda s=s: _grained(s)) for s in range(2, 6)},
     "permutation128-1k": lambda: (_rng(1003).permutation(1000) / 128, 40 / 128),
-    "rule-below-2k": lambda: (_rng(2200).normal(size=2200), 0.2),
-    "rule-above-2k": lambda: (_rng(2200).normal(size=2200), 0.205),
+    "rule-below-4k": lambda: (_rng(4096).normal(size=4096), 0.436),
+    "rule-above-4k": lambda: (_rng(4096).normal(size=4096), 0.437),
+    "ar95-8k": lambda: _sd_tolerance(arma_simulate((0.95,), (), 8192, 8192).values),
     "rr128-16k-scale3": lambda: _sd_tolerance(coarse_grain(Series(_rr_like(16384)), 3).values),
-    "rule-grid-below-8k": lambda: (_rng(8195).integers(0, 125, size=8192).astype(float), 2.0),
-    "rule-grid-above-8k": lambda: (_rng(8195).integers(0, 126, size=8192).astype(float), 2.0),
+    "rule-grid-below-8k": lambda: (_integers(126), 2.0),
+    "rule-grid-above-8k": lambda: (np.append(_integers(126)[:-1], 126.0), 2.0),
 }
 
 # the same at 64k, checked against one tree over the distinct templates
@@ -156,18 +163,12 @@ def test_pair_counts_equal_the_brute_force(name):
     assert entropy._pair_counts(x, 2, r) == _brute_force(name)
 
 
-@pytest.mark.parametrize("name, listed", [("switch-below-8k", True),
-                                          ("switch-above-8k", False)])
-def test_switch_cases_straddle_the_rule(name, listed):
-    x, _ = _series(name)
-    _, b = _brute_force(name)
-    assert (b <= entropy._LIST_BELOW * (x.size - 2)) == listed
-
-
-@pytest.mark.parametrize("name, strategy", [("rule-below-2k", "extended"),
-                                            ("rule-above-2k", "trees"),
+@pytest.mark.parametrize("name, strategy", [("rule-below-4k", "extended"),
+                                            ("rule-above-4k", "trees"),
+                                            ("grid128-16k", "extended"),
+                                            ("ar95-8k", "trees"),
                                             ("rule-grid-below-8k", "grid"),
-                                            ("rule-grid-above-8k", "trees")])
+                                            ("rule-grid-above-8k", "extended")])
 def test_rule_cases_straddle_the_rule(name, strategy):
     x, r = _series(name)
     assert entropy._strategy(x, 2, r) == strategy
@@ -176,15 +177,20 @@ def test_rule_cases_straddle_the_rule(name, strategy):
 @pytest.mark.parametrize("name", list(CASES))
 def test_grid_is_chosen_exactly_where_the_rule_holds(name):
     x, r = _series(name)
-    nt = x.size - 2
-    distinct = np.unique(x[:nt]).size
     assert (entropy._strategy(x, 2, r) == "grid") == \
-        ((distinct + 2) ** 3 <= entropy._GRID_CELLS * nt)
+        ((np.unique(x).size + 1) ** 3 <= entropy._GRID_CELLS * (x.size - 2))
+
+
+@pytest.mark.parametrize("name", [*CASES, *LONG])
+def test_grid_bound_is_at_least_b(name):
+    x, r = _series(name)
+    _, b = _brute_force(name) if name in CASES else _single_tree(name)
+    assert entropy._grid_bound(x, x.size - 2, r) >= b
 
 
 def _fits(strategy: str, name: str) -> bool:
-    """``extended`` lists every length-m pair of a raw-template tree, which
-    splits well only without ties; the list is kept within twice the bound.
+    """``extended`` lists every length-m pair of a raw-template tree, kept
+    within twice the bound.
     ``grid`` fills a table of (K+1)^(m+1) cells over the K distinct values,
     kept within twice its bound."""
     x, _ = _series(name)
@@ -193,9 +199,7 @@ def _fits(strategy: str, name: str) -> bool:
         return (np.unique(x).size + 1) ** 3 <= 2 * entropy._GRID_CELLS * nt
     if strategy != "extended":
         return True
-    head = np.sort(x[:nt])
-    return bool(np.all(head[1:] != head[:-1])) and \
-        _brute_force(name)[1] <= 2 * entropy._LIST_BELOW * nt
+    return _brute_force(name)[1] <= 2 * entropy._LIST_BELOW * nt
 
 
 @pytest.mark.parametrize("name", list(CASES))

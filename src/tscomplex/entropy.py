@@ -5,17 +5,16 @@ distance with non-strict matching (distance <= r) and no self-matches. The
 counts are exact and sub-quadratic, by one of three strategies
 (``_strategy``): on cells with few distinct values, such as quantized
 RR intervals, a summed-area table over the value ranks counts each
-distinct template's matches as one box; on tie-free cells with few
-matches in the first coordinate, one kd-tree over the raw length-m
-templates lists B's pairs and A counts those whose extra coordinate
-matches too; elsewhere a kd-tree per length over the distinct templates,
-each weighted by its multiplicity, counts the pairs in bulk, or lists
-them at length m+1 when the length-m count finds few matches per
-template. Series of ~100k points (24-hour RR-interval recordings) take
-milliseconds when quantized and seconds when not. The tree is scipy's
-``cKDTree``, imported where the first tree is built, so that importing
-this module loads no scipy. The default tolerance is a multiple of the series' sample
-SD (``core.sample_sd``).
+distinct template's matches as one box; on cells where a bound on the
+length-m matches is low, one kd-tree over the raw length-m templates
+lists B's pairs and A counts those whose extra coordinate matches too;
+elsewhere a kd-tree per length over the distinct templates, each weighted
+by its multiplicity, counts the pairs in bulk. Series of ~100k points
+(24-hour RR-interval recordings) take milliseconds when quantized and
+seconds when not. The tree is scipy's ``cKDTree``, imported where the
+first tree is built, so that importing this module loads no scipy. The
+default tolerance is a multiple of the series' sample SD
+(``core.sample_sd``).
 Permutation entropy histograms the ordinal patterns of overlapping windows,
 with ties broken toward the earlier index (stable sort), and is always
 normalized: the Shannon entropy is divided by ln(n!), so it lies in [0, 1].
@@ -118,9 +117,9 @@ class SampEnResult:
     r: float
 
 
-# Pairs are listed, not counted in bulk, only where at most this many
-# per template are known to match at length m.
-_LIST_BELOW = 128
+# Pairs are listed, not counted in bulk, only where a bound on B allows at
+# most this many per template.
+_LIST_BELOW = 256
 
 
 def _template_tree(x: np.ndarray, k: int, nt: int) -> tuple[cKDTree, np.ndarray]:
@@ -151,23 +150,12 @@ def _counted_pairs(tree: cKDTree, weights: np.ndarray, r: float) -> int:
     return (int(total) - int(weights.sum())) // 2
 
 
-def _listed_pairs(tree: cKDTree, weights: np.ndarray, r: float) -> int:
-    """Template pairs i < j within r, from the list of distinct-template
-    pairs: the pairs within each group of identical templates plus, for
-    each listed pair, the product of the two multiplicities."""
-    pairs = tree.query_pairs(r, p=np.inf, output_type="ndarray")
-    w = weights.astype(np.int64)
-    return int(w @ (w - 1)) // 2 + int(w[pairs[:, 0]] @ w[pairs[:, 1]])
-
-
 def _tree_counts(x: np.ndarray, m: int, r: float) -> tuple[int, int]:
-    """(A, B) from a tree per length over the distinct templates: B counted
-    in bulk, then A's pairs listed if B <= ``_LIST_BELOW``*nt, else counted."""
+    """(A, B) from one bulk count on a tree per length over the distinct
+    templates."""
     nt = x.size - m
-    b = _counted_pairs(*_template_tree(x, m, nt), r)
-    count = _listed_pairs if b <= _LIST_BELOW * nt else _counted_pairs
-    a = count(*_template_tree(x, m + 1, nt), r)
-    return a, b
+    return (_counted_pairs(*_template_tree(x, m + 1, nt), r),
+            _counted_pairs(*_template_tree(x, m, nt), r))
 
 
 def _extended_pairs(x: np.ndarray, m: int, r: float) -> tuple[int, int]:
@@ -258,42 +246,79 @@ _STRATEGIES = {"extended": _extended_pairs, "trees": _tree_counts, "grid": _grid
 _GRID_CELLS = 256
 
 
+def _grid_bound(x: np.ndarray, nt: int, r: float) -> int:
+    """A bound on B for m >= 2: the pairs among the first nt templates whose
+    coordinates 0 and 1 lie in the same or neighbouring cells of a grid of
+    side h = r*(1 + 2^-16); once a cell index could pass 2^30, every pair.
+    This is box-assisted counting (Theiler 1987; Manis, Aktaruzzaman and
+    Sassi 2018 for sample entropy) used only as a bound, which on N(0,1),
+    AR(1) and noisy periodic series lies within about 2.3 times B.
+
+    A value v's cell is the floor of ``(v - lo) / r / (1 + 2^-16)``, lo the
+    least of ``x[:nt+1]``. A pair matches only if each rounded coordinate
+    difference is at most r, so each true difference is at most
+    r*(1 + 2^-52). The three roundings of a quotient below 2^30 are off by
+    less than 2^30 * 4*2^-53 = 2^-21, so the quotients of the two values
+    differ by less than (1 + 2^-52)/(1 + 2^-16) + 2*2^-21 < 1 and their
+    floors by at most one: no matching pair lands two cells apart. Dividing
+    by r first keeps the margin when r is subnormal. Cell indices below
+    2^30 pack into int64 keys, and the 3x3 cells around each occupied cell
+    form three runs of keys in sort order.
+    """
+    with np.errstate(over="ignore"):
+        q = np.floor((x[:nt + 1] - x[:nt + 1].min()) / r / (1 + 2 ** -16))
+    if not q.max() < 2 ** 30:  # also an overflowing difference or quotient, inf
+        return nt * (nt - 1) // 2
+    cells = q.astype(np.int64)
+    side = int(cells.max()) + 2  # index side - 1 is never occupied
+    keys = np.sort(cells[:nt] * side + cells[1:])
+    occupied, weights = np.unique(keys, return_counts=True)
+    near = sum(np.searchsorted(keys, occupied + row + 2) - np.searchsorted(keys, occupied + row - 1)
+               for row in (-side, 0, side))
+    return (int(weights @ near) - nt) // 2
+
+
 def _strategy(x: np.ndarray, m: int, r: float) -> str:
     """The name of the ``_STRATEGIES`` entry that counts this cell.
 
-    All three rules read one sort of the first template coordinates
-    ``x[:nt]``, which holds D distinct values, so the whole series holds at
-    most K = D + m. ``grid`` when (D + m)^(m+1) <= ``_GRID_CELLS``*nt,
-    which bounds the length-(m+1) table and, through 2^(m+1) <= (D+m)^(m+1),
-    its corner sums; the power is taken in Python integers, and only once
-    2^(m+1) is under the bound, since m has no upper limit. ``extended``
-    when the D values are all distinct, so the raw templates split well,
-    and at most ``_LIST_BELOW`` pairs per template match in that
-    coordinate, which bounds B (short of differences that round down to
-    r). ``trees`` otherwise, also when ``s + r`` passes the largest float.
-    On one CPU (m=2, r=0.2 SD) the trees take 4.3 ms for 1000 N(0,1)
-    points against 1.1 ms, 10.5 against 3.6 ms at 2200 points, and 23
-    against 7.9 ms at 4000, which already match 230 per template in the
-    first coordinate. The battery's tie-free 1000-point series match 6-42
-    at length m. RR-like series quantized to 1/128 s hold 48-124 distinct
-    values at scales 1-10 of an 8192-point file; the grid takes scales 1-3
-    (K^3 up to about 180*nt), where it is 1.6-10 times faster, and the
-    trees the rest, where it is slower (8.2 against 6.5 ms at scale 4).
-    The noisy period-4 orbit of an ``mse --fixed-r`` sweep is tie-free and
-    matches 400-1200 per template in the first coordinate.
+    Both rules read one sort of the first template coordinates ``x[:nt]``.
+    The series' K distinct values are those of ``x[:nt]`` plus those of
+    the last m samples that the sort does not hold. ``grid`` when
+    (K + 1)^(m+1) <= ``_GRID_CELLS``*nt, which bounds the length-(m+1)
+    table and, through 2^(m+1) <= (K + 1)^(m+1), its corner sums; the
+    power is taken in Python integers, and only once 2^(m+1) is under the
+    bound, since m has no upper limit. Otherwise ``extended`` when a bound
+    on B is at most ``_LIST_BELOW``*nt, which caps the listed pairs, else
+    ``trees``. The bound is the count of pairs that match in the first
+    coordinate (short of differences that round down to r); for m >= 2,
+    once that count passes the limit, ``_grid_bound`` replaces it.
+    ``benchmarks/test_sampen.py`` medians (m=2, r=0.2 SD, 2 cores):
+    ``extended`` takes 8 ms for 4096 N(0,1) points, where the trees took
+    22 ms, and 93-99 against 148-153 ms at 16k; ties do not slow it, as
+    on the 1/128 grid (7 against 21 ms at 4k). On one CPU the noisy
+    period-4 orbit lists faster than the trees count up to its bound, 20
+    against 30 ms at 2048 points (253 per template in B). A tie-free AR(1)
+    path with coefficient 0.95 bounds 653 per template at 16k and stays
+    on the trees. RR-like series quantized to 1/128 s hold 47-126
+    distinct values at scales 1-10 of an 8192-point file; the grid takes
+    scales 1-3, where it is 1.6-10 times faster, and ``extended`` the
+    rest. The noisy period-4 orbit of an ``mse --fixed-r`` sweep bounds
+    408-1024 per template and stays on the trees.
     """
     nt = x.size - m
     s = np.sort(x[:nt])
-    distinct = nt - int(np.count_nonzero(s[1:] == s[:-1]))
+    tail = x[nt:]
+    held = s[np.minimum(np.searchsorted(s, tail), nt - 1)] == tail
+    values = nt - int(np.count_nonzero(s[1:] == s[:-1])) + len(set(tail[~held].tolist()))
     cells = _GRID_CELLS * nt
-    if m + 1 < cells.bit_length() and (distinct + m) ** (m + 1) <= cells:
+    if m + 1 < cells.bit_length() and (values + 1) ** (m + 1) <= cells:
         return "grid"
     with np.errstate(over="ignore"):
-        reach = s + r
-    if distinct < nt or math.isinf(reach[-1]):
-        return "trees"
-    matches = int(np.searchsorted(s, reach, "right").sum()) - nt * (nt + 1) // 2
-    return "extended" if matches <= _LIST_BELOW * nt else "trees"
+        bound = int(np.searchsorted(s, s + r, "right").sum()) - nt * (nt + 1) // 2
+    limit = _LIST_BELOW * nt
+    if m > 1 and bound > limit:
+        bound = _grid_bound(x, nt, r)
+    return "extended" if bound <= limit else "trees"
 
 
 def _pair_counts(x: np.ndarray, m: int, r: float) -> tuple[int, int]:
@@ -302,10 +327,10 @@ def _pair_counts(x: np.ndarray, m: int, r: float) -> tuple[int, int]:
     Both lengths draw their templates from start indices 0 .. N-m-1, so
     every length-m template has a length-(m+1) extension and A <= B holds
     structurally. ``_strategy`` names the way to count: ``grid`` for cells
-    with few distinct values, ``extended`` for sparse tie-free cells, else
-    ``trees``, which collapses identical templates into weighted points and
-    so stays splittable on tie-heavy input (quantized or binary series),
-    where a raw-template tree degenerates to quadratic time.
+    with few distinct values, ``extended`` for cells whose bound on B is
+    low, else ``trees``, which collapses identical templates into weighted
+    points and so stays splittable on tie-heavy input (quantized or binary
+    series), where a raw-template tree degenerates to quadratic time.
 
     ``grid`` is box-assisted counting (Theiler 1987) on the ranks of the K
     distinct values rather than on cells of side r, so no cell edge is
@@ -317,11 +342,8 @@ def _pair_counts(x: np.ndarray, m: int, r: float) -> tuple[int, int]:
     ``count_neighbors`` counts pairs in bulk: it adds up whole node pairs
     that lie within r, but visits every node pair in both orders.
     ``query_pairs`` lists each pair once, so it does about half the work
-    where matches are sparse and falls far behind where they are dense
-    (2x slower on the noisy period-4 orbit at 8k points); both strategies
-    list only up to ``_LIST_BELOW`` pairs per template. Listing A on the
-    trees stays ahead beyond 700 per template on N(0,1) at 8k points, but
-    on the noisy period-4 orbit only to about 300 at 4k-8k and 100 at 1k.
+    where matches are sparse; ``extended`` lists B's pairs only up to
+    ``_LIST_BELOW`` per template, and A needs no tree of its own.
 
     The counts are exact. The trees, the extra coordinate and the grid's
     rank intervals decide a point pair by comparing the same rounded
@@ -332,9 +354,11 @@ def _pair_counts(x: np.ndarray, m: int, r: float) -> tuple[int, int]:
     after rounding. The bulk count sums the weights as floats; every
     partial sum is an integer below nt**2 < 2**53, so the total is exact.
     Listed and grid counts are int64, and a grid table holds counts up to
-    nt in int32. Memory is O(N) for fixed m: a list holds at most about
-    128*nt pairs of 16 bytes, and a grid table about 256*nt cells of 4
-    bytes.
+    nt in int32. Memory is O(N) for fixed m: a list holds at most 256*nt
+    pairs of 16 bytes (short of first-coordinate differences that round
+    down to r when the cheaper bound decides), and a grid table about
+    256*nt cells of 4 bytes. The counts never depend on the bounds, which
+    only choose the strategy.
     """
     return _STRATEGIES[_strategy(x, m, r)](x, m, r)
 

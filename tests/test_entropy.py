@@ -58,20 +58,6 @@ def _periodic(n):
     return x, 0.2 * float(np.std(x, ddof=1))
 
 
-def _within_trees(count):
-    """(A, B) from one of the trees' two ways to count one length's pairs."""
-    def counts(x, m, r):
-        nt = x.size - m
-        return (count(*entropy._template_tree(x, m + 1, nt), r),
-                count(*entropy._template_tree(x, m, nt), r))
-    return counts
-
-
-_COUNTING_WAYS = {"listed": _within_trees(entropy._listed_pairs),
-                  "counted": _within_trees(entropy._counted_pairs),
-                  **entropy._STRATEGIES}
-
-
 def sampen_counts(series, params=SampEnParams()):
     """(A, B) behind a sample entropy, also when a zero count makes it raise."""
     try:
@@ -169,14 +155,16 @@ class TestSampleEntropy:
         for count in entropy._STRATEGIES.values():
             assert count(np.array(x), 2, 0.3) == want
 
-    def test_tolerance_past_the_largest_value_takes_the_trees(self):
-        # the rule's s + r overflows: no warning, and the trees count
+    def test_tolerance_past_the_largest_value_counts_every_pair(self):
+        # the rule's s + r overflows: no warning, and every strategy counts
         # every pair
         x = np.random.Generator(np.random.PCG64(13)).permutation(40) * 2.5e306
         params = SampEnParams(r_factor=1.5e308, **ABS_R)
-        assert entropy._strategy(x, 2, params.r_factor) == "trees"
+        assert entropy._strategy(x, 2, params.r_factor) == "extended"
         res = sample_entropy(Series(x), params)
         assert (res.a_count, res.b_count) == (comb(38, 2),) * 2
+        for count in entropy._STRATEGIES.values():
+            assert count(x, 2, params.r_factor) == (comb(38, 2),) * 2
 
     def test_range_below_the_largest_float_is_counted(self):
         # the extremes differ by 1.78e308 < 1.797e308: the tree holds them
@@ -237,7 +225,7 @@ class TestSampleEntropy:
 
     @pytest.mark.simd
     @pytest.mark.parametrize("m", [1, 2])
-    @pytest.mark.parametrize("way", [*_COUNTING_WAYS])
+    @pytest.mark.parametrize("strategy", [*entropy._STRATEGIES])
     @pytest.mark.parametrize("x, r", [
         # sparse matches; on the 1/128 grid many distances equal r exactly
         pytest.param(_normal(300, 6), 0.2, id="normal"),
@@ -249,22 +237,61 @@ class TestSampleEntropy:
         pytest.param(np.random.Generator(np.random.PCG64(8)).integers(0, 2, 300).astype(float),
                      0.5, id="binary"),
         pytest.param(*_periodic(300), id="periodic"),
+        # multiples of 0.1 in floats: neighbours differ by a little under,
+        # exactly or a little over r
+        pytest.param(np.random.Generator(np.random.PCG64(23)).integers(-40, 40, 300) * 0.1, 0.1,
+                     id="lattice"),
+        pytest.param(np.round(_normal(300, 24) - 2, 1), 0.1, id="negative-tied"),
     ])
-    def test_both_ways_of_counting_match_bruteforce_oracle(self, x, r, way, m):
-        # each strategy, and each of the trees' two ways to count one
-        # length, on every case: the choice between them is tested apart
-        assert _COUNTING_WAYS[way](x, m, r) == sampen_pairs_direct(x, m, r)
+    def test_every_strategy_matches_bruteforce_oracle(self, x, r, strategy, m):
+        # each strategy on every case: the choice between them is tested apart
+        assert entropy._STRATEGIES[strategy](x, m, r) == sampen_pairs_direct(x, m, r)
 
     @pytest.mark.parametrize("x, r, name", [
         pytest.param(_normal(1000, 11), 0.2, "extended", id="sparse-1k"),
-        # 114 pairs per template match in the first coordinate, under 128
+        # 114 pairs per template match in the first coordinate, under 256
         pytest.param(_normal(2048, 9), 0.2, "extended", id="sparse"),
-        pytest.param(*_periodic(2048), "trees", id="dense"),
-        pytest.param(np.round(_normal(2048, 12) * 128) / 128, 2 / 128, "trees", id="quantized"),
+        # 280 match in the first coordinate, 163 in the grid bound
+        pytest.param(_normal(2048, 9), 0.5, "extended", id="sparse-by-the-grid-bound"),
+        # 597 match in the first coordinate, 511 in the grid bound
+        pytest.param(*_periodic(4096), "trees", id="dense"),
+        # ties do not matter: 11 pairs per template match in the first coordinate
+        pytest.param(np.round(_normal(2048, 12) * 128) / 128, 2 / 128, "extended",
+                     id="quantized"),
     ])
     def test_pairs_are_listed_only_when_matches_are_sparse(self, x, r, name):
         assert entropy._strategy(x, 2, r) == name
         assert entropy._pair_counts(x, 2, r) == sampen_pairs_rowwise(x, 2, r)
+
+    @pytest.mark.simd
+    @pytest.mark.parametrize("x, r", [
+        pytest.param(_normal(300, 18), 0.2, id="normal"),
+        # lattice values k*r: each lies just below a cell edge, and the
+        # differences of neighbours round to r, a little under or over it
+        pytest.param(np.random.Generator(np.random.PCG64(19)).integers(-40, 40, 300) * 0.1, 0.1,
+                     id="lattice"),
+        pytest.param(np.round(_normal(300, 20) - 2, 1), 0.1, id="negative-tied"),
+        pytest.param(np.full(300, -2.5), 0.1, id="constant"),
+        pytest.param(np.round(_normal(300, 7) * 128) / 128, 2 / 128, id="grid128"),
+        pytest.param(np.random.Generator(np.random.PCG64(10)).permutation(300) / 128, 12 / 128,
+                     id="permutation128"),
+        pytest.param(np.random.Generator(np.random.PCG64(8)).integers(0, 2, 300).astype(float),
+                     0.5, id="binary"),
+        pytest.param(*_periodic(300), id="periodic"),
+        # the quotients overflow: every pair is the bound
+        pytest.param(np.array([-1.7e308, *_normal(298, 25), 1.7e308]), 0.2, id="extremes"),
+    ])
+    def test_grid_bound_is_at_least_b(self, x, r):
+        assert entropy._grid_bound(x, x.size - 2, r) >= sampen_pairs_direct(x, 2, r)[1]
+
+    def test_range_past_two_to_the_thirty_tolerances_gets_no_grid_bound(self):
+        # every pair matches in the first coordinate, but one value lies
+        # 2^31 tolerances away: the cell indices could not be trusted
+        x = np.append(_normal(599, 21) % 1.0, 2.0 ** 31)
+        nt = x.size - 2
+        assert entropy._grid_bound(x, nt, 1.0) == nt * (nt - 1) // 2
+        assert entropy._strategy(x, 2, 1.0) == "trees"
+        assert entropy._pair_counts(x, 2, 1.0) == sampen_pairs_rowwise(x, 2, 1.0)
 
     @pytest.mark.parametrize("values, r", [
         # -0.0 and 0.0 are one value, of one rank
@@ -287,11 +314,17 @@ class TestSampleEntropy:
         assert entropy._pair_counts(x, 2, 0.3) == sampen_pairs_direct(x, 2, 0.3)
 
     def test_long_templates_on_few_values_stay_off_the_grid(self):
-        # (2 + 20)^21 cells, and 2^21 corners per occupied cell, pass the
+        # (2 + 1)^21 cells, and 2^21 corners per occupied cell, pass the
         # bound at once
         x = np.random.Generator(np.random.PCG64(15)).integers(0, 2, 300).astype(float)
-        assert entropy._strategy(x, 20, 0.5) == "trees"
+        assert entropy._strategy(x, 20, 0.5) != "grid"
         assert entropy._pair_counts(x, 20, 0.5) == sampen_pairs_rowwise(x, 20, 0.5)
+
+    def test_long_templates_on_four_values_take_the_grid(self):
+        # (4 + 1)^7 cells against 256 per template: the rule counts the
+        # values the series holds, not the first coordinate's plus m
+        x = np.random.Generator(np.random.PCG64(22)).integers(0, 4, 16384).astype(float)
+        assert entropy._strategy(x, 6, 0.5) == "grid"
 
     @given(seed=st.integers(0, 2**32 - 1),
            a=st.floats(-50, 50).filter(lambda v: abs(v) > 1e-3),
