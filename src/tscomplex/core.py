@@ -1,7 +1,8 @@
 """Core value types shared by every other module: the series container,
 its sample standard deviation, coarse-graining and metric results, plus
 ``read_lines``, the one reader of user files (series, report JSON, specs),
-and the number check that the spec and report readers apply to JSON fields.
+the number check that the spec and report readers apply to JSON fields,
+and ``check_int``, the one check of an integer parameter.
 
 Everything here but ``read_lines`` is a pure function over immutable
 values; instances are safe to share between threads.
@@ -103,6 +104,18 @@ def sample_sd(series: Series) -> float:
         return math.inf
 
 
+def check_int(value: object, name: str) -> int:
+    """``value`` as an int when it is a whole number (``2``, ``2.0``,
+    ``np.int64(2)``); anything else, such as 2.5, is a ValueError naming
+    the parameter rather than a silent truncation."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):  # None, NaN, inf, a string
+        pass
+    raise ValueError(f"{name} must be an integer, got {value}")
+
+
 def check_partial(partial: str) -> str:
     """The remainder mode of coarse-graining; ValueError unless it is "drop" or "mean"."""
     if partial not in ("drop", "mean"):
@@ -118,7 +131,8 @@ def coarse_grain(series: Series, scale: int, *, partial: Literal["drop", "mean"]
     exactly ``floor(N/scale)`` output samples. ``partial="mean"`` keeps the
     remainder as one short final block; the reproduction harness uses this
     mode because the reference result tables were produced that way. Any
-    other ``partial`` is a ValueError.
+    other ``partial``, or a scale that is not a whole number, is a
+    ValueError.
 
     The means are bit-identical to ``blocks.mean(axis=1)`` on the
     ``(N // scale, scale)`` blocks. For rows of fewer than 8 numbers numpy's
@@ -135,7 +149,7 @@ def coarse_grain(series: Series, scale: int, *, partial: Literal["drop", "mean"]
     """
     check_partial(partial)
     n = len(series)
-    scale = int(scale)
+    scale = check_int(scale, "scale")
     if scale < 1 or scale > n:
         raise DataError(f"invalid scale {scale} for series of length {n}")
     if scale == 1:
@@ -180,16 +194,10 @@ class MetricResult:
 
 @dataclass(frozen=True)
 class Metric:
-    """A named evaluation of a series, used by sweeps and the CLI.
-
-    ``holds_lock`` declares that the evaluation holds the interpreter lock
-    for most of its time, so a sweep made only of such metrics gains
-    nothing from threads and runs in the calling thread.
-    """
+    """A named evaluation of a series, used by sweeps and the CLI."""
 
     name: str
     evaluate: Callable[[Series], MetricResult] = field(repr=False)
-    holds_lock: bool = False
 
     def __call__(self, series: Series) -> MetricResult:
         return self.evaluate(series)

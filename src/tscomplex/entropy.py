@@ -26,11 +26,10 @@ and shared by every window, and ``_ordinal_counts`` is the one kernel
 behind both permutation entropy and the permutation test.
 
 ``mse_sweeps`` is the single evaluation path, and ``mse_sweep`` its
-one-series form. Threads go only where the sample-entropy kernel releases
-the interpreter lock: a sweep starts a helper thread per extra CPU, shares
-its (series, scale) cells out over them and the calling thread, each cell
-whole in one thread, and joins the helpers before it returns. A sweep made
-only of lock-holding metrics runs in the calling thread.
+one-series form. A sweep of several cells starts a helper thread per extra
+CPU, shares its (series, scale) cells out over them and the calling
+thread, each cell whole in one thread, and joins the helpers before it
+returns, whatever its metrics.
 """
 from __future__ import annotations
 
@@ -53,6 +52,7 @@ from .core import (
     MetricResult,
     NumericalError,
     Series,
+    check_int,
     check_partial,
     coarse_grain,
     sample_sd,
@@ -84,6 +84,7 @@ class SampEnParams:
     ``r_mode="per_input_sd"``: tolerance is ``r_factor`` times the sample
     standard deviation (divisor n-1) of the input series.
     ``r_mode="absolute"``: ``r_factor`` is used directly as the tolerance.
+    ``m`` must be a whole number, and is kept as an int.
     """
 
     m: int = 2
@@ -91,6 +92,7 @@ class SampEnParams:
     r_mode: Literal["per_input_sd", "absolute"] = "per_input_sd"
 
     def __post_init__(self):
+        object.__setattr__(self, "m", check_int(self.m, "embedding length"))
         if self.m < 1:
             raise ValueError(f"embedding length must be >= 1, got {self.m}")
         if not math.isfinite(self.r_factor):
@@ -122,22 +124,27 @@ class SampEnResult:
 _LIST_BELOW = 256
 
 
+def _kd_tree(points: np.ndarray) -> cKDTree:
+    """scipy's kd-tree over the rows of ``points``, imported here so that
+    importing this module loads no scipy."""
+    from scipy.spatial import cKDTree
+
+    # sliding-midpoint splits keep the cells compact on clustered
+    # templates, such as those of a noisy periodic orbit, where median
+    # splits leave thin cells that prune poorly
+    return cKDTree(points, balanced_tree=False)
+
+
 def _template_tree(x: np.ndarray, k: int, nt: int) -> tuple[cKDTree, np.ndarray]:
     """A kd-tree over the distinct length-k templates among the first nt,
     and each one's multiplicity."""
-    from scipy.spatial import cKDTree
-
     # one opaque k*8-byte key per template, so that np.unique sorts bytes
     # rather than k-field records; -0.0 and 0.0 stay apart, which changes
     # no count
     rows = np.ascontiguousarray(sliding_window_view(x, k)[:nt])
     keys, weights = np.unique(rows.view(np.dtype((np.void, rows.itemsize * k))),
                               return_counts=True)
-    templates = keys.view(np.float64).reshape(-1, k)
-    # sliding-midpoint splits keep the cells compact on clustered
-    # templates, such as those of a noisy periodic orbit, where median
-    # splits leave thin cells that prune poorly
-    return cKDTree(templates, balanced_tree=False), weights
+    return _kd_tree(keys.view(np.float64).reshape(-1, k)), weights
 
 
 def _counted_pairs(tree: cKDTree, weights: np.ndarray, r: float) -> int:
@@ -162,9 +169,7 @@ def _extended_pairs(x: np.ndarray, m: int, r: float) -> tuple[int, int]:
     """(A, B) from one list of the length-m pairs of a tree over the raw
     templates: B is its length, A the pairs whose extra coordinates
     ``x[i+m]``, ``x[j+m]`` also lie within r."""
-    from scipy.spatial import cKDTree
-
-    tree = cKDTree(sliding_window_view(x, m)[:x.size - m], balanced_tree=False)
+    tree = _kd_tree(sliding_window_view(x, m)[:x.size - m])
     pairs = tree.query_pairs(r, p=np.inf, output_type="ndarray")
     extra = x[m:]
     gap = extra[pairs[:, 0]]
@@ -281,17 +286,17 @@ def _grid_bound(x: np.ndarray, nt: int, r: float) -> int:
 def _strategy(x: np.ndarray, m: int, r: float) -> str:
     """The name of the ``_STRATEGIES`` entry that counts this cell.
 
-    Both rules read one sort of the first template coordinates ``x[:nt]``.
-    The series' K distinct values are those of ``x[:nt]`` plus those of
-    the last m samples that the sort does not hold. ``grid`` when
-    (K + 1)^(m+1) <= ``_GRID_CELLS``*nt, which bounds the length-(m+1)
-    table and, through 2^(m+1) <= (K + 1)^(m+1), its corner sums; the
-    power is taken in Python integers, and only once 2^(m+1) is under the
-    bound, since m has no upper limit. Otherwise ``extended`` when a bound
-    on B is at most ``_LIST_BELOW``*nt, which caps the listed pairs, else
-    ``trees``. The bound is the count of pairs that match in the first
-    coordinate (short of differences that round down to r); for m >= 2,
-    once that count passes the limit, ``_grid_bound`` replaces it.
+    Both rules read one sort of the whole series, which gives its K
+    distinct values. ``grid`` when (K + 1)^(m+1) <= ``_GRID_CELLS``*nt,
+    which bounds the length-(m+1) table and, through 2^(m+1) <=
+    (K + 1)^(m+1), its corner sums; the power is taken in Python integers,
+    and only once 2^(m+1) is under the bound, since m has no upper limit.
+    Otherwise ``extended`` when a bound on B is at most ``_LIST_BELOW``*nt,
+    which caps the listed pairs, else ``trees``. The bound is the count of
+    sample pairs within r among all N samples (short of differences that
+    round down to r): a superset of the first-coordinate pairs of B, larger
+    by at most m*N. For m >= 2, once that count passes the limit,
+    ``_grid_bound`` replaces it.
     ``benchmarks/test_sampen.py`` medians (m=2, r=0.2 SD, 2 cores):
     ``extended`` takes 8 ms for 4096 N(0,1) points, where the trees took
     22 ms, and 93-99 against 148-153 ms at 16k; ties do not slow it, as
@@ -306,15 +311,13 @@ def _strategy(x: np.ndarray, m: int, r: float) -> str:
     408-1024 per template and stays on the trees.
     """
     nt = x.size - m
-    s = np.sort(x[:nt])
-    tail = x[nt:]
-    held = s[np.minimum(np.searchsorted(s, tail), nt - 1)] == tail
-    values = nt - int(np.count_nonzero(s[1:] == s[:-1])) + len(set(tail[~held].tolist()))
+    s = np.sort(x)
+    values = x.size - int(np.count_nonzero(s[1:] == s[:-1]))
     cells = _GRID_CELLS * nt
     if m + 1 < cells.bit_length() and (values + 1) ** (m + 1) <= cells:
         return "grid"
     with np.errstate(over="ignore"):
-        bound = int(np.searchsorted(s, s + r, "right").sum()) - nt * (nt + 1) // 2
+        bound = int(np.searchsorted(s, s + r, "right").sum()) - x.size * (x.size + 1) // 2
     limit = _LIST_BELOW * nt
     if m > 1 and bound > limit:
         bound = _grid_bound(x, nt, r)
@@ -396,9 +399,13 @@ def sample_entropy(series: Series, params: SampEnParams = SampEnParams()) -> Sam
 
 @dataclass(frozen=True)
 class PermEnParams:
+    """Permutation-entropy parameters: the tuple size ``n``, a whole number
+    in [2, 8], kept as an int."""
+
     n: int = 5
 
     def __post_init__(self):
+        object.__setattr__(self, "n", check_int(self.n, "tuple size"))
         if not 2 <= self.n <= 8:
             raise ValueError(f"tuple size must be in [2, 8], got {self.n}")
 
@@ -488,12 +495,12 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _map_in_order(fn: Callable[[T], R], items: Sequence[T], workers: int) -> list[R]:
-    """``[fn(item) for item in items]``, shared out over ``workers`` threads.
+def _map_in_order(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
+    """``[fn(item) for item in items]``, shared out over a thread per CPU.
 
-    The calling thread and ``min(workers, len(items)) - 1`` helper threads,
+    The calling thread and ``min(_cpus(), len(items)) - 1`` helper threads,
     started here and joined before it returns, each take the next item
-    until none is left, so with one worker or one item everything runs in
+    until none is left, so on one CPU or with one item everything runs in
     the calling thread. An exception, or an interrupt while the caller
     waits, stops any further item from starting and propagates once every
     started item has ended.
@@ -517,7 +524,7 @@ def _map_in_order(fn: Callable[[T], R], items: Sequence[T], workers: int) -> lis
 
     helpers: list[threading.Thread] = []
     try:
-        for _ in range(min(workers, len(items)) - 1):
+        for _ in range(min(_cpus(), len(items)) - 1):
             helper = threading.Thread(target=take, name="tscomplex-sweep")
             helper.start()
             helpers.append(helper)
@@ -551,24 +558,24 @@ def mse_sweeps(
     error message attached; the sweep continues. Any other exception
     propagates, and no cell starts after it.
 
-    The scales, every series' length, ``partial`` and the metric names
-    (none twice) are checked before any cell runs.
-    The (series, scale) cells are independent, so they are shared out in
-    series-major order between the calling thread and helper threads that
-    the sweep starts and joins, one per further CPU in the process's
-    affinity set (``taskset`` limits it) and no more than there are cells;
-    a one-cell sweep runs in the calling thread. Each cell coarse-grains
-    its series and evaluates every metric. The sample-entropy kernel
-    releases the interpreter lock; the other metrics hold it for most of
-    their short cells, so a sweep whose metrics all declare ``holds_lock``
-    runs in the calling thread, where a second thread would add only lock
+    The scales (whole numbers, else a ValueError), every series' length,
+    ``partial`` and the metric names (none twice) are checked before any
+    cell runs. The (series, scale) cells are independent, so they are
+    shared out in series-major order between the calling thread and helper
+    threads that the sweep starts and joins, one per further CPU in the
+    process's affinity set (``taskset`` limits it) and no more than there
+    are cells; a one-cell sweep, or one on one CPU, runs in the calling
+    thread. Each cell coarse-grains its series and evaluates every metric.
+    The sample-entropy kernel releases the interpreter lock; the ordinal
+    and runs metrics hold it for most of a short cell, so a sweep of many
+    short series with only those metrics spends its second thread on lock
     hand-offs. Results come back in input order, and the output does not
-    depend on the worker count. A metric may itself call a sweep, which
+    depend on the thread count. A metric may itself call a sweep, which
     starts helpers of its own.
     """
     if len(scales) == 0:
         raise DataError("empty scale list")
-    ordered = [int(s) for s in scales]
+    ordered = [check_int(s, "scale") for s in scales]
     if ordered != sorted(set(ordered)):
         raise DataError("scales must be strictly increasing")
     for series in series_list:
@@ -580,7 +587,6 @@ def mse_sweeps(
     repeated = [name for i, name in enumerate(names) if name in names[:i]]
     if repeated:
         raise DataError(f"metric named more than once: {repeated[0]}")
-    workers = 1 if all(metric.holds_lock for metric in metrics) else _cpus()
 
     def score(cell: tuple[Series, int]) -> list[tuple[tuple[int, str], MetricResult]]:
         """One cell's results; a failed metric is a NaN cell carrying the
@@ -597,7 +603,7 @@ def mse_sweeps(
         return results
 
     cells = [(series, scale) for series in series_list for scale in ordered]
-    scored = _map_in_order(score, cells, workers)
+    scored = _map_in_order(score, cells)
     per_series = len(ordered)
     return [MseProfile(scales=tuple(ordered), metrics=names,
                        results=dict(pair for cell in scored[i:i + per_series] for pair in cell))

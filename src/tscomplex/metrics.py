@@ -1,16 +1,15 @@
 """The metric table and the shared analysis configuration.
 
 A metric is one row of ``_METRICS``: its parameters drawn from the config,
-its evaluator, whether it holds the interpreter lock, its test's tail and
-its map onto the comparison scale. Other modules read a metric's row
-through ``row_of`` instead of testing its name; a name outside the table,
-which a report file may carry, reads as an entropy on the plain min-max
-scale. ``build_metrics`` binds each selected metric to parameters the
-config checked when it was built. The single path that applies them is
-``entropy.mse_sweeps``, which records a failed evaluation as a NaN cell
-and shares the (series, scale) cells out over threads it starts and joins;
-a sweep of lock-holding metrics runs in the calling thread. A test's
-result carries its statistic, df and p-value.
+its evaluator, its test's tail and its map onto the comparison scale.
+Other modules read a metric's row through ``row_of`` instead of testing
+its name; a name outside the table, which a report file may carry, reads
+as an entropy on the plain min-max scale. ``build_metrics`` binds each
+selected metric to parameters the config checked when it was built. The
+single path that applies them is ``entropy.mse_sweeps``, which records a
+failed evaluation as a NaN cell and shares the (series, scale) cells out
+over threads it starts and joins, whatever the metrics. A test's result
+carries its statistic, df and p-value.
 """
 from __future__ import annotations
 
@@ -20,7 +19,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import DataError, Metric, MetricResult, Series
+from .core import DataError, Metric, MetricResult, Series, check_int
 from .entropy import PermEnParams, SampEnParams, permutation_entropy, sample_entropy
 from .randomness import (RunsVariant, check_group_size, check_runs_variant, chi_square_sf,
                          permutation_test, runs_p_value, runs_test)
@@ -67,7 +66,6 @@ def _inv_abs(z: float) -> float:
 class MetricRow(NamedTuple):
     params_of: Callable  # the config -> the metric's parameters, checked
     evaluate: Callable   # (series, params=...) -> MetricResult
-    holds_lock: bool = False  # sampen's kd-tree frees it; the rest run short numpy steps
     tail: Callable | None = None  # a test's (statistic, df) -> p-value; None for an entropy
     to_scale: Callable = float    # a score on the comparison scale, before its min-max step
 
@@ -76,10 +74,9 @@ _METRICS = {
     "sampen": MetricRow(lambda c: SampEnParams(m=c.m, r_factor=c.r_factor, r_mode=c.r_mode),
                         lambda x, params: MetricResult("sampen", sample_entropy(x, params).value)),
     "permen": MetricRow(lambda c: PermEnParams(n=c.n), lambda x, params: MetricResult(
-        "permen", permutation_entropy(x, params)), True),
-    "permtest": MetricRow(lambda c: check_group_size(c.t), _permtest, True, chi_square_sf,
-                          _inv_ln),
-    "runstest": MetricRow(lambda c: check_runs_variant(c.runs_variant), _runstest, True,
+        "permen", permutation_entropy(x, params))),
+    "permtest": MetricRow(lambda c: check_group_size(c.t), _permtest, chi_square_sf, _inv_ln),
+    "runstest": MetricRow(lambda c: check_runs_variant(c.runs_variant), _runstest,
                           runs_p_value, _inv_abs),
 }
 
@@ -100,7 +97,8 @@ class AnalysisConfig:
 
     Construction checks every parameter, selected metric or not, the
     metric names (each known, none twice) and the scale list, raising
-    ValueError: a config that exists is valid.
+    ValueError: a config that exists is valid. m, n, t and the scales must
+    be whole numbers; the scales are kept as a tuple of ints.
     """
 
     metrics: tuple[str, ...] = METRIC_NAMES
@@ -121,6 +119,7 @@ class AnalysisConfig:
             raise ValueError(f"metric named more than once: {repeated[0]}")
         for row in _METRICS.values():
             row.params_of(self)
+        object.__setattr__(self, "scales", tuple(check_int(s, "scale") for s in self.scales))
         if not self.scales:
             raise ValueError("empty scale list")
         if self.scales[0] < 1:
@@ -134,6 +133,6 @@ def build_metrics(config: AnalysisConfig) -> list[Metric]:
     its parameters, built once here."""
     metrics = []
     for name in config.metrics:
-        params_of, evaluate, holds_lock = _METRICS[name][:3]
-        metrics.append(Metric(name, partial(evaluate, params=params_of(config)), holds_lock))
+        row = _METRICS[name]
+        metrics.append(Metric(name, partial(row.evaluate, params=row.params_of(config))))
     return metrics

@@ -17,7 +17,7 @@ from typing import Literal, Sequence, get_args
 
 import numpy as np
 
-from .core import DataError, NumericalError, Series
+from .core import DataError, NumericalError, Series, check_int
 from .entropy import _ordinal_counts
 
 __all__ = [
@@ -76,8 +76,9 @@ class PermutationTestResult:
 
 
 def check_group_size(t: int) -> int:
-    """The permutation-test group size as an int; ValueError unless 2 <= t <= 8."""
-    t = int(t)
+    """The permutation-test group size as an int; ValueError unless it is
+    a whole number with 2 <= t <= 8."""
+    t = check_int(t, "group size")
     if t < 2:
         raise ValueError(f"group size must be >= 2, got {t}")
     if t > 8:

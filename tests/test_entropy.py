@@ -216,11 +216,12 @@ class TestSampleEntropy:
                      1.0, id="integer"),
         pytest.param(np.random.Generator(np.random.PCG64(5)).normal(size=300), 0.2, id="normal"),
     ])
-    def test_split_counts_match_bruteforce_oracle(self, cpus, x, r):
+    def test_split_counts_match_bruteforce_oracle(self, cpus, x, r, sweep_cpus):
         # one count per thread of a ``cpus``-thread map, all at once: each
         # builds its own trees, so every count is the oracle's
+        sweep_cpus(cpus)
         want = sampen_pairs_direct(x, 2, r)
-        got = entropy._map_in_order(lambda _: entropy._pair_counts(x, 2, r), range(cpus), cpus)
+        got = entropy._map_in_order(lambda _: entropy._pair_counts(x, 2, r), range(cpus))
         assert got == [want] * cpus
 
     @pytest.mark.simd
@@ -637,20 +638,21 @@ class TestMseSweeps:
             sys.setswitchinterval(interval)
         assert got == want
 
-    def test_lock_holding_sweep_runs_in_the_calling_thread(self, sweep_cpus):
+    def test_ordinal_and_runs_sweep_runs_in_two_threads(self, sweep_cpus):
         sweep_cpus(2)
-        threads = set()
+        # each series' only cell waits for the other's before its permen:
+        # one thread alone would break the barrier at its timeout
+        barrier = threading.Barrier(2, timeout=10)
+        series = [self.SERIES[0], self.SERIES[3]]
+        metrics = build_metrics(AnalysisConfig(metrics=("permen", "permtest", "runstest")))
+        first, *rest = metrics
 
-        def where(metric):
-            def evaluate(series):
-                threads.add(threading.get_ident())
-                return metric(series)
-            return dataclasses.replace(metric, evaluate=evaluate)
+        def meet(s):
+            barrier.wait()
+            return first(s)
 
-        lock_holding = build_metrics(AnalysisConfig(metrics=("permen", "permtest", "runstest")))
-        assert all(metric.holds_lock for metric in lock_holding)
-        mse_sweeps(self.SERIES, [1, 2, 3], [where(metric) for metric in lock_holding])
-        assert threads == {threading.get_ident()}
+        got = mse_sweeps(series, [1], [dataclasses.replace(first, evaluate=meet), *rest])
+        assert [cells(p) for p in got] == [cells(p) for p in mse_sweeps(series, [1], metrics)]
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     def test_child_forked_after_a_sweep_sweeps_two_series_at_once(self, uniform_series,

@@ -1,8 +1,10 @@
 """Metric wrappers and the analysis configuration."""
+import numpy as np
 import pytest
 
-from tscomplex import generate_iid
+from tscomplex import PermEnParams, SampEnParams, coarse_grain, generate_iid, mse_sweep
 from tscomplex.metrics import AnalysisConfig, build_metrics
+from tscomplex.randomness import check_group_size
 
 
 def only(name, **params):
@@ -39,6 +41,31 @@ class TestAnalysisConfig:
     def test_invalid_parameters_fail_when_metrics_are_built(self, params):
         with pytest.raises(ValueError):
             build_metrics(AnalysisConfig(**params))
+
+    @pytest.mark.parametrize("make, name", [
+        (lambda v: AnalysisConfig(m=v), "embedding length"),
+        (lambda v: AnalysisConfig(n=v), "tuple size"),
+        (lambda v: AnalysisConfig(t=v), "group size"),
+        (lambda v: AnalysisConfig(scales=(1, v)), "scale"),
+        (lambda v: coarse_grain(generate_iid("uniform", 20, seed=1), v), "scale"),
+        (lambda v: mse_sweep(generate_iid("uniform", 20, seed=1), [1, v], build_metrics(
+            AnalysisConfig(metrics=("permen",)))), "scale"),
+    ], ids=["m", "n", "t", "config-scales", "coarse_grain", "mse_sweep"])
+    @pytest.mark.parametrize("value", [4.9, np.float64(2.5)], ids=["float", "float64"])
+    def test_integer_parameters_are_refused_not_truncated(self, make, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value}$"):
+            make(value)
+
+    @pytest.mark.parametrize("two", [2.0, np.int64(2)], ids=["float", "int64"])
+    def test_whole_numbers_are_accepted_as_ints(self, two):
+        config = AnalysisConfig(m=two, n=two + 2, t=two + 1, scales=(1, two, two + 1))
+        assert config.scales == (1, 2, 3) and all(type(s) is int for s in config.scales)
+        assert [type(p) for p in (SampEnParams(m=two).m, PermEnParams(n=two).n,
+                                  check_group_size(two))] == [int] * 3
+        series = generate_iid("uniform", 20, seed=1)
+        assert coarse_grain(series, two).values.tolist() == coarse_grain(series, 2).values.tolist()
+        profile = mse_sweep(series, [1, two], build_metrics(config))
+        assert profile.scales == (1, 2) and all(type(s) is int for s in profile.scales)
 
 
 class TestMetricResults:
