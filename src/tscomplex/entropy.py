@@ -23,13 +23,16 @@ comparisons of each value with the later ones, whose counts (the inversion
 code) index a table of the n! patterns, built once per n. The counts come
 from the n-1 lagged comparisons ``x[d:] < x[:-d]``, made once per series
 and shared by every window, and ``_ordinal_counts`` is the one kernel
-behind both permutation entropy and the permutation test.
+behind both permutation entropy and the permutation test; its limits on
+the pattern length are ``check_pattern_length``, the one check of n and t.
 
 ``mse_sweeps`` is the single evaluation path, and ``mse_sweep`` its
 one-series form. A sweep of several cells starts a helper thread per extra
 CPU, shares its (series, scale) cells out over them and the calling
 thread, each cell whole in one thread, and joins the helpers before it
-returns, whatever its metrics.
+returns, whatever its metrics. ``check_scales`` and ``check_metric_names``
+are the one check of a scale list and of the metric names, which the
+sweep and ``metrics.AnalysisConfig`` share.
 """
 from __future__ import annotations
 
@@ -400,14 +403,13 @@ def sample_entropy(series: Series, params: SampEnParams = SampEnParams()) -> Sam
 @dataclass(frozen=True)
 class PermEnParams:
     """Permutation-entropy parameters: the tuple size ``n``, a whole number
-    in [2, 8], kept as an int."""
+    in [2, 8], kept as an int. It is checked by ``check_pattern_length``,
+    as the permutation test's group size is, else a ValueError."""
 
     n: int = 5
 
     def __post_init__(self):
-        object.__setattr__(self, "n", check_int(self.n, "tuple size"))
-        if not 2 <= self.n <= 8:
-            raise ValueError(f"tuple size must be in [2, 8], got {self.n}")
+        object.__setattr__(self, "n", check_pattern_length(self.n, "tuple size"))
 
 
 @lru_cache(maxsize=None)
@@ -420,6 +422,18 @@ def _lehmer_table(n: int) -> np.ndarray:
     table = np.unique(np.argsort(perms, axis=1), axis=0, return_inverse=True)[1].ravel()
     table.flags.writeable = False  # every caller shares it
     return table
+
+
+def check_pattern_length(n: int, name: str) -> int:
+    """An ordinal pattern length (permutation entropy's tuple size, the
+    permutation test's group size) as an int; ValueError, naming it as
+    ``name``, unless it is a whole number in [2, 8]. ``_ordinal_counts``
+    sets the limit: it keeps a counter for each of the n! patterns, and
+    ``_lehmer_table`` lists them all, 40320 at n = 8."""
+    n = check_int(n, name)
+    if not 2 <= n <= 8:
+        raise ValueError(f"{name} must be in [2, 8], got {n}")
+    return n
 
 
 def _ordinal_counts(x: np.ndarray, n: int, step: int = 1) -> np.ndarray:
@@ -457,8 +471,10 @@ def ordinal_pattern_counts(series: Series, n: int) -> np.ndarray:
     Dense array of n! counters, indexed by the Lehmer code of each window's
     stable argsort; sums to N-n+1 exactly. The windows are not
     built: ``_ordinal_counts`` reads the patterns off n-1 lagged
-    comparisons of the whole series.
+    comparisons of the whole series. n must be a whole number in [2, 8]
+    (``check_pattern_length``), else a ValueError.
     """
+    n = check_pattern_length(n, "tuple size")
     if len(series) < n:
         raise DataError(f"series shorter than tuple (N={len(series)}, n={n})")
     return _ordinal_counts(series.values, n)
@@ -541,6 +557,27 @@ def _map_in_order(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
     return results
 
 
+def check_scales(scales: Sequence[int]) -> tuple[int, ...]:
+    """The scale list of a sweep as a tuple of ints; ValueError unless it is
+    non-empty and its scales are whole numbers, each >= 1, strictly
+    increasing."""
+    scales = tuple(check_int(s, "scale") for s in scales)
+    if not scales:
+        raise ValueError("empty scale list")
+    if scales[0] < 1:
+        raise ValueError(f"scales must be >= 1, got {scales[0]}")
+    if any(b <= a for a, b in zip(scales, scales[1:])):
+        raise ValueError("scales must be strictly increasing")
+    return scales
+
+
+def check_metric_names(names: Sequence[str]) -> None:
+    """ValueError naming the first metric name that occurs a second time."""
+    repeated = [name for i, name in enumerate(names) if name in names[:i]]
+    if repeated:
+        raise ValueError(f"metric named more than once: {repeated[0]}")
+
+
 def mse_sweeps(
     series_list: Sequence[Series],
     scales: Sequence[int],
@@ -558,14 +595,17 @@ def mse_sweeps(
     error message attached; the sweep continues. Any other exception
     propagates, and no cell starts after it.
 
-    The scales (whole numbers, else a ValueError), every series' length,
-    ``partial`` and the metric names (none twice) are checked before any
-    cell runs. The (series, scale) cells are independent, so they are
-    shared out in series-major order between the calling thread and helper
-    threads that the sweep starts and joins, one per further CPU in the
-    process's affinity set (``taskset`` limits it) and no more than there
-    are cells; a one-cell sweep, or one on one CPU, runs in the calling
-    thread. Each cell coarse-grains its series and evaluates every metric.
+    The arguments are checked before any cell runs, by the checks the
+    config shares: a scale list that ``check_scales`` refuses, a
+    ``partial`` other than "drop" or "mean" and a metric name given twice
+    (``check_metric_names``) are ValueErrors. A scale past the length of a
+    series is a fault of the data, a DataError. The (series, scale) cells
+    are independent, so they are shared out in series-major order between
+    the calling thread and helper threads that the sweep starts and joins,
+    one per further CPU in the process's affinity set (``taskset`` limits
+    it) and no more than there are cells; a one-cell sweep, or one on one
+    CPU, runs in the calling thread. Each cell coarse-grains its series and
+    evaluates every metric.
     The sample-entropy kernel releases the interpreter lock; the ordinal
     and runs metrics hold it for most of a short cell, so a sweep of many
     short series with only those metrics spends its second thread on lock
@@ -573,20 +613,13 @@ def mse_sweeps(
     depend on the thread count. A metric may itself call a sweep, which
     starts helpers of its own.
     """
-    if len(scales) == 0:
-        raise DataError("empty scale list")
-    ordered = [check_int(s, "scale") for s in scales]
-    if ordered != sorted(set(ordered)):
-        raise DataError("scales must be strictly increasing")
-    for series in series_list:
-        for s in (ordered[0], ordered[-1]):
-            if s < 1 or s > len(series):
-                raise DataError(f"invalid scale {s} for series of length {len(series)}")
+    ordered = check_scales(scales)
     check_partial(partial)
     names = tuple(metric.name for metric in metrics)
-    repeated = [name for i, name in enumerate(names) if name in names[:i]]
-    if repeated:
-        raise DataError(f"metric named more than once: {repeated[0]}")
+    check_metric_names(names)
+    for series in series_list:
+        if ordered[-1] > len(series):
+            raise DataError(f"invalid scale {ordered[-1]} for series of length {len(series)}")
 
     def score(cell: tuple[Series, int]) -> list[tuple[tuple[int, str], MetricResult]]:
         """One cell's results; a failed metric is a NaN cell carrying the
@@ -605,7 +638,7 @@ def mse_sweeps(
     cells = [(series, scale) for series in series_list for scale in ordered]
     scored = _map_in_order(score, cells)
     per_series = len(ordered)
-    return [MseProfile(scales=tuple(ordered), metrics=names,
+    return [MseProfile(scales=ordered, metrics=names,
                        results=dict(pair for cell in scored[i:i + per_series] for pair in cell))
             for i in range(0, len(scored), per_series)]
 

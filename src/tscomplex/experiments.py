@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import reference as ref
-from .core import DataError, Metric, MetricResult, NumericalError, Series
+from .core import DataError, Metric, MetricResult, NumericalError, Series, check_int
 from .entropy import MseProfile, mse_sweeps
 from .generators import add_noise, arma_simulate, derive_seed, generate_iid, logistic_map
 from .metrics import METRIC_NAMES, AnalysisConfig, build_metrics, row_of
@@ -508,17 +508,20 @@ EXPERIMENTS = {
 def reproduce(experiment: str, *, data_dir: str | Path | None = None,
               seed: int = DEFAULT_SEED, replications: int | None = None,
               config: AnalysisConfig | None = None) -> ReproduceResult:
-    """Regenerate one named experiment and check it."""
+    """Regenerate one named experiment and check it. A given
+    ``replications`` must be a whole number, at least 1, else a ValueError;
+    so must the seed of an experiment that draws (``derive_seed``)."""
     if experiment not in EXPERIMENTS:
         raise DataError(f"unknown experiment {experiment!r}; choose from "
                         + ", ".join(EXPERIMENTS))
     recipe, default_replications, checked = EXPERIMENTS[experiment]
     config = config or AnalysisConfig()
     metrics = build_metrics(config)
-    if replications is None:
-        replications = default_replications
-    elif replications < 1:
-        raise ValueError(f"replications must be >= 1, got {replications}")
+    if replications is not None:
+        replications = check_int(replications, "replications")
+        if replications < 1:
+            raise ValueError(f"replications must be >= 1, got {replications}")
+    replications = replications or default_replications
     missing = [m for m in checked if m not in config.metrics]
     if missing:
         raise DataError(f"{experiment} checks read metric(s) {', '.join(missing)}, "

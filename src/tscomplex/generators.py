@@ -23,7 +23,7 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from .core import DataError, NumericalError, Series, json_number, sample_sd
+from .core import DataError, NumericalError, Series, check_int, json_number, sample_sd
 
 __all__ = [
     "GeneratorSpec",
@@ -43,11 +43,14 @@ def derive_seed(seed: int | np.random.SeedSequence, *key: int) -> np.random.Seed
     """Independent child seed for replicate ``key`` of base ``seed``.
 
     The documented mixing function: SeedSequence(entropy=seed, spawn_key=key).
-    A SeedSequence given without a key is returned as it is.
+    An int seed must be a whole number (``core.check_int``), else a
+    ValueError. A SeedSequence is returned as it is, and takes no key.
     """
-    if isinstance(seed, np.random.SeedSequence) and not key:
+    if isinstance(seed, np.random.SeedSequence):
+        if key:
+            raise TypeError("a SeedSequence seed takes no key")
         return seed
-    return np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(key))
+    return np.random.SeedSequence(entropy=check_int(seed, "seed"), spawn_key=tuple(key))
 
 
 def derive_rng(seed: int | np.random.SeedSequence, *key: int) -> np.random.Generator:
@@ -62,12 +65,16 @@ def _normal(rng: np.random.Generator, n: int) -> np.ndarray:
     return special.ndtri(u)
 
 
-def _check_size(length: int | None, burn_in: int | None) -> None:
-    """DataError unless a given length is >= 1 and a given burn_in >= 0."""
+def _check_size(length: int | None, burn_in: int | None) -> tuple[int | None, int | None]:
+    """A given length and burn_in as ints: ValueError unless each is a whole
+    number, DataError unless the length is >= 1 and the burn_in >= 0."""
+    length = None if length is None else check_int(length, "length")
+    burn_in = None if burn_in is None else check_int(burn_in, "burn_in")
     if length is not None and length < 1:
         raise DataError(f"length must be >= 1, got {length}")
     if burn_in is not None and burn_in < 0:
         raise DataError(f"burn_in must be >= 0, got {burn_in}")
+    return length, burn_in
 
 
 # the n draws of each distribution from ``rng``; only the exponential reads rate
@@ -90,9 +97,9 @@ def generate_iid(
     """Independent draws from Uniform(0,1), Normal(0,1) or Exponential(rate).
 
     Deterministic in (dist, n, seed): the same inputs always give the
-    bit-identical series.
+    bit-identical series. n, burn_in and an int seed must be whole numbers.
     """
-    _check_size(n, burn_in)
+    n, burn_in = _check_size(n, burn_in)
     if rate <= 0:
         raise DataError(f"rate must be positive, got {rate}")
     if dist not in _DRAWS:
@@ -115,8 +122,10 @@ def logistic_map(
     The generated sequence starts at ``x0`` (the seed value is its first
     element) and has ``total`` values; the final ``keep`` are returned.
     Left-associated multiplication ``(r*x)*(1-x)`` is part of the recipe:
-    chaotic orbits depend on it bit-for-bit.
+    chaotic orbits depend on it bit-for-bit. ``keep`` and ``total`` must be
+    whole numbers.
     """
+    keep, total = check_int(keep, "keep"), check_int(total, "total")
     if not 0 < x0 < 1:
         raise DataError(f"x0 must be in (0, 1), got {x0}")
     if not 0 < r <= 4:
@@ -148,11 +157,12 @@ def arma_simulate(
     ``burn_in`` outputs discarded.
 
     Raises on non-stationary AR coefficients (a root of the AR polynomial
-    on or inside the unit circle).
+    on or inside the unit circle). n, burn_in and an int seed must be whole
+    numbers.
     """
     from scipy import signal
 
-    _check_size(n, burn_in)
+    n, burn_in = _check_size(n, burn_in)
     ar = [float(c) for c in ar]
     ma = [float(c) for c in ma]
     if ar:

@@ -6,10 +6,13 @@ Other modules read a metric's row through ``row_of`` instead of testing
 its name; a name outside the table, which a report file may carry, reads
 as an entropy on the plain min-max scale. ``build_metrics`` binds each
 selected metric to parameters the config checked when it was built. The
-single path that applies them is ``entropy.mse_sweeps``, which records a
-failed evaluation as a NaN cell and shares the (series, scale) cells out
-over threads it starts and joins, whatever the metrics. A test's result
-carries its statistic, df and p-value.
+scale list, the metric names and the pattern lengths n and t are checked
+by the ``check_*`` functions of ``entropy``, which its sweep and ordinal
+kernel share. The single path that applies the metrics is
+``entropy.mse_sweeps``, which records a failed evaluation as a NaN cell
+and shares the (series, scale) cells out over threads it starts and
+joins, whatever the metrics. A test's result carries its statistic, df
+and p-value.
 """
 from __future__ import annotations
 
@@ -19,10 +22,11 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import DataError, Metric, MetricResult, Series, check_int
-from .entropy import PermEnParams, SampEnParams, permutation_entropy, sample_entropy
-from .randomness import (RunsVariant, check_group_size, check_runs_variant, chi_square_sf,
-                         permutation_test, runs_p_value, runs_test)
+from .core import DataError, Metric, MetricResult, Series
+from .entropy import (PermEnParams, SampEnParams, check_metric_names, check_pattern_length,
+                      check_scales, permutation_entropy, sample_entropy)
+from .randomness import (RunsVariant, check_runs_variant, chi_square_sf, permutation_test,
+                         runs_p_value, runs_test)
 
 __all__ = [
     "AnalysisConfig",
@@ -75,7 +79,8 @@ _METRICS = {
                         lambda x, params: MetricResult("sampen", sample_entropy(x, params).value)),
     "permen": MetricRow(lambda c: PermEnParams(n=c.n), lambda x, params: MetricResult(
         "permen", permutation_entropy(x, params))),
-    "permtest": MetricRow(lambda c: check_group_size(c.t), _permtest, chi_square_sf, _inv_ln),
+    "permtest": MetricRow(lambda c: check_pattern_length(c.t, "group size"), _permtest,
+                          chi_square_sf, _inv_ln),
     "runstest": MetricRow(lambda c: check_runs_variant(c.runs_variant), _runstest,
                           runs_p_value, _inv_abs),
 }
@@ -97,8 +102,12 @@ class AnalysisConfig:
 
     Construction checks every parameter, selected metric or not, the
     metric names (each known, none twice) and the scale list, raising
-    ValueError: a config that exists is valid. m, n, t and the scales must
-    be whole numbers; the scales are kept as a tuple of ints.
+    ValueError: a config that exists is valid. The names and the scales go
+    through the checks ``entropy.mse_sweeps`` makes too
+    (``check_metric_names``, ``check_scales``), and n and t through the
+    one check of an ordinal pattern length (``check_pattern_length``, a
+    whole number in [2, 8]). m, n, t and the scales must be whole numbers;
+    the scales are kept as a tuple of ints.
     """
 
     metrics: tuple[str, ...] = METRIC_NAMES
@@ -114,18 +123,10 @@ class AnalysisConfig:
         unknown = [m for m in self.metrics if m not in METRIC_NAMES]
         if unknown:
             raise ValueError(f"unknown metric(s): {', '.join(unknown)}")
-        repeated = [m for i, m in enumerate(self.metrics) if m in self.metrics[:i]]
-        if repeated:
-            raise ValueError(f"metric named more than once: {repeated[0]}")
+        check_metric_names(self.metrics)
         for row in _METRICS.values():
             row.params_of(self)
-        object.__setattr__(self, "scales", tuple(check_int(s, "scale") for s in self.scales))
-        if not self.scales:
-            raise ValueError("empty scale list")
-        if self.scales[0] < 1:
-            raise ValueError(f"scales must be >= 1, got {self.scales[0]}")
-        if any(b <= a for a, b in zip(self.scales, self.scales[1:])):
-            raise ValueError("scales must be strictly increasing")
+        object.__setattr__(self, "scales", check_scales(self.scales))
 
 
 def build_metrics(config: AnalysisConfig) -> list[Metric]:

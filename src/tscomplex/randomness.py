@@ -4,7 +4,8 @@ variants, and the tail-probability / two-sample-t machinery they need.
 The permutation test partitions the series into non-overlapping groups of
 t consecutive samples (remainder discarded), maps each group to its
 ordinal pattern, and chi-square-tests the t! pattern counts against the
-uniform expectation G/t!. Each test's p-value comes from one function:
+uniform expectation G/t!; t is checked by ``entropy.check_pattern_length``,
+the kernel's own limit. Each test's p-value comes from one function:
 ``chi_square_sf``, ``runs_p_value`` and ``welch_t_test``; the metric table
 reads a replication mean's through the first two. The chi-square and t
 tails come from ``scipy.special``, imported where they are called.
@@ -17,8 +18,8 @@ from typing import Literal, Sequence, get_args
 
 import numpy as np
 
-from .core import DataError, NumericalError, Series, check_int
-from .entropy import _ordinal_counts
+from .core import DataError, NumericalError, Series
+from .entropy import _ordinal_counts, check_pattern_length
 
 __all__ = [
     "PermutationTestResult",
@@ -75,17 +76,6 @@ class PermutationTestResult:
     counts: tuple[int, ...] = ()  # observed pattern histogram, length t!
 
 
-def check_group_size(t: int) -> int:
-    """The permutation-test group size as an int; ValueError unless it is
-    a whole number with 2 <= t <= 8."""
-    t = check_int(t, "group size")
-    if t < 2:
-        raise ValueError(f"group size must be >= 2, got {t}")
-    if t > 8:
-        raise ValueError(f"group size capped at 8 (t! categories), got {t}")
-    return t
-
-
 def permutation_test(series: Series, t: int = 5) -> PermutationTestResult:
     """Chi-square test of ordinal-pattern uniformity over disjoint groups.
 
@@ -95,9 +85,12 @@ def permutation_test(series: Series, t: int = 5) -> PermutationTestResult:
     entropy uses (``entropy._ordinal_counts``), and ``counts`` is indexed
     by the same pattern codes. The statistic is computed as
     sum(O^2) * t! / G - G, which is algebraically Pearson's statistic with
-    E = G/t! and integer-exact until the final division.
+    E = G/t! and integer-exact until the final division. The group size t
+    must be a whole number in [2, 8], else a ValueError
+    (``entropy.check_pattern_length``, which checks permutation entropy's
+    tuple size too).
     """
-    t = check_group_size(t)
+    t = check_pattern_length(t, "group size")
     n = len(series)
     g = n // t
     if g == 0:
@@ -208,6 +201,8 @@ def welch_t_test(a: Sequence[float], b: Sequence[float]) -> TTestResult:
 
     The tail probability comes from the regularized incomplete beta
     function: P(|T| > t) = I_{df/(df+t^2)}(df/2, 1/2), exactly 1 at t = 0.
+    A group of fewer than 2 observations, or with one that is not finite,
+    is a DataError.
     """
     from scipy import special
 
@@ -215,6 +210,10 @@ def welch_t_test(a: Sequence[float], b: Sequence[float]) -> TTestResult:
     xb = np.asarray(b, dtype=np.float64)
     if xa.size < 2 or xb.size < 2:
         raise DataError("each group needs at least 2 observations")
+    for name, x in (("a", xa), ("b", xb)):
+        if not np.isfinite(x).all():
+            bad = int(np.flatnonzero(~np.isfinite(x))[0])
+            raise DataError(f"non-finite observation at index {bad} of group {name}")
     # t and df do not depend on the unit: scale both groups by the power of two
     # that brings the largest |value| into [0.5, 1), so that no variance over-
     # or underflows; a power of two changes no bit of a normal number

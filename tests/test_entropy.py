@@ -441,12 +441,14 @@ class TestMseSweep:
             assert permen == 0.0 and math.copysign(1.0, permen) == 1.0
 
     def test_empty_scales_rejected(self, uniform_series):
-        with pytest.raises(DataError, match="empty scale list"):
+        with pytest.raises(ValueError, match="^empty scale list$") as excinfo:
             mse_sweep(uniform_series, [], build_metrics(AnalysisConfig()))
+        assert type(excinfo.value) is ValueError
 
     def test_unsorted_scales_rejected(self, uniform_series):
-        with pytest.raises(DataError, match="strictly increasing"):
+        with pytest.raises(ValueError, match="^scales must be strictly increasing$") as excinfo:
             mse_sweep(uniform_series, [2, 1], build_metrics(AnalysisConfig()))
+        assert type(excinfo.value) is ValueError
 
     def test_per_scale_r_differs_from_fixed_r(self):
         # AR(1) block means lose variance, so recomputed r shrinks with scale
@@ -520,9 +522,9 @@ class TestMseSweeps:
     def test_metric_named_twice_refused_before_any_cell(self):
         seen = []
         counting = Metric("count", lambda s: seen.append(len(s)))
-        with pytest.raises(DataError, match="^metric named more than once: count$"):
+        with pytest.raises(ValueError, match="^metric named more than once: count$") as excinfo:
             mse_sweeps(self.SERIES, [1, 2], [counting, Metric("other", len), Metric("count", len)])
-        assert seen == []
+        assert type(excinfo.value) is ValueError and seen == []
 
     def test_unknown_partial_mode_refused_before_any_cell(self, monkeypatch):
         grained = []

@@ -4,7 +4,7 @@ import pytest
 
 from tscomplex import PermEnParams, SampEnParams, coarse_grain, generate_iid, mse_sweep
 from tscomplex.metrics import AnalysisConfig, build_metrics
-from tscomplex.randomness import check_group_size
+from tscomplex.entropy import check_pattern_length
 
 
 def only(name, **params):
@@ -61,7 +61,7 @@ class TestAnalysisConfig:
         config = AnalysisConfig(m=two, n=two + 2, t=two + 1, scales=(1, two, two + 1))
         assert config.scales == (1, 2, 3) and all(type(s) is int for s in config.scales)
         assert [type(p) for p in (SampEnParams(m=two).m, PermEnParams(n=two).n,
-                                  check_group_size(two))] == [int] * 3
+                                  check_pattern_length(two, "group size"))] == [int] * 3
         series = generate_iid("uniform", 20, seed=1)
         assert coarse_grain(series, two).values.tolist() == coarse_grain(series, 2).values.tolist()
         profile = mse_sweep(series, [1, two], build_metrics(config))
