@@ -14,7 +14,7 @@ exercise the earlier-index-first rule.
 import numpy as np
 import pytest
 
-from tscomplex import PermEnParams, Series, permutation_entropy, permutation_test
+from tscomplex import Series, permutation_entropy, permutation_test
 
 SIZES = [pytest.param(n, id=f"{n // 1024}k") for n in (1024, 4096, 16384, 65536)]
 KINDS = ["normal", "grid128"]
@@ -32,7 +32,7 @@ def _series(kind: str, n: int) -> Series:
 @pytest.mark.parametrize("order", ORDERS)
 def test_permutation_entropy(benchmark, order, kind, n):
     series = _series(kind, n)
-    value = benchmark(permutation_entropy, series, PermEnParams(n=order))
+    value = benchmark(permutation_entropy, series, order)
     assert 0 < value <= 1
 
 

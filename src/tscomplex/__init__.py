@@ -16,7 +16,6 @@ from .core import (
 )
 from .entropy import (
     MseProfile,
-    PermEnParams,
     SampEnParams,
     SampEnResult,
     mse_sweep,
@@ -62,7 +61,6 @@ __all__ = [
     "MetricResult",
     "MseProfile",
     "NumericalError",
-    "PermEnParams",
     "PermutationTestResult",
     "ReportRow",
     "RunsTestResult",

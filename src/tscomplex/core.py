@@ -2,7 +2,8 @@
 its sample standard deviation, coarse-graining and metric results, plus
 ``read_lines``, the one reader of user files (series, report JSON, specs),
 the number check that the spec and report readers apply to JSON fields,
-and ``check_int``, the one check of an integer parameter.
+and ``check_int`` and ``check_real``, the one checks of an integer and of
+a finite real parameter.
 
 Everything here but ``read_lines`` is a pure function over immutable
 values; instances are safe to share between threads.
@@ -10,6 +11,7 @@ values; instances are safe to share between threads.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator, Literal
@@ -106,14 +108,31 @@ def sample_sd(series: Series) -> float:
 
 def check_int(value: object, name: str) -> int:
     """``value`` as an int when it is a whole number (``2``, ``2.0``,
-    ``np.int64(2)``); anything else, such as 2.5, is a ValueError naming
-    the parameter rather than a silent truncation."""
+    ``np.int64(2)``); anything else, such as 2.5, a boolean or a string, is
+    a ValueError naming the parameter rather than a silent truncation."""
     try:
-        if int(value) == value:
+        if not isinstance(value, (bool, np.bool_)) and int(value) == value:
             return int(value)
     except (TypeError, ValueError, OverflowError):  # None, NaN, inf, a string
         pass
-    raise ValueError(f"{name} must be an integer, got {value}")
+    raise ValueError(f"{name} must be an integer, got {_shown(value)}")
+
+
+def check_real(value: object, name: str) -> float:
+    """``value`` as a float when it is a finite real number (``0.2``, ``1``,
+    ``np.float64(0.2)``); a boolean, a string or None is a ValueError naming
+    the parameter, and so is NaN or an infinity."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):  # np.bool_ is not Real
+        raise ValueError(f"{name} must be a real number, got {_shown(value)}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return float(value)
+
+
+def _shown(value: object) -> str:
+    """A refused value as a message shows it: a string quoted, so that "5"
+    does not read as the number 5; anything else as ``str`` prints it."""
+    return repr(value) if isinstance(value, str) else str(value)
 
 
 def check_partial(partial: str) -> str:

@@ -15,9 +15,10 @@ seconds when not. The tree is scipy's ``cKDTree``, imported where the
 first tree is built, so that importing this module loads no scipy. The
 default tolerance is a multiple of the series' sample SD
 (``core.sample_sd``).
-Permutation entropy histograms the ordinal patterns of overlapping windows,
-with ties broken toward the earlier index (stable sort), and is always
-normalized: the Shannon entropy is divided by ln(n!), so it lies in [0, 1].
+Permutation entropy histograms the ordinal patterns of the overlapping
+windows of n samples, n a plain int, with ties broken toward the earlier
+index (stable sort), and is always normalized: the Shannon entropy is
+divided by ln(n!), so it lies in [0, 1].
 No window is sorted: under that tie rule its pattern is fixed by the strict
 comparisons of each value with the later ones, whose counts (the inversion
 code) index a table of the n! patterns, built once per n. The counts come
@@ -40,6 +41,7 @@ import math
 import os
 import queue
 import threading
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
@@ -57,6 +59,7 @@ from .core import (
     Series,
     check_int,
     check_partial,
+    check_real,
     coarse_grain,
     sample_sd,
 )
@@ -67,7 +70,6 @@ if TYPE_CHECKING:
 __all__ = [
     "SampEnParams",
     "SampEnResult",
-    "PermEnParams",
     "MseProfile",
     "sample_entropy",
     "permutation_entropy",
@@ -87,7 +89,8 @@ class SampEnParams:
     ``r_mode="per_input_sd"``: tolerance is ``r_factor`` times the sample
     standard deviation (divisor n-1) of the input series.
     ``r_mode="absolute"``: ``r_factor`` is used directly as the tolerance.
-    ``m`` must be a whole number, and is kept as an int.
+    ``m`` must be a whole number, kept as an int, and ``r_factor`` a finite
+    real number, kept as a float.
     """
 
     m: int = 2
@@ -98,8 +101,7 @@ class SampEnParams:
         object.__setattr__(self, "m", check_int(self.m, "embedding length"))
         if self.m < 1:
             raise ValueError(f"embedding length must be >= 1, got {self.m}")
-        if not math.isfinite(self.r_factor):
-            raise ValueError(f"tolerance must be finite, got {self.r_factor}")
+        object.__setattr__(self, "r_factor", check_real(self.r_factor, "tolerance"))
         if self.r_factor <= 0:
             raise ValueError(f"tolerance must be positive, got {self.r_factor}")
         if self.r_mode not in ("per_input_sd", "absolute"):
@@ -108,7 +110,7 @@ class SampEnParams:
 
     def tolerance(self, series: Series) -> float:
         if self.r_mode == "absolute":
-            return float(self.r_factor)
+            return self.r_factor
         return self.r_factor * sample_sd(series)
 
 
@@ -400,18 +402,6 @@ def sample_entropy(series: Series, params: SampEnParams = SampEnParams()) -> Sam
     return SampEnResult(value=-log(a / b) + 0.0, a_count=a, b_count=b, r=r)
 
 
-@dataclass(frozen=True)
-class PermEnParams:
-    """Permutation-entropy parameters: the tuple size ``n``, a whole number
-    in [2, 8], kept as an int. It is checked by ``check_pattern_length``,
-    as the permutation test's group size is, else a ValueError."""
-
-    n: int = 5
-
-    def __post_init__(self):
-        object.__setattr__(self, "n", check_pattern_length(self.n, "tuple size"))
-
-
 @lru_cache(maxsize=None)
 def _lehmer_table(n: int) -> np.ndarray:
     """Entry k is the Lehmer code of the argsort of the window whose inversion
@@ -480,15 +470,17 @@ def ordinal_pattern_counts(series: Series, n: int) -> np.ndarray:
     return _ordinal_counts(series.values, n)
 
 
-def permutation_entropy(series: Series, params: PermEnParams = PermEnParams()) -> float:
-    """Shannon entropy (natural log) of the ordinal-pattern distribution,
-    divided by its maximum ln(n!)."""
-    counts = ordinal_pattern_counts(series, params.n)
-    total = counts.sum()
-    p = counts[counts > 0] / total
+def permutation_entropy(series: Series, n: int = 5) -> float:
+    """Shannon entropy (natural log) of the ordinal-pattern distribution of
+    the overlapping windows of n samples, divided by its maximum ln(n!).
+    The tuple size n is checked by ``ordinal_pattern_counts`` (a whole
+    number in [2, 8], else a ValueError), as the permutation test's group
+    size is."""
+    counts = ordinal_pattern_counts(series, n)
+    p = counts[counts > 0] / counts.sum()
     # + 0.0 normalizes the -0.0 that a single pattern (p = 1) produces
     h = float(-(p * np.log(p)).sum()) + 0.0
-    return h / log(factorial(params.n))
+    return h / log(counts.size)  # counts holds the n! patterns
 
 
 @dataclass(frozen=True)
@@ -557,11 +549,19 @@ def _map_in_order(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
     return results
 
 
+def _as_tuple(values: Sequence[T], name: str) -> tuple[T, ...]:
+    """``values`` as a tuple; ValueError naming it unless it is a sequence
+    other than a string, whose characters would read as its items."""
+    if isinstance(values, str) or not isinstance(values, Iterable):
+        raise ValueError(f"{name} must be a sequence, got {values!r}")
+    return tuple(values)
+
+
 def check_scales(scales: Sequence[int]) -> tuple[int, ...]:
     """The scale list of a sweep as a tuple of ints; ValueError unless it is
-    non-empty and its scales are whole numbers, each >= 1, strictly
+    a non-empty sequence of whole numbers, each >= 1, strictly
     increasing."""
-    scales = tuple(check_int(s, "scale") for s in scales)
+    scales = tuple(check_int(s, "scale") for s in _as_tuple(scales, "scales"))
     if not scales:
         raise ValueError("empty scale list")
     if scales[0] < 1:
@@ -571,11 +571,15 @@ def check_scales(scales: Sequence[int]) -> tuple[int, ...]:
     return scales
 
 
-def check_metric_names(names: Sequence[str]) -> None:
-    """ValueError naming the first metric name that occurs a second time."""
+def check_metric_names(names: Sequence[str]) -> tuple[str, ...]:
+    """The metric names as a tuple; ValueError unless they are a sequence
+    other than a string, or naming the first name that occurs a second
+    time."""
+    names = _as_tuple(names, "metrics")
     repeated = [name for i, name in enumerate(names) if name in names[:i]]
     if repeated:
         raise ValueError(f"metric named more than once: {repeated[0]}")
+    return names
 
 
 def mse_sweeps(

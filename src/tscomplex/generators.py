@@ -23,7 +23,8 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from .core import DataError, NumericalError, Series, check_int, json_number, sample_sd
+from .core import (DataError, NumericalError, Series, check_int, check_real, json_number,
+                   sample_sd)
 
 __all__ = [
     "GeneratorSpec",
@@ -178,13 +179,20 @@ def arma_simulate(
     return Series(x[burn_in:], label or f"arma({len(ar)},{len(ma)})")
 
 
-def _check_noise_sizes(sd_multiplier: float | None, sd_absolute: float | None) -> None:
+def _check_noise_sizes(sd_multiplier: float | None,
+                       sd_absolute: float | None) -> tuple[float | None, float | None]:
+    """The one given noise size as a float: DataError unless exactly one is
+    given and it is >= 0, ValueError (``core.check_real``) unless it is a
+    finite real number."""
     if (sd_multiplier is None) == (sd_absolute is None):
         raise DataError("specify exactly one of sd_multiplier / sd_absolute")
+    sd_multiplier = None if sd_multiplier is None else check_real(sd_multiplier, "sd multiplier")
+    sd_absolute = None if sd_absolute is None else check_real(sd_absolute, "noise sd")
     if sd_multiplier is not None and sd_multiplier < 0:
         raise DataError(f"sd multiplier must be >= 0, got {sd_multiplier}")
     if sd_absolute is not None and sd_absolute < 0:
         raise DataError(f"noise sd must be >= 0, got {sd_absolute}")
+    return sd_multiplier, sd_absolute
 
 
 def add_noise(
@@ -197,8 +205,8 @@ def add_noise(
 ) -> Series:
     """Add iid Gaussian noise, sized either relative to the input's sample
     SD (``sd_multiplier``) or as an absolute SD (``sd_absolute``)."""
-    _check_noise_sizes(sd_multiplier, sd_absolute)
-    sigma = float(sd_absolute) if sd_multiplier is None else sd_multiplier * sample_sd(series)
+    sd_multiplier, sd_absolute = _check_noise_sizes(sd_multiplier, sd_absolute)
+    sigma = sd_absolute if sd_multiplier is None else sd_multiplier * sample_sd(series)
     if sigma == 0.0:
         return Series(series.values, label or series.label)
     rng = derive_rng(seed)
@@ -229,9 +237,12 @@ class GeneratorSpec:
     def __post_init__(self):
         if not isinstance(self.kind, str) or self.kind not in _KINDS:
             raise DataError(f"unknown generator kind: {self.kind!r}")
-        _check_size(self.length, self.burn_in)
-        if self.seed < 0:
-            raise DataError(f"seed must be >= 0, got {self.seed}")
+        length, burn_in = _check_size(self.length, self.burn_in)
+        seed = check_int(self.seed, "seed")
+        if seed < 0:
+            raise DataError(f"seed must be >= 0, got {seed}")
+        for name, value in (("length", length), ("burn_in", burn_in), ("seed", seed)):
+            object.__setattr__(self, name, value)
         if not isinstance(self.params, dict):
             raise DataError(f"params must be an object, got {self.params!r}")
         takes = _KINDS[self.kind].params

@@ -5,13 +5,14 @@ its evaluator, its test's tail and its map onto the comparison scale.
 Other modules read a metric's row through ``row_of`` instead of testing
 its name; a name outside the table, which a report file may carry, reads
 as an entropy on the plain min-max scale. ``build_metrics`` binds each
-selected metric to parameters the config checked when it was built. The
-scale list, the metric names and the pattern lengths n and t are checked
-by the ``check_*`` functions of ``entropy``, which its sweep and ordinal
-kernel share. The single path that applies the metrics is
-``entropy.mse_sweeps``, which records a failed evaluation as a NaN cell
-and shares the (series, scale) cells out over threads it starts and
-joins, whatever the metrics. A test's result carries its statistic, df
+selected metric to parameters the config checked when it was built, and
+the config keeps what those checks return. Permutation entropy's n and
+the permutation test's t are plain ints. The scale list, the metric names
+and the pattern lengths n and t are checked by the ``check_*`` functions
+of ``entropy``, which its sweep and ordinal kernel share. The single path
+that applies the metrics is ``entropy.mse_sweeps``, which records a
+failed evaluation as a NaN cell and shares the (series, scale) cells out
+over threads it starts and joins, whatever the metrics. A test's result carries its statistic, df
 and p-value.
 """
 from __future__ import annotations
@@ -23,8 +24,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .core import DataError, Metric, MetricResult, Series
-from .entropy import (PermEnParams, SampEnParams, check_metric_names, check_pattern_length,
-                      check_scales, permutation_entropy, sample_entropy)
+from .entropy import (SampEnParams, check_metric_names, check_pattern_length, check_scales,
+                      permutation_entropy, sample_entropy)
 from .randomness import (RunsVariant, check_runs_variant, chi_square_sf, permutation_test,
                          runs_p_value, runs_test)
 
@@ -77,8 +78,8 @@ class MetricRow(NamedTuple):
 _METRICS = {
     "sampen": MetricRow(lambda c: SampEnParams(m=c.m, r_factor=c.r_factor, r_mode=c.r_mode),
                         lambda x, params: MetricResult("sampen", sample_entropy(x, params).value)),
-    "permen": MetricRow(lambda c: PermEnParams(n=c.n), lambda x, params: MetricResult(
-        "permen", permutation_entropy(x, params))),
+    "permen": MetricRow(lambda c: check_pattern_length(c.n, "tuple size"),
+                        lambda x, params: MetricResult("permen", permutation_entropy(x, params))),
     "permtest": MetricRow(lambda c: check_pattern_length(c.t, "group size"), _permtest,
                           chi_square_sf, _inv_ln),
     "runstest": MetricRow(lambda c: check_runs_variant(c.runs_variant), _runstest,
@@ -101,13 +102,15 @@ class AnalysisConfig:
     conventions (m=2, r=0.2*SD, n=5, t=5, median runs test, scales 1..10).
 
     Construction checks every parameter, selected metric or not, the
-    metric names (each known, none twice) and the scale list, raising
-    ValueError: a config that exists is valid. The names and the scales go
-    through the checks ``entropy.mse_sweeps`` makes too
-    (``check_metric_names``, ``check_scales``), and n and t through the
-    one check of an ordinal pattern length (``check_pattern_length``, a
-    whole number in [2, 8]). m, n, t and the scales must be whole numbers;
-    the scales are kept as a tuple of ints.
+    metric names (a sequence, not a string, each known, none twice) and
+    the scale list, raising ValueError: a config that exists is valid. The
+    names and the scales go through the checks ``entropy.mse_sweeps``
+    makes too (``check_metric_names``, ``check_scales``), and n and t
+    through the one check of an ordinal pattern length
+    (``check_pattern_length``, a whole number in [2, 8]). The config keeps
+    what the checks return, which its metrics use: m, n and t as ints,
+    r_factor as a float, the names and the scales as tuples, so a config
+    is hashable.
     """
 
     metrics: tuple[str, ...] = METRIC_NAMES
@@ -120,13 +123,15 @@ class AnalysisConfig:
     scales: tuple[int, ...] = DEFAULT_SCALES
 
     def __post_init__(self):
-        unknown = [m for m in self.metrics if m not in METRIC_NAMES]
+        metrics = check_metric_names(self.metrics)
+        unknown = [m for m in metrics if m not in METRIC_NAMES]
         if unknown:
             raise ValueError(f"unknown metric(s): {', '.join(unknown)}")
-        check_metric_names(self.metrics)
-        for row in _METRICS.values():
-            row.params_of(self)
-        object.__setattr__(self, "scales", check_scales(self.scales))
+        params = {name: row.params_of(self) for name, row in _METRICS.items()}
+        for field, value in (("metrics", metrics), ("m", params["sampen"].m),
+                             ("r_factor", params["sampen"].r_factor), ("n", params["permen"]),
+                             ("t", params["permtest"]), ("scales", check_scales(self.scales))):
+            object.__setattr__(self, field, value)
 
 
 def build_metrics(config: AnalysisConfig) -> list[Metric]:

@@ -134,55 +134,50 @@ def _count_runs(signs: np.ndarray) -> int:
 def runs_test(series: Series, variant: RunsVariant = "above_below_median") -> RunsTestResult:
     """Two-sided z-test on the number of maximal constant-sign runs.
 
-    above_below_median: signs are (x > median); samples equal to the
-    median are dropped. Moments: mu = 2*n1*n2/n + 1,
-    var = 2*n1*n2*(2*n1*n2 - n) / (n^2 * (n-1)).
+    Each variant picks a sequence and a pivot, and both share one sign
+    sequence: the values that differ from the pivot, each marked by
+    whether it lies above it. above_below_median takes the samples and
+    their median; up_down the successive differences x[i+1] - x[i] and 0.
+    Only the moments of the run count differ:
 
-    up_down: signs are sign(x[i+1] - x[i]) with zero differences dropped.
-    Moments over the n_d retained differences: mu = (2*n_d + 1)/3,
-    var = (16*n_d - 29)/90.
+    above_below_median, over n1 signs above and n2 below, n = n1 + n2:
+    mu = 2*n1*n2/n + 1, var = 2*n1*n2*(2*n1*n2 - n) / (n^2 * (n-1)).
+
+    up_down, over the n_d retained differences:
+    mu = (2*n_d + 1)/3, var = (16*n_d - 29)/90.
 
     Fewer runs than expected gives negative z, more gives positive.
     """
     variant = check_runs_variant(variant)
     x = series.values
-    if variant == "above_below_median":
-        with np.errstate(over="ignore"):
-            med = float(np.median(x))
-        if isinf(med):  # the two middle samples sum past the largest float
-            med = 2.0 * float(np.median(x * 0.5))  # both steps exact for normal numbers
-        kept = x[x != med]
-        if kept.size == 0:
-            raise NumericalError("degenerate series (all values equal the median)")
-        signs = kept > med
+    median = variant == "above_below_median"
+    # a median or difference past the largest float is inf; a difference keeps its sign
+    with np.errstate(over="ignore"):
+        values, pivot = (x, float(np.median(x))) if median else (np.diff(x), 0.0)
+    if isinf(pivot):  # the two middle samples sum past the largest float
+        pivot = 2.0 * float(np.median(x * 0.5))  # both steps exact for normal numbers
+    signs = values[values != pivot] > pivot
+    if signs.size == 0:
+        raise NumericalError("degenerate series (all values equal the median)" if median
+                             else "degenerate series (no nonzero differences)")
+    n = int(signs.size)
+    runs = _count_runs(signs)
+    if median:
         n1 = int(np.count_nonzero(signs))
-        n2 = int(signs.size - n1)
-        n = n1 + n2
-        runs = _count_runs(signs)
-        two_n1n2 = 2.0 * n1 * n2
+        two_n1n2 = 2.0 * n1 * (n - n1)
         mu = two_n1n2 / n + 1.0
         var = two_n1n2 * (two_n1n2 - n) / (n * n * (n - 1.0)) if n > 1 else 0.0
-        n_eff = n
-    else:  # up_down
-        with np.errstate(over="ignore"):  # a difference past the largest float keeps its sign
-            diffs = np.diff(x)
-        diffs = diffs[diffs != 0]
-        if diffs.size == 0:
-            raise NumericalError("degenerate series (no nonzero differences)")
-        signs = diffs > 0
-        n_d = int(signs.size)
-        runs = _count_runs(signs)
-        mu = (2.0 * n_d + 1.0) / 3.0
-        var = (16.0 * n_d - 29.0) / 90.0
-        n_eff = n_d
+    else:
+        mu = (2.0 * n + 1.0) / 3.0
+        var = (16.0 * n - 29.0) / 90.0
     if var <= 0:
-        raise NumericalError(f"sample too small for the runs test (n={n_eff})")
+        raise NumericalError(f"sample too small for the runs test (n={n})")
     z = (runs - mu) / sqrt(var)
     return RunsTestResult(
         z=float(z),
         p_value=runs_p_value(z),
         runs=runs,
-        n_effective=n_eff,
+        n_effective=n,
         variant=variant,
     )
 

@@ -31,7 +31,6 @@ import numpy as np
 import pytest
 
 from tscomplex import (
-    PermEnParams,
     SampEnParams,
     Series,
     arma_simulate,
@@ -231,7 +230,7 @@ def test_criterion_07_closed_forms():
     const = sample_entropy(Series([5.0] * 100),
                            SampEnParams(m=2, r_factor=0.1, r_mode="absolute"))
     assert const.value == 0.0
-    assert permutation_entropy(Series(np.arange(100.0)), PermEnParams(n=5)) == 0.0
+    assert permutation_entropy(Series(np.arange(100.0)), 5) == 0.0
     assert abs(chi_square_sf(3.841, 1) - 0.05) <= 5e-4
     assert chi_square_sf(3.841, 1) == pytest.approx(chi2_sf_quad(3.841, 1), abs=1e-10)
     assert abs(normal_sf(1.959964) - 0.025) <= 1e-6

@@ -1,13 +1,14 @@
 """One check per argument rule: every entry point that takes an argument
 refuses a bad value with the exception type and message of the rule's one
-check, and takes a whole number given as a float or a numpy integer."""
+check (a boolean or a string included), and takes a whole number given as
+a float or a numpy integer."""
 import numpy as np
 import pytest
 
-from tscomplex import (DataError, GeneratorSpec, PermEnParams, Series, arma_simulate,
-                       build_series, derive_seed, generate_iid, logistic_map, mse_sweep,
-                       mse_sweeps, ordinal_pattern_counts, permutation_test, render_report,
-                       welch_t_test)
+from tscomplex import (DataError, GeneratorSpec, SampEnParams, Series, add_noise,
+                       arma_simulate, build_series, coarse_grain, derive_seed, generate_iid,
+                       logistic_map, mse_sweep, mse_sweeps, ordinal_pattern_counts,
+                       permutation_entropy, permutation_test, render_report, welch_t_test)
 from tscomplex.experiments import reproduce
 from tscomplex.metrics import AnalysisConfig, build_metrics
 
@@ -22,7 +23,7 @@ def _scale_rows(scales, message):
 
 def _pattern_length_rows(n):
     size = f"must be an integer, got {n}" if n == 2.5 else f"must be in [2, 8], got {n}"
-    return [(lambda: PermEnParams(n=n), ValueError, f"tuple size {size}"),
+    return [(lambda: permutation_entropy(SERIES, n), ValueError, f"tuple size {size}"),
             (lambda: AnalysisConfig(n=n), ValueError, f"tuple size {size}"),
             (lambda: ordinal_pattern_counts(SERIES, n), ValueError, f"tuple size {size}"),
             (lambda: AnalysisConfig(t=n), ValueError, f"group size {size}"),
@@ -81,6 +82,36 @@ REFUSALS = {
                   DataError, "non-finite observation at index 0 of group a"),
     "welch-inf": (lambda: welch_t_test([1.0, 2.0], [1.0, np.inf]),
                   DataError, "non-finite observation at index 1 of group b"),
+    # a boolean is not a whole number, and a refused string is shown quoted
+    "sampen-m-bool": (lambda: SampEnParams(m=True),
+                      ValueError, "embedding length must be an integer, got True"),
+    "generate_iid-length-bool": (lambda: generate_iid("uniform", True, 0),
+                                 ValueError, "length must be an integer, got True"),
+    "coarse_grain-bool": (lambda: coarse_grain(SERIES, True),
+                          ValueError, "scale must be an integer, got True"),
+    "permutation_test-bool": (lambda: permutation_test(SERIES, True),
+                              ValueError, "group size must be an integer, got True"),
+    "coarse_grain-string": (lambda: coarse_grain(SERIES, "5"),
+                            ValueError, "scale must be an integer, got '5'"),
+    # a list argument is a sequence, not one string or number
+    "config-metrics-string": (lambda: AnalysisConfig(metrics="sampen"),
+                              ValueError, "metrics must be a sequence, got 'sampen'"),
+    **dict(zip(["config-scales-int", "sweep-scales-int"],
+               _scale_rows(5, "scales must be a sequence, got 5"))),
+    # a real parameter is a finite real number, not a string or a boolean
+    "config-r_factor-string": (lambda: AnalysisConfig(r_factor="0.2"),
+                               ValueError, "tolerance must be a real number, got '0.2'"),
+    "config-r_factor-bool": (lambda: AnalysisConfig(r_factor=True),
+                             ValueError, "tolerance must be a real number, got True"),
+    "add_noise-sd_absolute-string": (lambda: add_noise(SERIES, 0, sd_absolute="0.1"),
+                                     ValueError, "noise sd must be a real number, got '0.1'"),
+    "add_noise-sd_multiplier-bool": (lambda: add_noise(SERIES, 0, sd_multiplier=True),
+                                     ValueError, "sd multiplier must be a real number, got True"),
+    "add_noise-sd_multiplier-nan": (lambda: add_noise(SERIES, 0, sd_multiplier=np.nan),
+                                    ValueError, "sd multiplier must be finite, got nan"),
+    **{f"spec-seed-{seed}": (lambda seed=seed: GeneratorSpec("uniform", seed=seed),
+                             ValueError, f"seed must be an integer, got {seed}")
+       for seed in (None, 1.5, True)},
 }
 
 
@@ -102,7 +133,7 @@ def _reproduced(seed, replications):
 WHOLE_NUMBERS = {
     "config-scales": lambda two: AnalysisConfig(scales=(1, two)).scales,
     "sweep-scales": lambda two: mse_sweep(SERIES, [1, two], PERMEN).values("permen"),
-    "permen-params": lambda two: PermEnParams(n=two).n,
+    "permen-params": lambda two: permutation_entropy(SERIES, two),
     "ordinal_pattern_counts": lambda two: ordinal_pattern_counts(SERIES, two).tolist(),
     "permutation_test": lambda two: permutation_test(SERIES, two),
     "config-t": lambda two: build_metrics(AnalysisConfig(metrics=("permtest",), t=two))[0](SERIES),

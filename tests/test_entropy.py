@@ -19,7 +19,6 @@ from tscomplex import (
     DataError,
     Metric,
     NumericalError,
-    PermEnParams,
     SampEnParams,
     Series,
     add_noise,
@@ -341,11 +340,11 @@ class TestSampleEntropy:
 class TestPermutationEntropy:
     def test_monotone_series_is_zero(self):
         for n in (3, 5):
-            assert permutation_entropy(make_series(range(50)), PermEnParams(n=n)) == 0.0
-            assert permutation_entropy(make_series(range(50, 0, -1)), PermEnParams(n=n)) == 0.0
+            assert permutation_entropy(make_series(range(50)), n) == 0.0
+            assert permutation_entropy(make_series(range(50, 0, -1)), n) == 0.0
 
     def test_single_window(self):
-        assert permutation_entropy(make_series([3, 1, 2, 5, 4]), PermEnParams(n=5)) == 0.0
+        assert permutation_entropy(make_series([3, 1, 2, 5, 4]), 5) == 0.0
 
     def test_logistic_battery_value(self):
         pe = permutation_entropy(logistic_recipe(3.5))
@@ -359,11 +358,11 @@ class TestPermutationEntropy:
 
     def test_too_short(self):
         with pytest.raises(DataError, match="shorter than tuple"):
-            permutation_entropy(make_series([1, 2, 3]), PermEnParams(n=5))
+            permutation_entropy(make_series([1, 2, 3]), 5)
 
     def test_tie_rule_earlier_index_first(self):
         # all-equal windows collapse onto the identity pattern
-        assert permutation_entropy(Series([7.0] * 30), PermEnParams(n=3)) == 0.0
+        assert permutation_entropy(Series([7.0] * 30), 3) == 0.0
         counts = ordinal_pattern_counts(Series([7.0] * 10), 3)
         assert counts[0] == 8 and counts.sum() == 8
 
@@ -377,7 +376,7 @@ class TestPermutationEntropy:
         oracle = ordinal_counts_direct(x, n)
         assert counts.sum() == size - n + 1
         assert sorted(counts[counts > 0].tolist()) == sorted(oracle.values())
-        pe = permutation_entropy(Series(x), PermEnParams(n=n))
+        pe = permutation_entropy(Series(x), n)
         assert 0.0 <= pe <= 1.0
         assert pe == pytest.approx(permen_direct(x, n), abs=1e-12)
 

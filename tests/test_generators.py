@@ -218,6 +218,11 @@ class TestGeneratorSpec:
                 '"length": 1000, "burn_in": 4000, "seed": 0, "label": "chaos"}')
         assert GeneratorSpec.from_json(text) == spec
 
+    def test_whole_number_fields_are_kept_as_ints(self):
+        spec = GeneratorSpec("uniform", length=4.0, burn_in=np.int64(1), seed=2.0)
+        assert spec == GeneratorSpec("uniform", length=4, burn_in=1, seed=2)
+        assert [type(v) for v in (spec.length, spec.burn_in, spec.seed)] == [int] * 3
+
     def test_from_json_requires_object(self):
         with pytest.raises(DataError):
             GeneratorSpec.from_json("[1,2,3]")

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from tscomplex import PermEnParams, SampEnParams, coarse_grain, generate_iid, mse_sweep
+from tscomplex import SampEnParams, coarse_grain, generate_iid, mse_sweep
 from tscomplex.metrics import AnalysisConfig, build_metrics
 from tscomplex.entropy import check_pattern_length
 
@@ -56,12 +56,22 @@ class TestAnalysisConfig:
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value}$"):
             make(value)
 
+    def test_config_keeps_what_its_metrics_use(self):
+        config = AnalysisConfig(metrics=["sampen"], m=2.0, r_factor=np.float64(0.5), n=3.0,
+                                t=np.int64(4), scales=[1, 2.0])
+        plain = AnalysisConfig(metrics=("sampen",), m=2, r_factor=0.5, n=3, t=4, scales=(1, 2))
+        assert config == plain and hash(config) == hash(plain)
+        assert ([type(v) for v in (config.metrics, config.m, config.r_factor, config.n, config.t,
+                                   config.scales)] == [tuple, int, float, int, int, tuple])
+
     @pytest.mark.parametrize("two", [2.0, np.int64(2)], ids=["float", "int64"])
     def test_whole_numbers_are_accepted_as_ints(self, two):
         config = AnalysisConfig(m=two, n=two + 2, t=two + 1, scales=(1, two, two + 1))
         assert config.scales == (1, 2, 3) and all(type(s) is int for s in config.scales)
-        assert [type(p) for p in (SampEnParams(m=two).m, PermEnParams(n=two).n,
-                                  check_pattern_length(two, "group size"))] == [int] * 3
+        assert (config.m, config.n, config.t) == (2, 4, 3)
+        assert [type(p) for p in (config.m, config.n, config.t, SampEnParams(m=two).m,
+                                  check_pattern_length(two, "tuple size"),
+                                  check_pattern_length(two, "group size"))] == [int] * 6
         series = generate_iid("uniform", 20, seed=1)
         assert coarse_grain(series, two).values.tolist() == coarse_grain(series, 2).values.tolist()
         profile = mse_sweep(series, [1, two], build_metrics(config))
