@@ -29,15 +29,23 @@ only in the final sample, so (K + 1)^(m+1) lies just under and just over
 ``entropy._GRID_CELLS`` cells per template (2 048 383 and 2 097 152 against
 2 096 640), and the choice of ``grid`` is checked on both sides; every case
 takes ``grid`` exactly when it meets that rule, and every case's grid bound
-is at least its B. Each strategy in ``entropy._STRATEGIES`` is also compared
-on every case it is fit for: ``trees`` on all of them, ``extended`` on those
-whose list stays within twice the bound, and ``grid`` on those whose rank
-table stays within twice its bound.
-At 64k, where the brute force is too slow, the counts are compared with
-one weighted ``count_neighbors`` of a median-split tree over the distinct
-templates, built from ``np.unique(axis=0)`` rather than the kernel's byte
-keys and sliding-midpoint tree. The kernel reads no CPU count, so each
-comparison runs once. The brute force takes a few seconds per series.
+is at least its B. ``straddle-8k`` alternates 0 and 1 plus N(0, 0.25^2)
+noise with r = 1, so half the pairs of values lie about r apart, and
+``periodic-16k-scale2`` is the noisy period-4 orbit coarse-grained at scale
+2 with the orbit's own r, as ``mse --fixed-r`` keeps it: clusters closer
+than r with empty space between them. Both take the ``trees``, whose
+blocks (``entropy._BLOCK``) are pruned or counted whole on their bounding
+boxes. Each strategy in ``entropy._STRATEGIES`` is also compared on every
+case it is fit for: ``trees`` on all of them, ``extended`` on those whose
+list stays within twice the bound, and ``grid`` on those whose rank table
+stays within twice its bound.
+At 64k, where the brute force is too slow (N(0,1), the 1/128 grid, the
+periodic orbit, the RR-like series and the AR(1) path), the counts are
+compared with one weighted ``count_neighbors`` of a median-split tree over
+all the distinct templates, built from ``np.unique(axis=0)`` rather than
+the kernel's byte keys, blocks and sliding-midpoint trees. The kernel
+reads no CPU count, so each comparison runs once. The brute force takes
+a few seconds per series.
 """
 from functools import lru_cache
 
@@ -67,6 +75,13 @@ def _periodic(n: int) -> tuple[np.ndarray, float]:
     r = 0.2 SD: dense matches."""
     x = add_noise(logistic_map(3.5, 0.3, keep=n, total=n + 1000), n, sd_multiplier=0.05).values
     return x, 0.2 * float(np.std(x, ddof=1))
+
+
+def _periodic_grained(n: int, scale: int) -> tuple[np.ndarray, float]:
+    """``_periodic(n)`` coarse-grained at ``scale``, with the tolerance of
+    the series itself, as ``mse --fixed-r`` keeps it."""
+    x, r = _periodic(n)
+    return coarse_grain(Series(x), scale).values, r
 
 
 def _sd_tolerance(x: np.ndarray) -> tuple[np.ndarray, float]:
@@ -105,6 +120,8 @@ CASES = {
     "rr128-16k-scale3": lambda: _sd_tolerance(coarse_grain(Series(_rr_like(16384)), 3).values),
     "rule-grid-below-8k": lambda: (_integers(126), 2.0),
     "rule-grid-above-8k": lambda: (np.append(_integers(126)[:-1], 126.0), 2.0),
+    "straddle-8k": lambda: (np.tile([0.0, 1.0], 4096) + _rng(8196).normal(0, 0.25, 8192), 1.0),
+    "periodic-16k-scale2": lambda: _periodic_grained(16384, 2),
 }
 
 # the same at 64k, checked against one tree over the distinct templates
@@ -113,6 +130,7 @@ LONG = {
     "grid128-64k": lambda: (np.round(_rng(65537).normal(size=65536) * 128) / 128, 3 / 128),
     "periodic-64k": lambda: _periodic(65536),
     "rr128-64k": lambda: (_rr_like(65536), 1 / 128),
+    "ar95-64k": lambda: _sd_tolerance(arma_simulate((0.95,), (), 65536, 65536).values),
 }
 
 

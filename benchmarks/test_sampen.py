@@ -21,9 +21,13 @@ those pass it, ``entropy._grid_bound``. N(0,1) and the 1/128 grid bound
 grid, and take ``extended``, ties or not; at 64k their grid bound is about
 924, and they take the ``trees``. So do the periodic orbit from 4k on
 (grid bound 511-8200; 146 in the first coordinate at 1k, which takes
-``extended``) and the AR(1) path at 16k (grid bound 653, where B is 316
-per template; 232 in the first coordinate at 4k, which takes
-``extended``).
+``extended``) and the AR(1) path from 16k on (grid bound 653, where B is
+316 per template; 232 in the first coordinate at 4k, which takes
+``extended``). The AR(1) path at 64k is the slowest input found for a
+single count. The ``trees`` count each length's distinct templates in
+blocks of at most ``entropy._BLOCK`` = 512, each on its own kd-tree, so
+the clustered templates of the periodic orbit and the slowly varying
+AR(1) path are the cases where the blocks' tight boxes matter most.
 """
 import numpy as np
 import pytest
@@ -32,7 +36,7 @@ from tscomplex import Series, add_noise, arma_simulate, logistic_map, sample_ent
 
 SIZES = (1024, 4096, 16384, 65536)
 CASES = [*((kind, n) for kind in ("normal", "grid128", "binary", "periodic") for n in SIZES),
-         ("rr128", 8192), ("rr128", 65536), ("ar95", 4096), ("ar95", 16384)]
+         ("rr128", 8192), ("rr128", 65536), ("ar95", 4096), ("ar95", 16384), ("ar95", 65536)]
 
 
 def _series(kind: str, n: int) -> Series:

@@ -8,12 +8,14 @@ RR intervals, a summed-area table over the value ranks counts each
 distinct template's matches as one box; on cells where a bound on the
 length-m matches is low, one kd-tree over the raw length-m templates
 lists B's pairs and A counts those whose extra coordinate matches too;
-elsewhere a kd-tree per length over the distinct templates, each weighted
-by its multiplicity, counts the pairs in bulk. Series of ~100k points
-(24-hour RR-interval recordings) take milliseconds when quantized and
-seconds when not. The tree is scipy's ``cKDTree``, imported where the
-first tree is built, so that importing this module loads no scipy. The
-default tolerance is a multiple of the series' sample SD
+elsewhere the distinct templates of each length, each weighted by its
+multiplicity, are split into blocks of at most ``_BLOCK`` with a kd-tree
+each, and every pair of blocks is ruled out or counted whole on the
+blocks' bounding boxes, or else counted in bulk by their trees. Series of
+~100k points (24-hour RR-interval recordings) take milliseconds when
+quantized and seconds when not. The tree is scipy's ``cKDTree``, imported
+where the first tree is built, so that importing this module loads no
+scipy. The default tolerance is a multiple of the series' sample SD
 (``core.sample_sd``).
 Permutation entropy histograms the ordinal patterns of the overlapping
 windows of n samples, n a plain int, with ties broken toward the earlier
@@ -129,45 +131,86 @@ class SampEnResult:
 _LIST_BELOW = 256
 
 
+# Distinct templates are counted in blocks of at most this many, each on
+# its own tree.
+_BLOCK = 512
+
+
 def _kd_tree(points: np.ndarray) -> cKDTree:
     """scipy's kd-tree over the rows of ``points``, imported here so that
     importing this module loads no scipy."""
     from scipy.spatial import cKDTree
 
-    # sliding-midpoint splits keep the cells compact on clustered
-    # templates, such as those of a noisy periodic orbit, where median
-    # splits leave thin cells that prune poorly
+    # sliding-midpoint splits prune better than median splits on clustered
+    # templates, such as those of a noisy periodic orbit; but the traversal
+    # cuts its node rectangles from the root box, so they still span the
+    # empty space between clusters, which the blocks of ``_blocks`` remove
     return cKDTree(points, balanced_tree=False)
 
 
-def _template_tree(x: np.ndarray, k: int, nt: int) -> tuple[cKDTree, np.ndarray]:
-    """A kd-tree over the distinct length-k templates among the first nt,
-    and each one's multiplicity."""
+def _templates(x: np.ndarray, k: int, nt: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct length-k templates among the first nt, as rows, and
+    each one's multiplicity."""
     # one opaque k*8-byte key per template, so that np.unique sorts bytes
     # rather than k-field records; -0.0 and 0.0 stay apart, which changes
     # no count
     rows = np.ascontiguousarray(sliding_window_view(x, k)[:nt])
     keys, weights = np.unique(rows.view(np.dtype((np.void, rows.itemsize * k))),
                               return_counts=True)
-    return _kd_tree(keys.view(np.float64).reshape(-1, k)), weights
+    return keys.view(np.float64).reshape(-1, k), weights
 
 
-def _counted_pairs(tree: cKDTree, weights: np.ndarray, r: float) -> int:
-    """Template pairs i < j within r, from one weighted bulk count.
+def _blocks(points: np.ndarray, weights: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The weighted points split into blocks of at most ``_BLOCK``: each
+    part is halved at the median of the coordinate along which its own
+    points spread widest, until it is small enough."""
+    parts, blocks = [(points, weights)], []
+    while parts:
+        p, w = parts.pop()
+        if len(p) <= _BLOCK:
+            blocks.append((p, w))
+            continue
+        axis = int(np.argmax(p.max(axis=0) - p.min(axis=0)))
+        half = len(p) // 2
+        low, high = np.split(np.argpartition(p[:, axis], half), [half])
+        parts += [(p[low], w[low]), (p[high], w[high])]
+    return blocks
 
-    The tree counts the weighted ordered pairs, self-pairs included;
-    removing the self-pairs and halving gives the unordered count.
+
+def _counted_pairs(points: np.ndarray, weights: np.ndarray, r: float) -> int:
+    """Template pairs i < j within r, from weighted bulk counts over the
+    blocks of the distinct templates.
+
+    The weighted ordered pairs, self-pairs included, are the sum over block
+    pairs (``_pair_counts`` gives the rules); removing the self-pairs and
+    halving gives the unordered count.
     """
-    total = tree.count_neighbors(tree, r, p=np.inf, weights=weights)
-    return (int(total) - int(weights.sum())) // 2
+    blocks = _blocks(points, weights)
+    lo = np.array([p.min(axis=0) for p, _ in blocks])
+    hi = np.array([p.max(axis=0) for p, _ in blocks])
+    sums = [int(w.sum()) for _, w in blocks]
+    trees = [_kd_tree(p) for p, _ in blocks]
+    total = 0
+    for i, (_, w) in enumerate(blocks):
+        # the boxes of blocks i, i+1, ... against block i's
+        apart = ((lo[i:] - hi[i] > r) | (lo[i] - hi[i:] > r)).any(axis=1)
+        within = ((hi[i:] - lo[i] <= r) & (hi[i] - lo[i:] <= r)).all(axis=1)
+        for j in i + np.flatnonzero(~apart):
+            if within[j - i]:
+                count = sums[i] * sums[j]
+            else:
+                count = int(trees[i].count_neighbors(trees[j], r, p=np.inf,
+                                                     weights=(w, blocks[j][1])))
+            total += count if j == i else 2 * count
+    return (total - int(weights.sum())) // 2
 
 
 def _tree_counts(x: np.ndarray, m: int, r: float) -> tuple[int, int]:
-    """(A, B) from one bulk count on a tree per length over the distinct
-    templates."""
+    """(A, B) from bulk counts on blocks of the distinct templates, each
+    block on its own tree, per length."""
     nt = x.size - m
-    return (_counted_pairs(*_template_tree(x, m + 1, nt), r),
-            _counted_pairs(*_template_tree(x, m, nt), r))
+    return (_counted_pairs(*_templates(x, m + 1, nt), r),
+            _counted_pairs(*_templates(x, m, nt), r))
 
 
 def _extended_pairs(x: np.ndarray, m: int, r: float) -> tuple[int, int]:
@@ -306,10 +349,14 @@ def _strategy(x: np.ndarray, m: int, r: float) -> str:
     ``extended`` takes 8 ms for 4096 N(0,1) points, where the trees took
     22 ms, and 93-99 against 148-153 ms at 16k; ties do not slow it, as
     on the 1/128 grid (7 against 21 ms at 4k). On one CPU the noisy
-    period-4 orbit lists faster than the trees count up to its bound, 20
-    against 30 ms at 2048 points (253 per template in B). A tie-free AR(1)
-    path with coefficient 0.95 bounds 653 per template at 16k and stays
-    on the trees. RR-like series quantized to 1/128 s hold 47-126
+    period-4 orbit lists faster than the blocked trees count up to its
+    bound, 18 against 20 ms at 2048 points (253 per template in B). A
+    tie-free AR(1) path with coefficient 0.95 bounds 653 per template at
+    16k and stays on the trees. The blocks made the trees 1.3-3.7 times
+    faster where they count (one CPU): the noisy orbit at 4k-64k 29, 145
+    and 983 ms (one tree per length: 68, 533 and 2709 ms), the AR(1)
+    path at 16k and 64k 0.32 and 2.3 s (0.45 and 4.1 s), and N(0,1) at
+    64k 1.45 s (1.83 s). RR-like series quantized to 1/128 s hold 47-126
     distinct values at scales 1-10 of an 8192-point file; the grid takes
     scales 1-3, where it is 1.6-10 times faster, and ``extended`` the
     rest. The noisy period-4 orbit of an ``mse --fixed-r`` sweep bounds
@@ -353,20 +400,42 @@ def _pair_counts(x: np.ndarray, m: int, r: float) -> tuple[int, int]:
     where matches are sparse; ``extended`` lists B's pairs only up to
     ``_LIST_BELOW`` per template, and A needs no tree of its own.
 
-    The counts are exact. The trees, the extra coordinate and the grid's
-    rank intervals decide a point pair by comparing the same rounded
-    coordinate differences with r that the definition does, so distances
-    exactly equal to r still match, and a difference that overflows is
-    inf and does not. A tree counts or prunes a whole node pair only on
-    bounding-box distances, which bound every point distance inside also
-    after rounding. The bulk count sums the weights as floats; every
-    partial sum is an integer below nt**2 < 2**53, so the total is exact.
-    Listed and grid counts are int64, and a grid table holds counts up to
-    nt in int32. Memory is O(N) for fixed m: a list holds at most 256*nt
-    pairs of 16 bytes (short of first-coordinate differences that round
-    down to r when the cheaper bound decides), and a grid table about
-    256*nt cells of 4 bytes. The counts never depend on the bounds, which
-    only choose the strategy.
+    ``trees`` is a dual-tree count (Gray and Moore 2001) whose top levels
+    are blocks. scipy decides its node pairs on rectangles cut from the
+    root box by the split planes, which on clustered templates span the
+    empty space between clusters. So each length's distinct templates are
+    halved at the median of the coordinate their own points spread widest
+    along until no block holds more than ``_BLOCK`` (``_blocks``), and each
+    block's tree starts from its block's tight box. A pair of blocks i, j
+    with boxes [lo, hi] and weight sums W is decided on the boxes: no pair
+    matches when on some coordinate lo_j - hi_i > r or lo_i - hi_j > r;
+    all W_i*W_j weighted pairs match when on every coordinate
+    hi_j - lo_i <= r and hi_i - lo_j <= r; otherwise the blocks' trees
+    count it. The ordered count is the sum over i of the pair (i, i) plus
+    twice the sum over i < j. A cell of at most ``_BLOCK`` distinct
+    templates is one block on one tree.
+
+    The counts are exact. The trees, the blocks, the extra coordinate and
+    the grid's rank intervals decide a point pair by comparing the same
+    rounded coordinate differences with r that the definition does, so
+    distances exactly equal to r still match, and a difference that
+    overflows is inf and does not. A tree counts or prunes a whole node
+    pair, and ``trees`` a whole block pair, only on bounding-box
+    differences: rounded subtraction is monotone, so a box difference
+    bounds the difference of every pair of points inside, also after
+    rounding. A box difference lies within one coordinate's range, which
+    ``sample_entropy`` keeps below the largest float, as the tree needs.
+    Each bulk count sums the weights as floats; every partial sum is an
+    integer below nt**2 < 2**53, so it is exact, and the block counts add
+    up in Python ints. Listed and grid counts are int64, and a grid table
+    holds counts up to nt in int32. Memory is O(N) for fixed m: the blocks
+    and their trees hold each distinct template once, and their boxes are
+    compared one block's row at a time (never a blocks x blocks x k array,
+    about 100 MB at 1M points); a list holds at most 256*nt pairs of 16
+    bytes (short of first-coordinate differences that round down to r when
+    the cheaper bound decides), and a grid table about 256*nt cells of 4
+    bytes. The counts never depend on the bounds, which only choose the
+    strategy.
     """
     return _STRATEGIES[_strategy(x, m, r)](x, m, r)
 

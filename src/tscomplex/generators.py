@@ -98,9 +98,11 @@ def generate_iid(
     """Independent draws from Uniform(0,1), Normal(0,1) or Exponential(rate).
 
     Deterministic in (dist, n, seed): the same inputs always give the
-    bit-identical series. n, burn_in and an int seed must be whole numbers.
+    bit-identical series. n, burn_in and an int seed must be whole numbers,
+    and rate a finite real number (``core.check_real``).
     """
     n, burn_in = _check_size(n, burn_in)
+    rate = check_real(rate, "rate")
     if rate <= 0:
         raise DataError(f"rate must be positive, got {rate}")
     if dist not in _DRAWS:
@@ -124,9 +126,11 @@ def logistic_map(
     element) and has ``total`` values; the final ``keep`` are returned.
     Left-associated multiplication ``(r*x)*(1-x)`` is part of the recipe:
     chaotic orbits depend on it bit-for-bit. ``keep`` and ``total`` must be
-    whole numbers.
+    whole numbers, and ``r`` and ``x0`` finite real numbers
+    (``core.check_real``).
     """
     keep, total = check_int(keep, "keep"), check_int(total, "total")
+    r, x0 = check_real(r, "growth rate"), check_real(x0, "x0")
     if not 0 < x0 < 1:
         raise DataError(f"x0 must be in (0, 1), got {x0}")
     if not 0 < r <= 4:
@@ -134,7 +138,7 @@ def logistic_map(
     if keep < 1 or keep > total:
         raise DataError(f"keep must be in [1, total], got keep={keep} total={total}")
     seq = np.empty(total, dtype=np.float64)
-    x = seq[0] = float(x0)
+    x = seq[0] = x0
     for i in range(1, total):
         x = seq[i] = (r * x) * (1.0 - x)
     escaped = np.flatnonzero(~((seq > 0.0) & (seq < 1.0)))
@@ -159,13 +163,13 @@ def arma_simulate(
 
     Raises on non-stationary AR coefficients (a root of the AR polynomial
     on or inside the unit circle). n, burn_in and an int seed must be whole
-    numbers.
+    numbers, and each coefficient a finite real number (``core.check_real``).
     """
     from scipy import signal
 
     n, burn_in = _check_size(n, burn_in)
-    ar = [float(c) for c in ar]
-    ma = [float(c) for c in ma]
+    ar = [check_real(c, "AR coefficient") for c in ar]
+    ma = [check_real(c, "MA coefficient") for c in ma]
     if ar:
         # roots of z^p - ar1 z^(p-1) - ... - arp must lie inside the unit circle
         roots = np.roots([1.0] + [-c for c in ar])

@@ -131,6 +131,16 @@ def _count_runs(signs: np.ndarray) -> int:
     return 1 + int(np.count_nonzero(signs[1:] != signs[:-1]))
 
 
+def _median(x: np.ndarray) -> float:
+    """``np.median(x)`` from one partition at the middle rank: the middle
+    value, or the mean of the two middle values. A sum of the two past the
+    largest float is inf, as in ``np.median``; only the sign of a zero
+    median may differ, which no comparison with it sees."""
+    h = x.size // 2
+    part = np.partition(x, h)
+    return float(part[h] if x.size % 2 else (part[:h].max() + part[h]) / 2)
+
+
 def runs_test(series: Series, variant: RunsVariant = "above_below_median") -> RunsTestResult:
     """Two-sided z-test on the number of maximal constant-sign runs.
 
@@ -153,9 +163,9 @@ def runs_test(series: Series, variant: RunsVariant = "above_below_median") -> Ru
     median = variant == "above_below_median"
     # a median or difference past the largest float is inf; a difference keeps its sign
     with np.errstate(over="ignore"):
-        values, pivot = (x, float(np.median(x))) if median else (np.diff(x), 0.0)
+        values, pivot = (x, _median(x)) if median else (np.diff(x), 0.0)
     if isinf(pivot):  # the two middle samples sum past the largest float
-        pivot = 2.0 * float(np.median(x * 0.5))  # both steps exact for normal numbers
+        pivot = 2.0 * _median(x * 0.5)  # both steps exact for normal numbers
     signs = values[values != pivot] > pivot
     if signs.size == 0:
         raise NumericalError("degenerate series (all values equal the median)" if median

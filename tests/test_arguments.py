@@ -109,6 +109,26 @@ REFUSALS = {
                                      ValueError, "sd multiplier must be a real number, got True"),
     "add_noise-sd_multiplier-nan": (lambda: add_noise(SERIES, 0, sd_multiplier=np.nan),
                                     ValueError, "sd multiplier must be finite, got nan"),
+    "logistic_map-r-string": (lambda: logistic_map("3.7", 0.3, keep=5, total=10),
+                              ValueError, "growth rate must be a real number, got '3.7'"),
+    "logistic_map-r-bool": (lambda: logistic_map(True, 0.3, keep=5, total=10),
+                            ValueError, "growth rate must be a real number, got True"),
+    "logistic_map-x0-string": (lambda: logistic_map(3.7, "0.3", keep=5, total=10),
+                               ValueError, "x0 must be a real number, got '0.3'"),
+    "logistic_map-x0-nan": (lambda: logistic_map(3.7, np.nan, keep=5, total=10),
+                            ValueError, "x0 must be finite, got nan"),
+    "generate_iid-rate-string": (lambda: generate_iid("exponential", 5, 0, rate="2"),
+                                 ValueError, "rate must be a real number, got '2'"),
+    "generate_iid-rate-bool": (lambda: generate_iid("exponential", 5, 0, rate=True),
+                               ValueError, "rate must be a real number, got True"),
+    "generate_iid-rate-nan": (lambda: generate_iid("exponential", 5, 0, rate=np.nan),
+                              ValueError, "rate must be finite, got nan"),
+    "arma_simulate-ar-string": (lambda: arma_simulate(["0.5"], [], 5, 0),
+                                ValueError, "AR coefficient must be a real number, got '0.5'"),
+    "arma_simulate-ar-nan": (lambda: arma_simulate([np.nan], [], 5, 0),
+                             ValueError, "AR coefficient must be finite, got nan"),
+    "arma_simulate-ma-bool": (lambda: arma_simulate([0.5], [True], 5, 0),
+                              ValueError, "MA coefficient must be a real number, got True"),
     **{f"spec-seed-{seed}": (lambda seed=seed: GeneratorSpec("uniform", seed=seed),
                              ValueError, f"seed must be an integer, got {seed}")
        for seed in (None, 1.5, True)},

@@ -66,6 +66,26 @@ def sampen_counts(series, params=SampEnParams()):
     return res.a_count, res.b_count
 
 
+# series with sparse, dense and clustered matches, many distances equal to r
+ORACLE_CASES = [
+    # sparse matches; on the 1/128 grid many distances equal r exactly
+    pytest.param(_normal(300, 6), 0.2, id="normal"),
+    pytest.param(np.round(_normal(300, 7) * 128) / 128, 2 / 128, id="grid128"),
+    # tie-free, and every difference a multiple of 1/128: many equal r
+    pytest.param(np.random.Generator(np.random.PCG64(10)).permutation(300) / 128, 12 / 128,
+                 id="permutation128"),
+    # dense matches, with few distinct templates or clustered ones
+    pytest.param(np.random.Generator(np.random.PCG64(8)).integers(0, 2, 300).astype(float),
+                 0.5, id="binary"),
+    pytest.param(*_periodic(300), id="periodic"),
+    # multiples of 0.1 in floats: neighbours differ by a little under,
+    # exactly or a little over r
+    pytest.param(np.random.Generator(np.random.PCG64(23)).integers(-40, 40, 300) * 0.1, 0.1,
+                 id="lattice"),
+    pytest.param(np.round(_normal(300, 24) - 2, 1), 0.1, id="negative-tied"),
+]
+
+
 class TestSampleEntropy:
     def test_constant_series_all_pairs_match(self):
         res = sample_entropy(Series([5.0] * 100), SampEnParams(m=2, r_factor=0.1, **ABS_R))
@@ -226,26 +246,30 @@ class TestSampleEntropy:
     @pytest.mark.simd
     @pytest.mark.parametrize("m", [1, 2])
     @pytest.mark.parametrize("strategy", [*entropy._STRATEGIES])
-    @pytest.mark.parametrize("x, r", [
-        # sparse matches; on the 1/128 grid many distances equal r exactly
-        pytest.param(_normal(300, 6), 0.2, id="normal"),
-        pytest.param(np.round(_normal(300, 7) * 128) / 128, 2 / 128, id="grid128"),
-        # tie-free, and every difference a multiple of 1/128: many equal r
-        pytest.param(np.random.Generator(np.random.PCG64(10)).permutation(300) / 128, 12 / 128,
-                     id="permutation128"),
-        # dense matches, with few distinct templates or clustered ones
-        pytest.param(np.random.Generator(np.random.PCG64(8)).integers(0, 2, 300).astype(float),
-                     0.5, id="binary"),
-        pytest.param(*_periodic(300), id="periodic"),
-        # multiples of 0.1 in floats: neighbours differ by a little under,
-        # exactly or a little over r
-        pytest.param(np.random.Generator(np.random.PCG64(23)).integers(-40, 40, 300) * 0.1, 0.1,
-                     id="lattice"),
-        pytest.param(np.round(_normal(300, 24) - 2, 1), 0.1, id="negative-tied"),
-    ])
+    @pytest.mark.parametrize("x, r", ORACLE_CASES)
     def test_every_strategy_matches_bruteforce_oracle(self, x, r, strategy, m):
         # each strategy on every case: the choice between them is tested apart
         assert entropy._STRATEGIES[strategy](x, m, r) == sampen_pairs_direct(x, m, r)
+
+    @pytest.mark.simd
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("block", [2, 8, 64])
+    @pytest.mark.parametrize("x, r", [
+        *ORACLE_CASES,
+        # box differences up to within 2% of the largest float
+        pytest.param(np.array([-1.7e308, *_normal(298, 25), 1.7e308]), 0.2, id="extremes"),
+        # two clusters exactly r apart: every box gap between them equals r
+        pytest.param(np.repeat([0.0, 0.5], 150), 0.5, id="clusters-r-apart"),
+        # r spans three steps of 0.1, so two small blocks' joint span is a
+        # little under, exactly or a little over r
+        pytest.param(np.random.Generator(np.random.PCG64(23)).integers(-40, 40, 300) * 0.1, 0.3,
+                     id="lattice-three-steps"),
+    ])
+    def test_blocked_tree_counts_match_bruteforce_oracle(self, x, r, block, m, monkeypatch):
+        # many blocks, so block pairs are pruned, counted whole and counted
+        # by their trees, on every side of each rule
+        monkeypatch.setattr(entropy, "_BLOCK", block)
+        assert entropy._tree_counts(x, m, r) == sampen_pairs_direct(x, m, r)
 
     @pytest.mark.parametrize("x, r, name", [
         pytest.param(_normal(1000, 11), 0.2, "extended", id="sparse-1k"),

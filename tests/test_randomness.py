@@ -17,6 +17,7 @@ from tscomplex import (
     runs_test,
     welch_t_test,
 )
+from tscomplex import randomness
 from tscomplex.experiments import logistic_recipe
 
 from conftest import TIE_KINDS, argsort_lehmer_codes, make_series, tie_heavy_values
@@ -146,6 +147,33 @@ class TestRunsTest:
         rng.shuffle(x)
         for variant in ("above_below_median", "up_down"):
             assert runs_test(Series(x), variant) == runs_test(Series(x * 0.5), variant)
+
+    @pytest.mark.parametrize("x", [
+        pytest.param(np.random.Generator(np.random.PCG64(30)).normal(size=101), id="odd"),
+        pytest.param(np.random.Generator(np.random.PCG64(31)).normal(size=100), id="even"),
+        pytest.param(np.random.Generator(np.random.PCG64(32)).integers(0, 3, 101).astype(float),
+                     id="ties-odd"),
+        pytest.param(np.random.Generator(np.random.PCG64(33)).integers(0, 3, 100).astype(float),
+                     id="ties-even"),
+        pytest.param(np.array([3e-310, -1e-310, 2e-310, 5e-310]), id="subnormal"),
+        pytest.param(np.random.Generator(np.random.PCG64(34)).choice([-0.0, 0.0, -1.0, 1.0], 100),
+                     id="signed-zeros"),
+    ])
+    def test_one_partition_median_is_numpy_median(self, x):
+        assert randomness._median(x) == float(np.median(x))
+        for variant in ("above_below_median", "up_down"):
+            res = runs_test(Series(x), variant)
+            runs, mu, var = runs_direct(x, variant)
+            assert res.runs == runs
+            assert res.z == pytest.approx((runs - mu) / sqrt(var), rel=1e-12)
+
+    def test_overflowing_median_falls_back_to_the_halved_series(self):
+        # the two middle samples sum past the largest float: inf, as in
+        # np.median, and the halved series gives the median without overflow
+        x = np.array([1.7e308, -1.0, 1.6e308, 1.5e308, 2.0, 1.65e308])
+        with np.errstate(over="ignore"):
+            assert randomness._median(x) == float(np.median(x)) == np.inf
+        assert 2.0 * randomness._median(x * 0.5) == 2.0 * float(np.median(x * 0.5)) == 1.55e308
 
     def test_up_down_too_small(self):
         with pytest.raises(NumericalError, match="sample too small"):
